@@ -23,16 +23,16 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, get_args
 
 from . import ntcore as nt
-from .canonical import canonical_params, find_qnr_or_m
-from .checks import bcc, ecc, fgpc_check, pgpc_check
+from .canonical import CanonicalParams, canonical_params, find_qnr_or_m
+from .checks import bcc, ecc, fgpc_check, pbpc, pgpc_check, pgpc_condition
 from .ntcore import jacobi, lof_tpow
-from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
-from .quadext import _pow_one_plus_root
+# Not called here; bound so that tracing tools can wrap them on this module.
+from .polyring import mbec_remainder, poly_powmod  # noqa: F401
 
 __all__ = [
     "BinomialWitness",
@@ -72,6 +72,17 @@ class Outcome(Enum):
 
 
 # --------------------------------------------------------------- mechanisms
+
+
+def _search_params(n: int, m: int | None) -> CanonicalParams | None:
+    """Canonical data for m if m is the parameter find_qnr_or_m picks for n.
+
+    The one admissibility rule for a battery parameter in a certificate: it
+    fixes the divisors, and bounds the verifier's cost, by the search's m.
+    """
+    if m is None or n < 25 or n % 24 != 1 or find_qnr_or_m(n).m != m:
+        return None
+    return canonical_params(m)
 
 
 @dataclass(frozen=True)
@@ -116,14 +127,10 @@ class PerfectSquare:
 
 
 @dataclass(frozen=True)
-class JacobiZeroFactor:
+class JacobiZeroFactor(TrivialFactor):
     """A probe shared a factor with n (vanishing Jacobi symbol)."""
 
-    p: int
     kind = "jacobi_zero_factor"
-
-    def verify(self, n: int) -> bool:
-        return 1 < self.p < n and n % self.p == 0
 
     def describe(self) -> str:
         return f"shared factor {self.p}"
@@ -153,7 +160,8 @@ class BinomialWitness:
     Scalar form: (q, a, b) is the defect pair in Z_n[sqrt(q)].
     Polynomial form: `divisor` (ascending coefficients mod n) leaves the
     nonzero `remainder`; `divisor_kind` names which canonical polynomial it
-    was reduced from, and `m` its parameter.
+    was reduced from, and `m` its parameter. It verifies only for the m
+    the parameter search picks for n and the divisor Psi_m mod n.
     """
 
     q: int | None = None
@@ -173,10 +181,11 @@ class BinomialWitness:
             return (got.a, got.b) == (self.a, self.b)
         if self.divisor is None or self.remainder is None:
             return False
-        if not self.remainder:
+        params = _search_params(n, self.m)
+        if params is None or tuple(self.divisor) != params.psi.reduced(n).coeffs:
             return False
-        got_rem = mbec_remainder(n, Poly(self.divisor, n))
-        return got_rem.coeffs == tuple(self.remainder)
+        got, _ = pgpc_condition(n, params, "cond2")
+        return got.coeffs == tuple(self.remainder) != ()
 
     def describe(self) -> str:
         if self.q is not None:
@@ -202,13 +211,13 @@ class MrNontrivialRoot:
 
 @dataclass(frozen=True)
 class FermatWitness:
-    """a**(n-1) != 1 mod n."""
+    """a**(n-1) != 1 mod n, for a not divisible by n."""
 
     a: int
     kind = "fermat_witness"
 
     def verify(self, n: int) -> bool:
-        return pow(self.a, n - 1, n) != 1
+        return n >= 3 and self.a % n != 0 and pow(self.a, n - 1, n) != 1
 
     def describe(self) -> str:
         return f"fermat witness {self.a}"
@@ -221,7 +230,8 @@ class PgpcViolation:
     `remainder` holds the offending residue (ascending coefficients mod n)
     and `expected` what a prime would have produced there: the empty tuple
     for the two binomial conditions, (1,) or the Jacobi constant for the
-    power conditions.
+    power conditions. Both are recomputed on verification, at the m the
+    parameter search picks for n.
     """
 
     m: int
@@ -231,55 +241,22 @@ class PgpcViolation:
     kind = "pgpc_violation"
 
     def verify(self, n: int) -> bool:
-        if tuple(self.remainder) == tuple(self.expected):
+        params = _search_params(n, self.m)
+        if params is None:
             return False
-        params = canonical_params(self.m)
-        ups = params.upsilon.reduced(n)
-        psi = params.psi.reduced(n)
-        if self.failed == "cond1":
-            got = mbec_remainder(n, ups).coeffs
-        elif self.failed == "cond2":
-            got = mbec_remainder(n, psi).coeffs
-        elif self.failed == "cond3":
-            e = n**params.d - 1
-            got = poly_powmod(QuotientRing(ups, n), Poly([0, 1], n), e).coeffs
-        elif self.failed == "cond4":
-            e = n**params.d - 1
-            got = poly_powmod(QuotientRing(psi, n), Poly([0, 1], n), e).coeffs
-        else:
-            return False
-        return got == tuple(self.remainder)
+        got, want = pgpc_condition(n, params, self.failed)
+        return got.coeffs == tuple(self.remainder) != want == tuple(self.expected)
 
     def describe(self) -> str:
         return f"polynomial battery failed {self.failed} at m={self.m}"
 
 
-_MECHANISMS = {
-    cls.kind: cls
-    for cls in (
-        Even,
-        TrivialFactor,
-        PerfectSquare,
-        JacobiZeroFactor,
-        EulerWitness,
-        BinomialWitness,
-        MrNontrivialRoot,
-        FermatWitness,
-        PgpcViolation,
-    )
-}
-
 Mechanism = (
-    Even
-    | TrivialFactor
-    | PerfectSquare
-    | JacobiZeroFactor
-    | EulerWitness
-    | BinomialWitness
-    | MrNontrivialRoot
-    | FermatWitness
-    | PgpcViolation
+    Even | TrivialFactor | PerfectSquare | JacobiZeroFactor | EulerWitness
+    | BinomialWitness | MrNontrivialRoot | FermatWitness | PgpcViolation
 )
+
+_MECHANISMS = {cls.kind: cls for cls in get_args(Mechanism)}
 
 
 # ------------------------------------------------------------ verdict model
@@ -407,13 +384,25 @@ def default_qnr_iter_limit(n: int) -> int:
     return min(math.isqrt(n), 10**6)
 
 
-def _resolve_iter_limit(n: int, iter_limit: int | None) -> int:
-    if iter_limit is None:
+def _probe_scan(name: str, n: int, limit: int | None):
+    """Yield (i, p, (p | n)) for the odd primes p within the probe budget.
+
+    Shared by the scans below: validates n, resolves the budget, and raises
+    RuntimeError when a caller runs through the budget without stopping.
+    """
+    if n < 3 or not n & 1:
+        raise ValueError(f"{name}: n must be odd and >= 3")
+    if limit is None:
         env = os.environ.get("PPT_MAX_QNR_ITERS")
-        iter_limit = int(env) if env else default_qnr_iter_limit(n)
-    if iter_limit < 1:
+        limit = int(env) if env else default_qnr_iter_limit(n)
+    if limit < 1:
         raise ValueError("iteration limit must be >= 1")
-    return iter_limit
+    for i in range(1, limit + 1):
+        p = _probe_prime(i)
+        yield i, p, jacobi(p, n)
+    raise RuntimeError(
+        f"{name}: no quadratic non-residue among the first {limit} odd primes"
+    )
 
 
 @dataclass(frozen=True)
@@ -436,19 +425,9 @@ def find_qnr(n: int, iter_limit: int | None = None) -> QnrProbe:
     budget is min(floor(sqrt(n)), 10**6), overridable by the argument or
     the PPT_MAX_QNR_ITERS environment variable; exhaustion raises.
     """
-    if n < 3 or not n & 1:
-        raise ValueError("find_qnr: n must be odd and >= 3")
-    limit = _resolve_iter_limit(n, iter_limit)
-    for i in range(1, limit + 1):
-        p = _probe_prime(i)
-        j = jacobi(p, n)
-        if j == 0:
-            return QnrProbe(True, p, i)
-        if j == -1:
-            return QnrProbe(False, p, i)
-    raise RuntimeError(
-        f"find_qnr: no quadratic non-residue among the first {limit} odd primes"
-    )
+    for i, p, j in _probe_scan("find_qnr", n, iter_limit):
+        if j != 1:
+            return QnrProbe(j == 0, p, i)
 
 
 @dataclass(frozen=True)
@@ -471,23 +450,13 @@ class QnrMrProbe:
 
 def find_qnr_with_mr(n: int, iter_limit: int | None = None) -> QnrMrProbe:
     """Like find_qnr, but residue probes double as Miller-Rabin bases."""
-    if n < 3 or not n & 1:
-        raise ValueError("find_qnr_with_mr: n must be odd and >= 3")
-    limit = _resolve_iter_limit(n, iter_limit)
-    for i in range(1, limit + 1):
-        p = _probe_prime(i)
-        j = jacobi(p, n)
-        if j == 0:
-            return QnrMrProbe(1, p, i)
-        if j == -1:
-            return QnrMrProbe(0, p, i)
+    for i, p, j in _probe_scan("find_qnr_with_mr", n, iter_limit):
+        if j != 1:
+            return QnrMrProbe(int(j == 0), p, i)
         out = miller_rabin_base(n, p)
         if out.witness:
             code = 2 if out.witness_kind == "nontrivial_root" else 3
             return QnrMrProbe(code, out.value if code == 2 else p, i)
-    raise RuntimeError(
-        f"find_qnr_with_mr: no quadratic non-residue among the first {limit} odd primes"
-    )
 
 
 # ----------------------------------------------------------- shared closing
@@ -496,19 +465,35 @@ def find_qnr_with_mr(n: int, iter_limit: int | None = None) -> QnrMrProbe:
 def _pbpc_tail(n: int, q: int, search: QnrSearch, t0: float) -> Verdict:
     """Euler criterion then binomial congruence at non-residue q."""
     q %= n
-    j = jacobi(q, n)
-    h = pow(q, (n - 1) >> 1, n)
-    ev = (h - j) % n
-    if ev:
-        mech = EulerWitness(q=q, ecc_value=ev)
-        return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
-    a, b = _pow_one_plus_root(q, n, n)
-    wa, wb = (a - 1) % n, (b - h) % n
-    if wa or wb:
-        mech = BinomialWitness(q=q, a=wa, b=wb)
-        return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
-    basis = PrimeBasis("pbpc", q=q)
-    return _verdict(n, Outcome.PRIME, None, basis, search, t0)
+    euler, a, b = pbpc(q, n)
+    if euler:
+        mech: Mechanism = EulerWitness(q=q, ecc_value=euler)
+    elif a or b:
+        mech = BinomialWitness(q=q, a=a, b=b)
+    else:
+        basis = PrimeBasis("pbpc", q=q)
+        return _verdict(n, Outcome.PRIME, None, basis, search, t0)
+    return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
+
+
+def _class_qnr(n: int) -> int | None:
+    """The non-residue n mod 8 fixes: 2 for 3, 5 mod 8, n - 2 for 7 mod 8."""
+    r8 = n & 7
+    if r8 == 3 or r8 == 5:
+        return 2
+    return n - 2 if r8 == 7 else None
+
+
+def _no_search(n: int, t0: float) -> Verdict:
+    """Odd n > 3 with n != 1 mod 24: 3 divides n, or a non-residue is known.
+
+    Beyond the classes of _class_qnr, n = 17 mod 24 leaves q = 3, since
+    (3 | n) = (n | 3) = (2 | 3) = -1.
+    """
+    if n % 3 == 0:
+        return _verdict(n, Outcome.COMPOSITE, TrivialFactor(3), None, _NO_SEARCH, t0)
+    q = _class_qnr(n) or 3
+    return _pbpc_tail(n, q, QnrSearch(False, 0, q), t0)
 
 
 # ------------------------------------------------------------ the deciders
@@ -528,26 +513,19 @@ def ppta_eqnr(n: int, *, qnr_iter_limit: int | None = None) -> Verdict:
     deg = _degenerate(n, t0, prime_three=False)
     if deg is not None:
         return deg
-    r8 = n & 7
-    if r8 == 3 or r8 == 5:
-        q = 2
-    elif r8 == 7:
-        q = n - 2
-    else:
-        s, exact = nt.isqrt(n)
-        if exact:
-            mech = PerfectSquare(s)
-            return _verdict(n, Outcome.COMPOSITE, mech, None, _NO_SEARCH, t0)
-        if (s + 1) * (s + 1) == n:
-            mech = PerfectSquare(s + 1)
-            return _verdict(n, Outcome.COMPOSITE, mech, None, _NO_SEARCH, t0)
-        probe = find_qnr(n, qnr_iter_limit)
-        if probe.found_factor:
-            search = QnrSearch(True, probe.iterations, 0)
-            mech = JacobiZeroFactor(probe.p)
-            return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
-        return _pbpc_tail(n, probe.p, QnrSearch(True, probe.iterations, probe.p), t0)
-    return _pbpc_tail(n, q, QnrSearch(False, 0, q), t0)
+    q = _class_qnr(n)
+    if q is not None:
+        return _pbpc_tail(n, q, QnrSearch(False, 0, q), t0)
+    s, exact = nt.isqrt(n)
+    if exact:
+        mech = PerfectSquare(s)
+        return _verdict(n, Outcome.COMPOSITE, mech, None, _NO_SEARCH, t0)
+    probe = find_qnr(n, qnr_iter_limit)
+    if probe.found_factor:
+        search = QnrSearch(True, probe.iterations, 0)
+        mech = JacobiZeroFactor(probe.p)
+        return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
+    return _pbpc_tail(n, probe.p, QnrSearch(True, probe.iterations, probe.p), t0)
 
 
 def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
@@ -567,49 +545,31 @@ def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
     if deg is not None:
         return deg
     if n % 24 != 1:
-        if n % 3 == 0:
-            mech = TrivialFactor(3)
-            return _verdict(n, Outcome.COMPOSITE, mech, None, _NO_SEARCH, t0)
-        r8 = n & 7
-        if r8 == 3 or r8 == 5:
-            q = 2
-        elif r8 == 7:
-            q = n - 2
-        else:
-            q = 3
-        return _pbpc_tail(n, q, QnrSearch(False, 0, q), t0)
+        return _no_search(n, t0)
     fr = find_qnr_or_m(n)
+    search = QnrSearch(True, fr.iterations, 0)
     if fr.divisor is not None:
         d = fr.divisor
-        search = QnrSearch(True, fr.iterations, 0)
         mech = PerfectSquare(d) if d * d == n else TrivialFactor(d)
         return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
     if fr.qnr is not None:
         return _pbpc_tail(n, fr.qnr, QnrSearch(True, fr.iterations, fr.qnr), t0)
     params = canonical_params(fr.m)
-    search = QnrSearch(True, fr.iterations, 0)
+    mech: Mechanism | None = None
     if mode == "pgpc":
         rep = pgpc_check(n, params)
-        if rep.all_hold:
-            basis = PrimeBasis("pgpc", m=fr.m)
-            return _verdict(n, Outcome.PRIME, None, basis, search, t0)
-        mech = PgpcViolation(
-            m=fr.m,
-            failed=rep.failed,
-            remainder=rep.witness.coeffs,
-            expected=rep.expected,
-        )
-        return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
-    ok, rem = fgpc_check(n, params)
-    if ok:
-        basis = PrimeBasis("fgpc", m=fr.m)
+        if not rep.all_hold:
+            mech = PgpcViolation(fr.m, rep.failed, rep.witness.coeffs, rep.expected)
+    else:
+        ok, rem = fgpc_check(n, params)
+        if not ok:
+            psi = params.psi.reduced(n).coeffs
+            mech = BinomialWitness(
+                divisor_kind="psi", divisor=psi, remainder=rem.coeffs, m=fr.m
+            )
+    if mech is None:
+        basis = PrimeBasis(mode, m=fr.m)
         return _verdict(n, Outcome.PRIME, None, basis, search, t0)
-    mech = BinomialWitness(
-        divisor_kind="psi",
-        divisor=params.psi.reduced(n).coeffs,
-        remainder=rem.coeffs,
-        m=fr.m,
-    )
     return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
 
 
@@ -628,20 +588,8 @@ def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdic
     deg = _degenerate(n, t0, prime_three=True)
     if deg is not None:
         return deg
-    big_r = n % 24
-    if big_r != 1:
-        if math.gcd(big_r, 6) > 1:
-            # n is odd here, so the shared factor with 24 can only be 3.
-            mech = TrivialFactor(3)
-            return _verdict(n, Outcome.COMPOSITE, mech, None, _NO_SEARCH, t0)
-        r8 = big_r % 8
-        if r8 == 3 or r8 == 5:
-            q = 2
-        elif r8 == 7:
-            q = n - 2
-        else:
-            q = 3
-        return _pbpc_tail(n, q, QnrSearch(False, 0, q), t0)
+    if n % 24 != 1:
+        return _no_search(n, t0)
     s, exact = nt.isqrt(n)
     if exact:
         mech = PerfectSquare(s)
@@ -682,20 +630,53 @@ def _mechanism_to_json(mech: Mechanism) -> dict[str, Any]:
     return out
 
 
+# kind -> (name, annotation, required) for each field of that mechanism
+_FIELDS = {
+    kind: [(f.name, f.type, f.default is MISSING) for f in fields(cls)]
+    for kind, cls in _MECHANISMS.items()
+}
+
+
+def _fits(value: Any, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotated int, str, or tuple of ints."""
+    if type(value) is int:
+        return annotation.startswith("int")
+    if value is None:
+        return "None" in annotation
+    if isinstance(value, (list, tuple)):
+        return annotation.startswith("tuple") and all(type(c) is int for c in value)
+    return isinstance(value, str) and annotation.startswith("str")
+
+
+def _kind_of(data: Any, table: dict[str, Any]) -> Any:
+    """table[data["kind"]] for a dict with a known string kind, else None."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    return table.get(kind) if isinstance(kind, str) else None
+
+
 def mechanism_from_json(data: dict[str, Any]) -> Mechanism:
-    """Rebuild a mechanism object from its certificate dictionary."""
-    kind = data.get("kind")
-    cls = _MECHANISMS.get(kind)
+    """Rebuild a mechanism object from its certificate dictionary.
+
+    Raises ValueError unless the kind is known and every field is present
+    (or has a default) with its annotated type: int, str or list of ints.
+    """
+    cls = _kind_of(data, _MECHANISMS)
     if cls is None:
-        raise ValueError(f"unknown mechanism kind: {kind!r}")
+        raise ValueError("not a mechanism dictionary of a known kind")
     kwargs = {}
-    for name in cls.__dataclass_fields__:
+    for name, annotation, required in _FIELDS[cls.kind]:
         if name in data:
             value = data[name]
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[name] = value
+            if not _fits(value, annotation):
+                raise ValueError(f"{cls.kind}.{name} must be {annotation}")
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
+        elif required:
+            raise ValueError(f"{cls.kind}.{name} is missing")
     return cls(**kwargs)
+
+
+# PrimeBasis kind -> the one field its certificate entry carries
+_BASIS_FIELD = {"pbpc": "q", "pgpc": "m", "fgpc": "m"}
 
 
 def certificate(verdict: Verdict) -> dict[str, Any]:
@@ -715,64 +696,58 @@ def certificate(verdict: Verdict) -> dict[str, Any]:
         "timings": dict(verdict.timings),
     }
     if basis is not None:
-        entry: dict[str, Any] = {"kind": basis.kind}
-        if basis.kind == "pbpc":
-            entry["q"] = basis.q
-        else:
-            entry["m"] = basis.m
-        out["prime_basis"] = entry
+        key = _BASIS_FIELD[basis.kind]
+        out["prime_basis"] = {"kind": basis.kind, key: getattr(basis, key)}
     return out
 
 
+def _well_formed(cert: Any) -> bool:
+    """Shape and int-ness of n and of the prime basis, if there is one."""
+    if not isinstance(cert, dict) or type(cert.get("n")) is not int or cert["n"] < 1:
+        return False
+    basis = cert.get("prime_basis")
+    if basis is None:
+        return True
+    key = _kind_of(basis, _BASIS_FIELD)
+    return key is not None and type(basis.get(key)) is int
+
+
 def _verify_prime_basis(n: int, basis: dict[str, Any]) -> bool:
-    kind = basis.get("kind")
-    if kind == "pbpc":
+    if basis["kind"] == "pbpc":
         q = basis["q"]
-        if jacobi(q, n) != -1:
-            return False
-        return ecc(q, n).is_zero and bcc(q, n).is_zero
-    if kind in ("pgpc", "fgpc"):
-        m = basis["m"]
-        if nt.gcd(m, n) != 1 or n % m == 1:
-            return False
-        params = canonical_params(m)
-        if kind == "pgpc":
-            return pgpc_check(n, params).all_hold
-        return fgpc_check(n, params)[0]
-    return False
+        return jacobi(q, n) == -1 and pbpc(q, n) == (0, 0, 0)
+    params = _search_params(n, basis["m"])
+    if params is None:
+        return False
+    if basis["kind"] == "pgpc":
+        return pgpc_check(n, params).all_hold
+    return fgpc_check(n, params)[0]
 
 
-def verify_certificate(cert: dict[str, Any]) -> bool:
-    """Re-check a certificate from its own fields.
+def verify_certificate(cert: Any) -> bool:
+    """Re-check a certificate from its own fields; never raises.
 
     Composite: the mechanism must re-verify against n. Prime: the recorded
     basis conditions must hold (a degenerate small prime passes with no
     basis). Not-applicable requires n = 1; inconclusive makes no claim
-    beyond consistency.
+    beyond consistency. A malformed certificate, a non-int where an int
+    belongs, or an n outside a check's domain reads False.
     """
-    n = cert["n"]
-    outcome = cert["outcome"]
-    if outcome == "composite":
-        mech_data = cert.get("mechanism")
-        if not mech_data:
-            return False
-        try:
-            mech = mechanism_from_json(mech_data)
-            return mech.verify(n)
-        except (ValueError, TypeError, KeyError):
-            return False
-    if outcome == "prime":
-        basis = cert.get("prime_basis")
-        if basis is None:
-            return n in (2, 3)
-        try:
-            return _verify_prime_basis(n, basis)
-        except (ValueError, KeyError):
-            return False
+    if not _well_formed(cert):
+        return False
+    n, outcome = cert["n"], cert.get("outcome")
+    mech, basis = cert.get("mechanism"), cert.get("prime_basis")
+    try:
+        if outcome == "composite":
+            return mech is not None and mechanism_from_json(mech).verify(n)
+        if outcome == "prime":
+            return n in (2, 3) if basis is None else _verify_prime_basis(n, basis)
+    except (ValueError, RuntimeError):
+        return False
     if outcome == "not_applicable":
         return n == 1
     if outcome == "inconclusive":
-        return cert.get("mechanism") is None and cert.get("prime_basis") is None
+        return mech is None and basis is None
     return False
 
 

@@ -22,7 +22,9 @@ __all__ = [
     "bcc",
     "ecc",
     "fgpc_check",
+    "pbpc",
     "pgpc_check",
+    "pgpc_condition",
 ]
 
 
@@ -49,16 +51,28 @@ class BccResult:
         return self.a == 0 and self.b == 0
 
 
+def _euler(q: int, n: int) -> tuple[int, int]:
+    """(h, defect) with h = q**((n-1)/2) mod n and defect = h - (q | n)."""
+    j = jacobi(q, n)
+    if j == 0:
+        raise ValueError("jacobi symbol is zero; gcd(q, n) is a factor")
+    h = pow(q % n, (n - 1) >> 1, n)
+    return h, (h - j) % n
+
+
+def _binomial_defect(q: int, n: int, h: int) -> tuple[int, int]:
+    """(1 + sqrt(q))**n - 1 - h*sqrt(q) for q reduced mod n, h = q**((n-1)/2)."""
+    a, b = _pow_one_plus_root(q, n, n)
+    return (a - 1) % n, (b - h) % n
+
+
 def ecc(q: int, n: int) -> EccResult:
     """Euler-criterion defect of q at odd modulus n >= 3.
 
     Zero exactly when q**((n-1)/2) = (q | n) mod n. Raises when the Jacobi
     symbol vanishes, since gcd(q, n) > 1 already exposes a factor.
     """
-    j = jacobi(q, n)
-    if j == 0:
-        raise ValueError("ecc: jacobi symbol is zero; gcd(q, n) is a factor")
-    return EccResult((pow(q % n, (n - 1) >> 1, n) - j) % n)
+    return EccResult(_euler(q, n)[1])
 
 
 def bcc(q: int, n: int) -> BccResult:
@@ -70,9 +84,19 @@ def bcc(q: int, n: int) -> BccResult:
     if n < 3 or not n & 1:
         raise ValueError("bcc: modulus must be odd and >= 3")
     q %= n
-    a, b = _pow_one_plus_root(q, n, n)
-    s = pow(q, (n - 1) >> 1, n)
-    return BccResult((a - 1) % n, (b - s) % n)
+    return BccResult(*_binomial_defect(q, n, pow(q, (n - 1) >> 1, n)))
+
+
+def pbpc(q: int, n: int) -> tuple[int, int, int]:
+    """(euler, a, b): ecc's defect, then bcc's pair only if that is zero.
+
+    Both share q**((n-1)/2); the pair reads (0, 0) when it is not
+    computed. Raises as ecc does.
+    """
+    h, euler = _euler(q, n)
+    if euler:
+        return euler, 0, 0
+    return (0, *_binomial_defect(q % n, n, h))
 
 
 @dataclass(frozen=True)
@@ -81,8 +105,8 @@ class PgpcReport:
 
     Conditions are evaluated in order and short-circuit at the first
     failure; a condition that was never evaluated reads None. For the
-    failing condition the offending remainder (and, for the fourth, the
-    expected constant) is retained as the witness.
+    failing condition the offending residue is kept as the witness, and
+    what a prime would have given there as `expected`.
     """
 
     m: int
@@ -96,58 +120,51 @@ class PgpcReport:
 
     @property
     def all_hold(self) -> bool:
-        return (self.cond1, self.cond2, self.cond3, self.cond4) == (
-            True,
-            True,
-            True,
-            True,
-        )
+        return (self.cond1, self.cond2, self.cond3, self.cond4) == (True,) * 4
 
 
-def _constant_expected(n: int, p_m: int) -> int:
-    """Right-hand side of the fourth condition: 1, or (n | p_m) mod n."""
-    if p_m == 2:
-        return 1 % n
-    return jacobi(n, p_m) % n
+_CONDITIONS = ("cond1", "cond2", "cond3", "cond4")
 
 
-def pgpc_check(n: int, params: CanonicalParams) -> PgpcReport:
-    """Four polynomial conditions at parameter m for odd n >= 3.
+def pgpc_condition(
+    n: int, params: CanonicalParams, name: str
+) -> tuple[Poly, tuple[int, ...]]:
+    """(residue, expected) of one battery condition at parameter m, odd n >= 3.
 
     1. (1+x)**n - 1 - x**n = 0 mod <Upsilon_m, n>
     2. (1+x)**n - 1 - x**n = 0 mod <Psi_m, n>
     3. x**(n**d - 1)        = 1 mod <Upsilon_m, n>, d = deg Upsilon_m
-    4. x**(n**d - 1)        = c mod <Psi_m, n>, c as in _constant_expected
+    4. x**(n**d - 1)        = c mod <Psi_m, n>, c = 1 if p_m = 2 else (n | p_m)
+
+    The condition holds when the residue's coefficients equal `expected`.
     """
-    m = params.m
-    ups = params.upsilon.reduced(n)
-    psi = params.psi.reduced(n)
-
-    r1 = mbec_remainder(n, ups)
-    if not r1.is_zero:
-        return PgpcReport(m, False, None, None, None, "cond1", r1, ())
-    r2 = mbec_remainder(n, psi)
-    if not r2.is_zero:
-        return PgpcReport(m, True, False, None, None, "cond2", r2, ())
-
-    e = n**params.d - 1
+    if name not in _CONDITIONS:
+        raise ValueError(f"pgpc_condition: unknown condition {name!r}")
+    upsilon_side = name in ("cond1", "cond3")
+    div = (params.upsilon if upsilon_side else params.psi).reduced(n)
+    if name in ("cond1", "cond2"):
+        return mbec_remainder(n, div), ()
     x = Poly([0, 1], n)
-    p3 = poly_powmod(QuotientRing(ups, n), x, e)
-    if p3.coeffs != (1 % n,):
-        return PgpcReport(m, True, True, False, None, "cond3", p3, (1 % n,))
-    c = _constant_expected(n, params.p_m)
-    p4 = poly_powmod(QuotientRing(psi, n), x, e)
-    want = (c,) if c else ()
-    if p4.coeffs != want:
-        return PgpcReport(m, True, True, True, False, "cond4", p4, want)
-    return PgpcReport(m, True, True, True, True, None, None, None)
+    residue = poly_powmod(QuotientRing(div, n), x, n**params.d - 1)
+    p_m = params.p_m
+    c = 1 % n if upsilon_side or p_m == 2 else jacobi(n, p_m) % n
+    return residue, ((c,) if c else ())
+
+
+def pgpc_check(n: int, params: CanonicalParams) -> PgpcReport:
+    """The four conditions of pgpc_condition in order, for odd n >= 3."""
+    for i, name in enumerate(_CONDITIONS):
+        residue, want = pgpc_condition(n, params, name)
+        if residue.coeffs != want:
+            conds = [True] * i + [False] + [None] * (3 - i)
+            return PgpcReport(params.m, *conds, name, residue, want)
+    return PgpcReport(params.m, True, True, True, True, None, None, None)
 
 
 def fgpc_check(n: int, params: CanonicalParams) -> tuple[bool, Poly]:
-    """Single-condition variant: the binomial congruence mod <Psi_m, n>.
+    """Single-condition variant: the second battery condition alone.
 
     Returns (holds, remainder); the remainder is the witness when it fails.
     """
-    psi = params.psi.reduced(n)
-    rem = mbec_remainder(n, psi)
+    rem, _ = pgpc_condition(n, params, "cond2")
     return rem.is_zero, rem

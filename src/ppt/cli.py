@@ -66,11 +66,17 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Bound on the bit length of a power in an expression; 2^1048576 fits.
+_MAX_POWER_BITS = 1 << 21
+
+
 def parse_int_expr(text: str) -> int:
     """Evaluate 'a^b - c' style integer expressions.
 
     Grammar: + and - (left associative) over * (left associative) over ^
     (right associative) over integers and parentheses. No unary minus.
+    A power a^b with bits(a) * b over 2**21 is rejected before it is
+    computed.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -108,6 +114,8 @@ def parse_int_expr(text: str) -> int:
             exponent = power()
             if exponent < 0 or exponent > 1 << 20:
                 raise _UsageError("exponent out of range")
+            if base.bit_length() * exponent > _MAX_POWER_BITS:
+                raise _UsageError(f"power too large: over {_MAX_POWER_BITS} bits")
             return base**exponent
         return base
 

@@ -108,39 +108,32 @@ class BatchStats:
             self.q_cases += 1
             self.sum_of_q += search.q
 
-    def _fractions(self) -> tuple[float, float, float, float, float]:
-        comp = self.composites_found
-        js0 = self.resolved_by["js_zero_factor"]
-        eu = self.resolved_by["euler"]
-        bc = self.resolved_by["bcc"]
-        f_js0 = js0 / comp if comp else 0.0
-        f_eu = eu / comp if comp else 0.0
-        f_bc = bc / comp if comp else 0.0
-        f_search = self.needing_search / self.total if self.total else 0.0
-        avg = self.sum_search_iters / self.needing_search if self.needing_search else 0.0
-        return f_js0, f_eu, f_bc, f_search, avg
+    def _cells(self) -> list[str]:
+        """The run-log values in CSV_HEADER order, formatted as printed."""
+        comp, total, searched = self.composites_found, self.total, self.needing_search
+        cells = [str(total)]
+        for bucket in ("js_zero_factor", "euler", "bcc"):
+            count = self.resolved_by[bucket]
+            cells += [str(count), f"{count / comp if comp else 0.0:.4f}"]
+        avg = self.sum_search_iters / searched if searched else 0.0
+        cells += [
+            str(searched),
+            f"{searched / total if total else 0.0:.4f}",
+            f"{avg:.5g}",
+            str(self.max_search_iters),
+        ]
+        return cells
 
     def row(self) -> str:
-        """One run-log row; count fractions rounded to 4 places."""
-        f_js0, f_eu, f_bc, f_search, avg = self._fractions()
-        js0 = self.resolved_by["js_zero_factor"]
-        eu = self.resolved_by["euler"]
-        bc = self.resolved_by["bcc"]
+        """One run-log row: total | js0, euler, bcc | searched, avg, max."""
+        c = self._cells()
         return (
-            f"{self.total} | {js0} ({f_js0:.4f}), {eu} ({f_eu:.4f}), "
-            f"{bc} ({f_bc:.4f}) | {self.needing_search} ({f_search:.4f}), "
-            f"{avg:.5g}, {self.max_search_iters}"
+            f"{c[0]} | {c[1]} ({c[2]}), {c[3]} ({c[4]}), {c[5]} ({c[6]}) "
+            f"| {c[7]} ({c[8]}), {c[9]}, {c[10]}"
         )
 
     def csv_row(self) -> str:
-        f_js0, f_eu, f_bc, f_search, avg = self._fractions()
-        js0 = self.resolved_by["js_zero_factor"]
-        eu = self.resolved_by["euler"]
-        bc = self.resolved_by["bcc"]
-        return (
-            f"{self.total},{js0},{f_js0:.4f},{eu},{f_eu:.4f},{bc},{f_bc:.4f},"
-            f"{self.needing_search},{f_search:.4f},{avg:.5g},{self.max_search_iters}"
-        )
+        return ",".join(self._cells())
 
 
 @dataclass

@@ -479,6 +479,115 @@ class TestCertificates:
         cert["n"] = 2053  # prime; recorded witness no longer checks out
         assert not verify_certificate(cert)
 
+    def test_fermat_witness_needs_base_prime_to_n(self):
+        # a = 0 mod n (or n <= 2) fails a**(n-1) = 1 for every n.
+        forged = [(1, 1), (2, 2), (2, 0)]
+        forged += [(p, a) for p in sympy.primerange(3, 200) for a in (0, p, 2 * p)]
+        for n, a in forged:
+            cert = {"n": n, "outcome": "composite",
+                    "mechanism": {"kind": "fermat_witness", "a": a}}
+            assert not verify_certificate(cert), (n, a)
+        cert = {"n": 561, "outcome": "composite",
+                "mechanism": {"kind": "fermat_witness", "a": 3}}
+        assert verify_certificate(cert)
+
+    @staticmethod
+    def _pgpc_claim(n, m, failed, remainder, expected):
+        return {"n": n, "outcome": "composite",
+                "mechanism": {"kind": "pgpc_violation", "m": m, "failed": failed,
+                              "remainder": remainder, "expected": expected}}
+
+    @pytest.mark.parametrize("failed, remainder", [
+        ("cond1", []), ("cond2", []), ("cond3", [1]), ("cond4", [1]),
+    ])
+    def test_pgpc_expected_is_recomputed(self, failed, remainder):
+        # 1009 is prime and searches to m = 5; each remainder is the true
+        # residue there, so only the claimed expected value differs.
+        cert = self._pgpc_claim(1009, 5, failed, remainder, [7])
+        assert not verify_certificate(cert)
+        cert["mechanism"]["expected"] = remainder
+        assert not verify_certificate(cert)
+
+    @pytest.mark.parametrize("n, m, failed, remainder, expected", [
+        (1000000007, 5, "cond1", [], [7]),
+        (7, 4, "cond3", [], [1]),
+        (7, 4, "cond4", [6], [1]),
+        (7, 7, "cond3", [3, 2, 2], [1]),
+        (11, 11, "cond3", [5, 6, 8, 9, 9], [1]),
+        (1009, 4, "cond3", [], [1]),
+    ])
+    def test_battery_parameter_must_be_searched_m(self, n, m, failed, remainder,
+                                                  expected):
+        # Each residue is honestly computed at m, but m is not the
+        # parameter find_qnr_or_m picks for n (n prime in every case).
+        assert not verify_certificate(
+            self._pgpc_claim(n, m, failed, remainder, expected))
+
+    def test_prime_basis_must_use_searched_m(self):
+        for kind in ("pgpc", "fgpc"):
+            cert = certificate(ppta_inr(1009, kind))
+            assert verify_certificate(cert)
+            for m in (4, 7, 25):
+                cert["prime_basis"]["m"] = m
+                assert not verify_certificate(cert), (kind, m)
+
+    def test_polynomial_binomial_witness_needs_psi_divisor(self):
+        cert = certificate(ppta_inr(1729, "fgpc"))
+        assert verify_certificate(cert)
+        # The true remainder mod Upsilon_5, an honest residue of the wrong
+        # divisor.
+        cert["mechanism"]["divisor"] = [1728, 1, 1]
+        cert["mechanism"]["remainder"] = [399]
+        assert not verify_certificate(cert)
+        cert = certificate(ppta_inr(1729, "fgpc"))
+        cert["mechanism"]["m"] = 7
+        assert not verify_certificate(cert)
+
+    @pytest.mark.parametrize("cert", [
+        [],
+        None,
+        "composite",
+        {},
+        {"outcome": "composite", "mechanism": {"kind": "even"}},
+        {"n": "561", "outcome": "composite", "mechanism": {"kind": "even"}},
+        {"n": True, "outcome": "not_applicable"},
+        {"n": 561, "outcome": "composite", "mechanism": "even"},
+        {"n": 561, "outcome": "composite", "mechanism": {"kind": ["even"]}},
+        {"n": 561, "outcome": "composite", "mechanism": {}},
+        {"n": 561, "outcome": "composite", "mechanism": {"kind": "trivial_factor"}},
+        {"n": 561, "outcome": "composite",
+         "mechanism": {"kind": "trivial_factor", "p": "3"}},
+        {"n": 561, "outcome": "composite",
+         "mechanism": {"kind": "pgpc_violation", "m": 5, "failed": 1,
+                       "remainder": [], "expected": []}},
+        {"n": 561, "outcome": "composite",
+         "mechanism": {"kind": "pgpc_violation", "m": 5, "failed": "cond9",
+                       "remainder": [1], "expected": []}},
+        {"n": 1729, "outcome": "composite",
+         "mechanism": {"kind": "binomial_witness", "divisor": [5, "0"],
+                       "remainder": [1], "m": 5}},
+        {"n": 8, "outcome": "composite",
+         "mechanism": {"kind": "euler_witness", "q": 3, "ecc_value": 1}},
+        {"n": 569, "outcome": "prime", "prime_basis": "pbpc"},
+        {"n": 569, "outcome": "prime", "prime_basis": {"kind": "pbpc", "q": "x"}},
+        {"n": 1009, "outcome": "prime", "prime_basis": {"kind": "pgpc", "m": "x"}},
+        {"n": 1009, "outcome": "prime", "prime_basis": {"kind": "pgpc"}},
+        {"n": 1009, "outcome": "prime", "prime_basis": {"kind": {}, "m": 5}},
+        {"n": 10, "outcome": "prime", "prime_basis": {"kind": "pbpc", "q": 3}},
+    ])
+    def test_verify_certificate_is_total(self, cert):
+        assert verify_certificate(cert) is False
+
+    def test_verify_certificate_survives_search_failure(self, monkeypatch):
+        import ppt.algorithms
+
+        def fail(n):
+            raise RuntimeError("find_qnr_or_m: iteration cap exceeded")
+
+        cert = certificate(ppta_inr(1009))
+        monkeypatch.setattr(ppt.algorithms, "find_qnr_or_m", fail)
+        assert verify_certificate(cert) is False
+
 
 class TestRandomisedCrossCheck:
     def test_random_inputs_against_sympy(self):

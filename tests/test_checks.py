@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ppt.canonical import canonical_params
-from ppt.checks import bcc, ecc, fgpc_check, pgpc_check
+from ppt.checks import bcc, ecc, fgpc_check, pbpc, pgpc_check, pgpc_condition
 from ppt.ntcore import jacobi
 from ppt.quadext import QuadCtx, quad_pow
 
@@ -185,3 +185,40 @@ class TestFgpc:
         ok, witness = fgpc_check(HC2, canonical_params(23))
         assert not ok
         assert list(witness.coeffs) == MBEC_HC2_PSI23
+
+
+class TestSharedChecks:
+    def test_pbpc_matches_ecc_then_bcc(self):
+        rng = random.Random(5)
+        cases = [(2, NHC), (2, ARN), (2, CAR), (3, 569), (5, 1009)]
+        cases += [(q, n) for q, _, _ in QUAD_589 for n in (589,)]
+        cases += [(rng.randrange(2, n), n)
+                  for n in (rng.randrange(5, 10**9) | 1 for _ in range(200))]
+        for q, n in cases:
+            if jacobi(q, n) == 0:
+                with pytest.raises(ValueError):
+                    pbpc(q, n)
+                continue
+            euler = ecc(q, n).value
+            pair = (0, 0) if euler else _bp(q, n)
+            assert pbpc(q, n) == (euler, *pair), (q, n)
+
+    @pytest.mark.parametrize("n, m", [(1729, 5), (NC, 5), (1009, 5), (N22, 7),
+                                      (CAR, 7), (97, 3), (1153, 16)])
+    def test_pgpc_check_is_the_conditions_in_order(self, n, m):
+        params = canonical_params(m)
+        rep = pgpc_check(n, params)
+        for name in ("cond1", "cond2", "cond3", "cond4"):
+            residue, want = pgpc_condition(n, params, name)
+            if residue.coeffs != want:
+                assert (rep.failed, rep.witness, rep.expected) == (name, residue, want)
+                break
+            assert getattr(rep, name) is True
+        else:
+            assert rep.all_hold
+        rem, _ = pgpc_condition(n, params, "cond2")
+        assert fgpc_check(n, params) == (rem.is_zero, rem)
+
+    def test_pgpc_condition_rejects_unknown_name(self):
+        with pytest.raises(ValueError):
+            pgpc_condition(1009, canonical_params(5), "cond5")

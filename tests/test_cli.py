@@ -53,6 +53,17 @@ class TestExpressionParser:
             with pytest.raises(_UsageError):
                 parse_int_expr(bad)
 
+    def test_result_size_cap(self):
+        from ppt.cli import _UsageError
+        assert parse_int_expr("2^1048576").bit_length() == 1048577
+        assert parse_int_expr("2^1048576 - 1").bit_length() == 1048576
+        # Each exponent is in range, but the result would have ~3.3e12 or
+        # ~1e9 bits; both are refused before any power is computed.
+        for bad in ("(10^1000000)^1000000", "(2^1000)^1000000"):
+            with pytest.raises(_UsageError, match="too large"):
+                parse_int_expr(bad)
+        assert main(["test", "(2^1000)^1000000"]) == EXIT_USAGE
+
 
 class TestTestCommand:
     def test_prime_exit_and_text(self, capsys):
