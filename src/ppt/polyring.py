@@ -4,9 +4,19 @@ Coefficients are stored ascending by degree with the leading coefficient
 nonzero; the zero polynomial has an empty coefficient tuple. A modulus of 0
 denotes signed integer coefficients (used by the canonical constructions
 before reduction at a concrete modulus).
+
+Every quotient-ring product, power and reduction goes through one kernel:
+a fold table of x**j mod the divisor (j = k..2k-1, k = deg divisor), built
+with each QuotientRing from the divisor's least-absolute residues mod n, so
+its entries stay small for the canonical divisors however wide n is (at
+most 31 bits up to m = 17, 44 bits at m = 23). A ladder step squares on
+raw integers, each cross product once, multiplies by a linear base x or
+1+x in O(k), and folds back to k coefficients with one % n each.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 __all__ = [
     "Poly",
@@ -121,13 +131,15 @@ class Poly:
 class QuotientRing:
     """Z_n[x] / <divisor(x)> for a monic divisor of degree >= 1."""
 
-    __slots__ = ("divisor", "n", "_div")
+    __slots__ = ("divisor", "n", "_cols")
 
     def __init__(self, divisor: Poly, n: int | None = None):
         if n is None:
             n = divisor.n
         if n < 2:
             raise ValueError("QuotientRing: modulus must be >= 2")
+        if divisor.n not in (0, n):
+            raise ValueError("QuotientRing: modulus mismatch")
         d = divisor if divisor.n == n else Poly(divisor.coeffs, n)
         if d.degree < 1:
             raise ValueError("QuotientRing: divisor degree must be >= 1")
@@ -135,151 +147,149 @@ class QuotientRing:
             raise ValueError("QuotientRing: divisor must be monic")
         object.__setattr__(self, "divisor", d)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_div", list(d.coeffs))
+        cols = _fold_columns(d.coeffs, n, 2 * d.degree - 1)
+        object.__setattr__(self, "_cols", cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRing is immutable")
 
     def element(self, coeffs) -> Poly:
         """Coefficients reduced into the ring (mod n, then mod divisor)."""
-        return Poly(_rem(_reduce_list(coeffs, self.n), self._div, self.n), self.n)
+        return Poly(self._reduce(list(coeffs)), self.n)
+
+    def _reduce(self, p: list[int]) -> list[int]:
+        """p reduced to deg(divisor) coefficients; extends p."""
+        k = self.divisor.degree
+        p += [0] * (k - len(p))
+        cols = self._cols
+        if len(p) > 2 * k:
+            cols = _fold_columns(self.divisor.coeffs, self.n, len(p) - 1)
+        return _fold(p, cols, self.n)
 
     def __repr__(self) -> str:
         return f"QuotientRing({self.divisor!r})"
 
 
-def _reduce_list(coeffs, n: int) -> list[int]:
-    out = [c % n for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
+def _fold_columns(div: tuple[int, ...], n: int, top: int) -> list[tuple]:
+    """Fold table of the monic divisor div, read by columns; top >= deg div.
+
+    Entry [i][j - k] is the coefficient of x**i in x**j mod the divisor, for
+    j = k..top, kept as a least-absolute residue mod n: folding a wide
+    coefficient then costs a product with a short integer, not with a
+    full-width residue.
+    """
+    h = n >> 1
+    low = [(c + h) % n - h for c in div[:-1]]
+    row = [-c for c in low]  # x**k
+    rows = [row]
+    for _ in range(len(low), top):
+        t = row[-1]
+        row = [0, *row[:-1]]
+        if t:
+            row = [(a - t * c + h) % n - h for a, c in zip(row, low)]
+        rows.append(row)
+    return list(zip(*rows))
+
+
+def _fold(p: list[int], cols: list[tuple], n: int) -> list[int]:
+    """p mod <divisor, n> as k = len(cols) coefficients, one % n each.
+
+    p holds at least k raw integers, and its degree is at most the table's
+    top degree.
+    """
+    hi = p[len(cols):]
+    return [(c + sum(map(mul, col, hi))) % n for c, col in zip(p, cols)]
+
+
+def _square(a: list[int]) -> list[int]:
+    """a**2 over Z, each cross product computed once."""
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x2 = x << 1
+            for j, y in enumerate(a[i + 1:], 2 * i + 1):
+                out[j] += x2 * y
     return out
 
 
-def _rem(p: list[int], div: list[int], n: int) -> list[int]:
-    """Remainder of p modulo the monic divisor, destructive on p."""
-    dd = len(div) - 1
-    for i in range(len(p) - 1, dd - 1, -1):
-        c = p[i]
-        if c:
-            p[i] = 0
-            off = i - dd
-            for j in range(dd):
-                dj = div[j]
-                if dj:
-                    p[off + j] = (p[off + j] - c * dj) % n
-    del p[dd:]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _mul_lists(p1: list[int], p2: list[int], n: int) -> list[int]:
-    """Schoolbook product; coefficients accumulated raw, reduced once."""
-    if not p1 or not p2:
-        return []
-    out = [0] * (len(p1) + len(p2) - 1)
-    for i, a in enumerate(p1):
-        if a:
-            for j, b in enumerate(p2):
-                out[i + j] += a * b
-    for i, v in enumerate(out):
-        out[i] = v % n
-    while out and out[-1] == 0:
-        out.pop()
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """a * b over Z, schoolbook."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
 
 
-def _mulmod_lists(p1: list[int], p2: list[int], div: list[int], n: int) -> list[int]:
-    return _rem(_mul_lists(p1, p2, n), div, n)
+def _power(b: list[int], e: int, cols: list[tuple], n: int) -> list[int]:
+    """b**e mod <divisor, n> for reduced b, by a left-to-right ladder.
 
-
-def _powmod_linear(c0: int, c1: int, e: int, div: list[int], n: int) -> list[int]:
-    """(c0 + c1*x)**e mod <div, n>; the multiply step costs O(deg) only."""
+    Each step squares and folds once. On a set bit a linear b = c0 + c1*x
+    multiplies the raw square, which the table folds one degree higher,
+    for O(k) work and no extra fold; any other b multiplies the folded
+    square and folds again.
+    """
     if e == 0:
-        one = 1 % n
-        return [one] if one else []
-    c0 %= n
-    c1 %= n
-    if len(div) == 2:
-        # Degree-1 divisor: x is congruent to a scalar.
-        x0 = (-div[0]) % n
-        v = pow((c0 + c1 * x0) % n, e, n)
-        return [v] if v else []
-    cur = [c0, c1]
-    while cur and cur[-1] == 0:
-        cur.pop()
-    cur = _rem(cur, div, n)
-    for i in range(e.bit_length() - 2, -1, -1):
-        cur = _rem(_mul_lists(cur, cur, n), div, n)
-        if (e >> i) & 1:
-            nxt = [0] * (len(cur) + 1)
-            for idx, v in enumerate(cur):
-                if v:
-                    nxt[idx] += c0 * v
-                    nxt[idx + 1] += c1 * v
-            for idx, v in enumerate(nxt):
-                nxt[idx] = v % n
-            cur = _rem(nxt, div, n)
+        return [1] + [0] * (len(cols) - 1)
+    c0, c1, *rest = b + [0]
+    linear = not any(rest)
+    cur = b
+    for bit in bin(e)[3:]:
+        sq = _square(cur)
+        if bit == "1":
+            if not linear:
+                sq = _product(_fold(sq, cols, n), b)
+            elif c0 == 0 and c1 == 1:
+                sq = [0, *sq]  # times x: a shift
+            else:
+                sq = [c0 * u + c1 * v for u, v in zip([*sq, 0], [0, *sq])]
+        cur = _fold(sq, cols, n)
     return cur
 
 
-def _powmod_lists(base: list[int], e: int, div: list[int], n: int) -> list[int]:
-    if len(base) <= 2:
-        c0 = base[0] if base else 0
-        c1 = base[1] if len(base) > 1 else 0
-        return _powmod_linear(c0, c1, e, div, n)
-    if e == 0:
-        one = 1 % n
-        return [one] if one else []
-    cur = _rem(list(base), div, n)
-    for i in range(e.bit_length() - 2, -1, -1):
-        cur = _rem(_mul_lists(cur, cur, n), div, n)
-        if (e >> i) & 1:
-            cur = _rem(_mul_lists(cur, base, n), div, n)
-    return cur
+def _ring_power(ring: QuotientRing, base: list[int], e: int) -> list[int]:
+    """base**e in the ring."""
+    return _power(ring._reduce(base), e, ring._cols, ring.n)
 
 
-def _coerce(ring: QuotientRing, p: Poly, what: str) -> list[int]:
-    """Poly -> reduced coefficient list in the ring; modulus must agree."""
+def _coeffs(ring: QuotientRing, p: Poly, what: str) -> list[int]:
+    """p's coefficients for use in the ring; the modulus must agree."""
     if p.n not in (0, ring.n):
         raise ValueError(f"{what}: modulus mismatch")
-    coeffs = _reduce_list(p.coeffs, ring.n) if p.n == 0 else list(p.coeffs)
-    return _rem(coeffs, ring._div, ring.n)
+    return list(p.coeffs)
 
 
 def poly_mulmod(ring: QuotientRing, p1: Poly, p2: Poly) -> Poly:
     """p1 * p2 reduced in the quotient ring."""
-    a = _coerce(ring, p1, "poly_mulmod")
-    b = _coerce(ring, p2, "poly_mulmod")
-    return Poly(_mulmod_lists(a, b, ring._div, ring.n), ring.n)
+    a = _coeffs(ring, p1, "poly_mulmod")
+    b = _coeffs(ring, p2, "poly_mulmod")
+    return ring.element(_product(a, b))
 
 
 def poly_powmod(ring: QuotientRing, base: Poly, e: int) -> Poly:
     """base**e reduced in the quotient ring, e >= 0."""
     if e < 0:
         raise ValueError("poly_powmod: exponent must be >= 0")
-    b = _coerce(ring, base, "poly_powmod")
-    return Poly(_powmod_lists(b, e, ring._div, ring.n), ring.n)
+    b = _coeffs(ring, base, "poly_powmod")
+    return Poly(_ring_power(ring, b, e), ring.n)
 
 
 def mbec_remainder(n: int, d: Poly) -> Poly:
     """Remainder of (1+x)**n - 1 - x**n in Z_n[x]/<d(x)>.
 
     Zero exactly when the binomial congruence holds modulo d at modulus n.
-    d must be monic of degree >= 1; integer-coefficient d is reduced mod n.
+    d must be monic of degree >= 1; integer-coefficient d is reduced mod n,
+    and a d reduced under another modulus is refused.
     """
     if n < 3 or not n & 1:
         raise ValueError("mbec_remainder: modulus must be odd and >= 3")
     ring = QuotientRing(d, n)
-    div = ring._div
-    a = _powmod_linear(1, 1, n, div, n)
-    b = _powmod_linear(0, 1, n, div, n)
-    out = [0] * max(len(a), len(b), 1)
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % n
-    out[0] = (out[0] - 1) % n
+    a = _ring_power(ring, [1, 1], n)
+    b = _ring_power(ring, [0, 1], n)
+    out = [u - v for u, v in zip(a, b)]
+    out[0] -= 1
     return Poly(out, n)
 
 
@@ -291,8 +301,5 @@ def euler_poly_check(n: int, q: int) -> int | None:
     """
     if n < 3 or not n & 1:
         raise ValueError("euler_poly_check: modulus must be odd and >= 3")
-    div = [(-q) % n, 0, 1]
-    rem = _powmod_linear(0, 1, n - 1, div, n)
-    if len(rem) > 1:
-        return None
-    return rem[0] if rem else 0
+    c0, c1 = _ring_power(QuotientRing(Poly([-q, 0, 1], n)), [0, 1], n - 1)
+    return None if c1 else c0

@@ -2,8 +2,8 @@
 
 tests/test_golden.py pins certificates for n below 20000 and a few notable
 inputs, where every coefficient is narrow. This file pins the raw residues
-of the polynomial battery on 64- to 1024-bit moduli n = 1 mod 24, for every
-canonical parameter m the search can return at those sizes. Each digest is
+of the polynomial battery on 64- to 1024-bit moduli n = 1 mod 24 and on
+NC, N22 and HC2, at canonical parameters m from 5 to 23. Each digest is
 the sha256 of one line per (n, m): the residue and expected value of
 pgpc_condition for cond1-cond4 and the binomial remainder modulo the
 cyclotomic polynomial Phi_m; then one line per n with euler_poly_check for

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ppt.checks
 from ppt.canonical import canonical_params
 from ppt.checks import bcc, ecc, fgpc_check, pbpc, pgpc_check, pgpc_condition
 from ppt.ntcore import jacobi
@@ -218,6 +219,28 @@ class TestSharedChecks:
             assert rep.all_hold
         rem, _ = pgpc_condition(n, params, "cond2")
         assert fgpc_check(n, params) == (rem.is_zero, rem)
+
+    def test_battery_goes_through_polyring_names(self, monkeypatch):
+        # The per-layer benchmark times the battery by wrapping these two
+        # names in ppt.checks; a battery that stopped calling them would
+        # leave its polyring figures silently empty.
+        calls = []
+
+        def spy(name):
+            real = getattr(ppt.checks, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(ppt.checks, "mbec_remainder", spy("mbec_remainder"))
+        monkeypatch.setattr(ppt.checks, "poly_powmod", spy("poly_powmod"))
+        assert pgpc_check(1009, canonical_params(5)).all_hold
+        assert calls == ["mbec_remainder"] * 2 + ["poly_powmod"] * 2
+        calls.clear()
+        assert fgpc_check(NC, canonical_params(5))[0] is False
+        assert calls == ["mbec_remainder"]
 
     def test_pgpc_condition_rejects_unknown_name(self):
         with pytest.raises(ValueError):

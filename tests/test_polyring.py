@@ -105,6 +105,15 @@ class TestQuotientRing:
         ring = QuotientRing(Poly(PSI5), 589)
         assert ring.n == 589
 
+    def test_divisor_under_another_modulus_rejected(self):
+        # x^2 + 2x + 1 reduced mod 7 is not a divisor mod 13.
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            QuotientRing(Poly([1, 2, 1], 7), 13)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            mbec_remainder(13, Poly([6, 0, 1], 7))
+        assert QuotientRing(Poly([1, 2, 1], 13), 13).n == 13
+        assert QuotientRing(Poly([1, 2, 1]), 13).divisor == Poly([1, 2, 1], 13)
+
     def test_element_reduces_by_divisor(self):
         ring = QuotientRing(Poly([-2, 0, 1]), 7)  # x^2 - 2
         e = ring.element([0, 0, 1])  # x^2 -> 2
