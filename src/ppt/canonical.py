@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ntcore import gcd, isqrt, jacobi, next_prime
-from .polyring import Poly
+from .polyring import Poly, _product
 
 __all__ = [
     "CanonicalParams",
@@ -72,19 +72,6 @@ def _int_sub(a: list[int], b: list[int]) -> list[int]:
     return _int_add(a, [-c for c in b])
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def cyclotomic_prime_power(m: int) -> Poly:
     """Phi_m(x) = sum of x**(i * p**(k-1)) for i in [0, p), m = p**k."""
     p, k = factor_prime_power(m)
@@ -107,7 +94,7 @@ def upsilon_of(m: int) -> Poly:
     ups = [phi[d]]
     for j in range(1, d + 1):
         if j > 1:
-            prev, cur = cur, _int_sub(_int_mul([0, 1], cur), prev)
+            prev, cur = cur, _int_sub(_product([0, 1], cur), prev)
         c = phi[d + j]
         if c:
             ups = _int_add(ups, [c * cc for cc in cur])
@@ -132,11 +119,11 @@ def psi_of(m: int) -> Poly:
             c0 = _int_add(c0, [ups[j] * cc for cc in tpow])
         if j + 1 <= d and ups[j + 1]:
             c1 = _int_add(c1, [ups[j + 1] * cc for cc in tpow])
-        tpow = _int_mul(tpow, base)
+        tpow = _product(tpow, base)
     if not c1:
         psi = c0
     else:
-        psi = _int_sub(_int_mul(base, _int_mul(c1, c1)), _int_mul(c0, c0))
+        psi = _int_sub(_product(base, _product(c1, c1)), _product(c0, c0))
     if psi and psi[-1] < 0:
         psi = [-c for c in psi]
     return Poly(psi, 0)

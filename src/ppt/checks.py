@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .canonical import CanonicalParams
 from .ntcore import jacobi
 from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
-from .quadext import _pow_one_plus_root
+from .quadext import _pow
 
 __all__ = [
     "BccResult",
@@ -61,8 +61,8 @@ def _euler(q: int, n: int) -> tuple[int, int]:
 
 
 def _binomial_defect(q: int, n: int, h: int) -> tuple[int, int]:
-    """(1 + sqrt(q))**n - 1 - h*sqrt(q) for q reduced mod n, h = q**((n-1)/2)."""
-    a, b = _pow_one_plus_root(q, n, n)
+    """(1 + sqrt(q))**n - 1 - h*sqrt(q) for h = q**((n-1)/2) mod n."""
+    a, b = _pow(1, 1, q, n, n)
     return (a - 1) % n, (b - h) % n
 
 
@@ -83,7 +83,6 @@ def bcc(q: int, n: int) -> BccResult:
     """
     if n < 3 or not n & 1:
         raise ValueError("bcc: modulus must be odd and >= 3")
-    q %= n
     return BccResult(*_binomial_defect(q, n, pow(q, (n - 1) >> 1, n)))
 
 
@@ -96,7 +95,7 @@ def pbpc(q: int, n: int) -> tuple[int, int, int]:
     h, euler = _euler(q, n)
     if euler:
         return euler, 0, 0
-    return (0, *_binomial_defect(q % n, n, h))
+    return (0, *_binomial_defect(q, n, h))
 
 
 @dataclass(frozen=True)

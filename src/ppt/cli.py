@@ -66,7 +66,8 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-# Bound on the bit length of a power in an expression; 2^1048576 fits.
+# Bound on the bit length of each power, product and sum in an expression;
+# 2^1048576 fits.
 _MAX_POWER_BITS = 1 << 21
 
 
@@ -75,8 +76,9 @@ def parse_int_expr(text: str) -> int:
 
     Grammar: + and - (left associative) over * (left associative) over ^
     (right associative) over integers and parentheses. No unary minus.
-    A power a^b with bits(a) * b over 2**21 is rejected before it is
-    computed.
+    A power a^b with bits(a) * b over 2**21, a product a*b with
+    bits(a) + bits(b) over 2**21 and a sum or difference whose wider operand
+    has 2**21 bits are rejected before they are computed.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -91,6 +93,10 @@ def parse_int_expr(text: str) -> int:
         tok = tokens[pos]
         pos += 1
         return tok
+
+    def bound(bits: int, what: str) -> None:
+        if bits > _MAX_POWER_BITS:
+            raise _UsageError(f"{what} too large: over {_MAX_POWER_BITS} bits")
 
     def atom() -> int:
         tok = peek()
@@ -114,8 +120,7 @@ def parse_int_expr(text: str) -> int:
             exponent = power()
             if exponent < 0 or exponent > 1 << 20:
                 raise _UsageError("exponent out of range")
-            if base.bit_length() * exponent > _MAX_POWER_BITS:
-                raise _UsageError(f"power too large: over {_MAX_POWER_BITS} bits")
+            bound(base.bit_length() * exponent, "power")
             return base**exponent
         return base
 
@@ -123,16 +128,18 @@ def parse_int_expr(text: str) -> int:
         v = power()
         while peek() == "*":
             take()
-            v *= power()
+            w = power()
+            bound(v.bit_length() + w.bit_length(), "product")
+            v *= w
         return v
 
     def expr() -> int:
         v = term()
         while peek() in ("+", "-"):
-            if take() == "+":
-                v += term()
-            else:
-                v -= term()
+            op = take()
+            w = term()
+            bound(max(v.bit_length(), w.bit_length()) + 1, "sum")
+            v = v + w if op == "+" else v - w
         return v
 
     value = expr()

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from operator import mul
 
+from .quadext import _pow
+
 __all__ = [
     "Poly",
     "QuotientRing",
@@ -296,10 +298,11 @@ def mbec_remainder(n: int, d: Poly) -> Poly:
 def euler_poly_check(n: int, q: int) -> int | None:
     """x**(n-1) in Z_n[x]/<x**2 - q> when constant, else None.
 
-    For prime n with (q | n) nonzero the value is q**((n-1)/2) mod n by the
+    The ring is Z_n[sqrt(q)], so the quadratic ring's ladder computes it. For
+    prime n with (q | n) nonzero the value is q**((n-1)/2) mod n by the
     reduction x**2 = q; a non-constant remainder is reported, not resolved.
     """
     if n < 3 or not n & 1:
         raise ValueError("euler_poly_check: modulus must be odd and >= 3")
-    c0, c1 = _ring_power(QuotientRing(Poly([-q, 0, 1], n)), [0, 1], n - 1)
+    c0, c1 = _pow(0, 1, q, n, n - 1)
     return None if c1 else c0

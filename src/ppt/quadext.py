@@ -2,7 +2,8 @@
 
 Elements are pairs a + b*sqrt(q) with both coordinates reduced mod an odd
 modulus n >= 3. Multiplication uses sqrt(q)**2 = q; no inverses are needed
-by any caller, so none are provided.
+by any caller, so none are provided. One ladder, _pow, computes every power
+in the ring, for quad_pow, ppt.checks and ppt.polyring.euler_poly_check.
 """
 
 from __future__ import annotations
@@ -52,34 +53,23 @@ class QuadInt:
         return f"{self.a} + {self.b}*sqrt({self.ctx.q})"
 
 
-def _mul(a: int, b: int, c: int, d: int, q: int, n: int) -> tuple[int, int]:
-    """(a + b*r)(c + d*r) with r*r = q, coordinates mod n."""
-    return (a * c + b * d % n * q) % n, (a * d + b * c) % n
-
-
 def _pow(a: int, b: int, q: int, n: int, e: int) -> tuple[int, int]:
-    """(a + b*r)**e by left-to-right binary squaring."""
+    """(a + b*r)**e with r*r = q, by left-to-right binary squaring.
+
+    q enters as its least-absolute residue (n - 2 as -2); each step
+    reduces each coordinate with one % n.
+    """
     if e == 0:
         return 1 % n, 0
+    h = n >> 1
+    q = (q + h) % n - h
     a %= n
     b %= n
     ra, rb = a, b
-    for i in range(e.bit_length() - 2, -1, -1):
-        ra, rb = (ra * ra + rb * rb % n * q) % n, 2 * ra * rb % n
-        if (e >> i) & 1:
-            ra, rb = (ra * a + rb * b % n * q) % n, (ra * b + rb * a) % n
-    return ra, rb
-
-
-def _pow_one_plus_root(q: int, n: int, e: int) -> tuple[int, int]:
-    """(1 + sqrt(q))**e mod n; the multiply step degenerates to two adds."""
-    if e == 0:
-        return 1 % n, 0
-    ra, rb = 1, 1
-    for i in range(e.bit_length() - 2, -1, -1):
-        ra, rb = (ra * ra + rb * rb % n * q) % n, 2 * ra * rb % n
-        if (e >> i) & 1:
-            ra, rb = (ra + rb * q) % n, (ra + rb) % n
+    for bit in bin(e)[3:]:
+        ra, rb = (ra * ra + rb * rb * q) % n, 2 * ra * rb % n
+        if bit == "1":
+            ra, rb = (ra * a + rb * b * q) % n, (ra * b + rb * a) % n
     return ra, rb
 
 
@@ -87,8 +77,8 @@ def quad_mul(x: QuadInt, y: QuadInt) -> QuadInt:
     """Product of two elements of the same ring."""
     if x.ctx != y.ctx:
         raise ValueError("quad_mul: context mismatch")
-    a, b = _mul(x.a, x.b, y.a, y.b, x.ctx.q, x.ctx.n)
-    return QuadInt(a, b, x.ctx)
+    q = x.ctx.q
+    return QuadInt(x.a * y.a + x.b * y.b * q, x.a * y.b + x.b * y.a, x.ctx)
 
 
 def quad_pow(x: QuadInt, e: int) -> QuadInt:

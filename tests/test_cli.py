@@ -58,11 +58,15 @@ class TestExpressionParser:
         assert parse_int_expr("2^1048576").bit_length() == 1048577
         assert parse_int_expr("2^1048576 - 1").bit_length() == 1048576
         # Each exponent is in range, but the result would have ~3.3e12 or
-        # ~1e9 bits; both are refused before any power is computed.
-        for bad in ("(10^1000000)^1000000", "(2^1000)^1000000"):
+        # ~1e9 bits; both are refused before any power is computed. Each
+        # factor of the product is under the cap, but the product (~3.3e6
+        # bits) is not, and it is refused before it is computed.
+        for bad in ("(10^1000000)^1000000", "(2^1000)^1000000",
+                    "10^500000*10^500000"):
             with pytest.raises(_UsageError, match="too large"):
                 parse_int_expr(bad)
         assert main(["test", "(2^1000)^1000000"]) == EXIT_USAGE
+        assert main(["test", "10^500000*10^500000"]) == EXIT_USAGE
 
 
 class TestTestCommand:

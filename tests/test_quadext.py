@@ -5,7 +5,17 @@ import random
 import pytest
 
 from ppt.quadext import QuadCtx, conjugate, norm, quad_mul, quad_pow
-from ppt.quadext import _pow_one_plus_root
+
+
+def square_and_multiply(x, e):
+    """x**e by right-to-left square and multiply, built from quad_mul alone."""
+    acc = x.ctx.element(1, 0)
+    while e:
+        if e & 1:
+            acc = quad_mul(acc, x)
+        x = quad_mul(x, x)
+        e >>= 1
+    return acc
 
 
 class TestContext:
@@ -83,15 +93,21 @@ class TestPow:
                 acc = quad_mul(acc, x)
             assert quad_pow(x, e) == acc
 
-    def test_fast_binomial_power_matches_generic(self):
+    def test_matches_square_and_multiply_on_wide_moduli(self):
+        # q at the sign boundary of its least-absolute residue ((n-1)/2 and
+        # (n+1)/2), at -2 and -1, small and random; n from 3 up to 2^512.
         rng = random.Random(29)
-        for _ in range(200):
-            n = rng.randrange(3, 10**9) | 1
-            q = rng.randrange(2, n)
-            e = rng.randrange(0, 10**6)
-            ctx = QuadCtx(n, q)
-            y = quad_pow(ctx.one_plus_root(), e)
-            assert _pow_one_plus_root(q, n, e) == (y.a, y.b)
+        for bits, count in ((2, 1), (4, 4), (8, 4), (32, 3), (64, 3),
+                            (128, 2), (256, 2), (512, 1)):
+            for _ in range(count):
+                n = rng.randrange(3, 1 << bits) | 1
+                h = n >> 1
+                for q in (2, 3, n - 2, n - 1, h, h + 1, rng.randrange(n)):
+                    ctx = QuadCtx(n, q)
+                    rand = ctx.element(rng.randrange(n), rng.randrange(n))
+                    for x in (ctx.one_plus_root(), rand):
+                        for e in (0, 1, 2, n - 1, n, rng.randrange(n * n)):
+                            assert quad_pow(x, e) == square_and_multiply(x, e)
 
 
 class TestConjugateAndNorm:
