@@ -1,5 +1,7 @@
 """Unit tests for divisor-polynomial construction and parameter search."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -114,6 +116,23 @@ class TestStructure:
             want = [0] * (m + 1)
             want[0], want[m] = -1, 1
             assert prod == want, m
+
+
+# sha256 over one JSON line [m, Phi_m, Upsilon_m, Psi_m] (coefficients
+# ascending) for each of the 116 prime powers 3 <= m <= 512, far beyond the
+# frozen table; any change to any coefficient moves it.
+GOLDEN_TABLE = "9fade6585e6d7158db5493aca07190a232f059f0a1b46eee87b34dee43d2d1ec"
+
+
+def test_golden_table_to_512():
+    ms = [m for m in range(3, 513) if len(sympy.factorint(m)) == 1]
+    assert len(ms) == 116
+    h = hashlib.sha256()
+    for m in ms:
+        row = [m, *(list(f(m).coeffs) for f in
+                    (cyclotomic_prime_power, upsilon_of, psi_of))]
+        h.update(json.dumps(row).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_TABLE
 
 
 class TestCanonicalParams:
