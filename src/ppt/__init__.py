@@ -55,16 +55,7 @@ from .harness import (
     run_batch,
     trial_division,
 )
-from .ntcore import (
-    OddFactorDecomp,
-    count_qnr,
-    gcd,
-    isqrt,
-    jacobi,
-    lof_tpow,
-    modexp,
-    next_prime,
-)
+from .ntcore import count_qnr, isqrt, jacobi, lof_tpow, next_prime
 from .polyring import (
     Poly,
     QuotientRing,

@@ -407,21 +407,18 @@ def _probe_scan(name: str, n: int, limit: int | None):
 
 @dataclass(frozen=True)
 class QnrProbe:
-    """find_qnr outcome; iterates as (found_factor, p) for unpacking."""
+    """find_qnr outcome: whether probe p divides n, p, and the probe count."""
 
     found_factor: bool
     p: int
     iterations: int
 
-    def __iter__(self):
-        return iter((self.found_factor, self.p))
-
 
 def find_qnr(n: int, iter_limit: int | None = None) -> QnrProbe:
     """Scan odd primes 3, 5, 7, ... for a quadratic non-residue of n.
 
-    Returns (found_factor=False, p) at the first prime with (p | n) = -1,
-    or (found_factor=True, p) if a probe divides n first. The default probe
+    Stops at the first prime p with (p | n) = -1 (found_factor False), or
+    at a probe p that divides n first (found_factor True). The default probe
     budget is min(floor(sqrt(n)), 10**6), overridable by the argument or
     the PPT_MAX_QNR_ITERS environment variable; exhaustion raises.
     """
@@ -432,7 +429,7 @@ def find_qnr(n: int, iter_limit: int | None = None) -> QnrProbe:
 
 @dataclass(frozen=True)
 class QnrMrProbe:
-    """find_qnr_with_mr outcome; iterates as (code, value).
+    """find_qnr_with_mr outcome: a code, its value, and the probe count.
 
     code 0: value is a quadratic non-residue of n.
     code 1: value is a probe prime dividing n.
@@ -443,9 +440,6 @@ class QnrMrProbe:
     code: int
     value: int
     iterations: int
-
-    def __iter__(self):
-        return iter((self.code, self.value))
 
 
 def find_qnr_with_mr(n: int, iter_limit: int | None = None) -> QnrMrProbe:

@@ -14,10 +14,11 @@ minimizes deg Upsilon_m among the admissible prime powers examined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ntcore import gcd, isqrt, jacobi, next_prime
+from .ntcore import isqrt, jacobi, next_prime
 from .polyring import Poly, _product
 
 __all__ = [
@@ -58,18 +59,16 @@ def factor_prime_power(m: int) -> tuple[int, int]:
     return p, k
 
 
-def _int_add(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) if len(a) >= len(b) else list(b)
-    low = b if len(a) >= len(b) else a
-    for i, c in enumerate(low):
-        out[i] += c
+def _combine(a: list[int], b: list[int], c: int) -> list[int]:
+    """a + c*b over Z, trailing zeros dropped."""
+    if not c:
+        return a
+    out = a + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] += c * x
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _int_sub(a: list[int], b: list[int]) -> list[int]:
-    return _int_add(a, [-c for c in b])
 
 
 def cyclotomic_prime_power(m: int) -> Poly:
@@ -94,10 +93,8 @@ def upsilon_of(m: int) -> Poly:
     ups = [phi[d]]
     for j in range(1, d + 1):
         if j > 1:
-            prev, cur = cur, _int_sub(_product([0, 1], cur), prev)
-        c = phi[d + j]
-        if c:
-            ups = _int_add(ups, [c * cc for cc in cur])
+            prev, cur = cur, _combine([0, *cur], prev, -1)
+        ups = _combine(ups, cur, phi[d + j])
     return Poly(ups, 0)
 
 
@@ -115,15 +112,14 @@ def psi_of(m: int) -> Poly:
     c1: list[int] = []
     tpow = [1]
     for j in range(0, d + 1, 2):
-        if ups[j]:
-            c0 = _int_add(c0, [ups[j] * cc for cc in tpow])
-        if j + 1 <= d and ups[j + 1]:
-            c1 = _int_add(c1, [ups[j + 1] * cc for cc in tpow])
+        c0 = _combine(c0, tpow, ups[j])
+        if j < d:
+            c1 = _combine(c1, tpow, ups[j + 1])
         tpow = _product(tpow, base)
     if not c1:
         psi = c0
     else:
-        psi = _int_sub(_product(base, _product(c1, c1)), _product(c0, c0))
+        psi = _combine(_product(base, _product(c1, c1)), _product(c0, c0), -1)
     if psi and psi[-1] < 0:
         psi = [-c for c in psi]
     return Poly(psi, 0)
@@ -222,6 +218,6 @@ def find_qnr_or_m(n: int) -> FindResult:
                 deg = (p - 1) // 2
                 m = p
             break
-    if m is None or gcd(m, n) != 1 or n % m == 1:
+    if m is None or math.gcd(m, n) != 1 or n % m == 1:
         raise RuntimeError("find_qnr_or_m: inadmissible parameter")
     return FindResult(iterations=i, m=m)

@@ -20,15 +20,7 @@ import re
 import sys
 import time
 
-from .algorithms import (
-    ALGORITHMS,
-    Outcome,
-    Verdict,
-    certificate,
-    enhanced_mr,
-    ppta_eqnr,
-    ppta_inr,
-)
+from .algorithms import ALGORITHMS, Outcome, Verdict, certificate, enhanced_mr
 from .canonical import (
     canonical_params,
     cyclotomic_prime_power,
@@ -69,6 +61,10 @@ def _tokenize(text: str) -> list[str]:
 # Bound on the bit length of each power, product and sum in an expression;
 # 2^1048576 fits.
 _MAX_POWER_BITS = 1 << 21
+
+# Largest m `poly` builds. The divisor polynomials cost about 8-10x more each
+# time m doubles: on one Xeon core about 4 s at the prime 4093, 40 s at 8191.
+_MAX_POLY_M = 4096
 
 
 def parse_int_expr(text: str) -> int:
@@ -196,7 +192,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _batch_algo_name(algo: str, mode: str) -> str:
+def _algo_name(algo: str, mode: str) -> str:
     if algo == "eqnr":
         return "eqnr"
     if algo == "inr":
@@ -231,15 +227,16 @@ def _exit_code(verdict: Verdict) -> int:
 
 
 def _cmd_test(args) -> int:
+    if args.max_iters < 1:
+        raise _UsageError("--max-iters must be >= 1")
     n = parse_int_expr(args.n)
     if n < 1:
         raise _UsageError("n must be >= 1")
-    if args.algo == "eqnr":
-        verdict = ppta_eqnr(n)
-    elif args.algo == "inr":
-        verdict = ppta_inr(n, args.mode)
-    else:
+    algo = _algo_name(args.algo, args.mode)
+    if algo == "enhanced_mr":
         verdict = enhanced_mr(n, max_random_iters=args.max_iters, rng_seed=args.seed)
+    else:
+        verdict = ALGORITHMS[algo](n)
     if args.as_json:
         print(json.dumps(certificate(verdict), indent=2))
     else:
@@ -253,7 +250,7 @@ def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
     dataset = load_dataset(args.file)
-    algo = _batch_algo_name(args.algo, args.mode)
+    algo = _algo_name(args.algo, args.mode)
 
     def emit(line: str) -> None:
         print(line, flush=True)
@@ -280,6 +277,8 @@ def _cmd_batch(args) -> int:
 
 def _cmd_poly(args) -> int:
     m = args.m
+    if m > _MAX_POLY_M:
+        raise _UsageError(f"m too large: over {_MAX_POLY_M}")
     try:
         factor_prime_power(m)
     except ValueError as exc:

@@ -1,32 +1,21 @@
 """Arbitrary-precision integer number theory primitives.
 
-Pure functions over Python ints: Jacobi symbol, modular exponentiation,
-exact integer square root, prime stepping, odd-part decomposition, and a
-quadratic-residue census for small moduli.
+Pure functions over Python ints: Jacobi symbol, exact integer square root,
+prime stepping, odd-part decomposition, and a quadratic-residue census for
+small moduli.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 __all__ = [
-    "OddFactorDecomp",
     "count_qnr",
-    "gcd",
     "isqrt",
     "jacobi",
     "lof_tpow",
-    "modexp",
     "next_prime",
 ]
-
-
-class OddFactorDecomp(NamedTuple):
-    """Decomposition z = delta * 2**t with delta odd."""
-
-    delta: int
-    t: int
 
 
 def jacobi(a: int, n: int) -> int:
@@ -51,15 +40,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def modexp(base: int, exp: int, n: int) -> int:
-    """base**exp mod n with the result in [0, n)."""
-    if n < 2:
-        raise ValueError("modexp: modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("modexp: exponent must be >= 0")
-    return pow(base % n, exp, n)
-
-
 def isqrt(n: int) -> tuple[int, bool]:
     """(floor(sqrt(n)), exact) with exactness verified by multiplication."""
     if n < 0:
@@ -68,17 +48,12 @@ def isqrt(n: int) -> tuple[int, bool]:
     return s, s * s == n
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
-
-
-def lof_tpow(z: int) -> OddFactorDecomp:
+def lof_tpow(z: int) -> tuple[int, int]:
     """Split z >= 1 into (delta, t) with z = delta * 2**t and delta odd."""
     if z < 1:
         raise ValueError("lof_tpow: input must be >= 1")
     t = (z & -z).bit_length() - 1
-    return OddFactorDecomp(z >> t, t)
+    return z >> t, t
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

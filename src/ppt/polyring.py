@@ -65,17 +65,6 @@ class Poly:
             raise ValueError("Poly.reduced: modulus must be >= 2")
         return Poly(self.coeffs, n)
 
-    def evaluate(self, x: int) -> int:
-        """Value at x by Horner's rule (mod n when a modulus is set)."""
-        acc = 0
-        if self.n:
-            for c in reversed(self.coeffs):
-                acc = (acc * x + c) % self.n
-        else:
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -86,23 +75,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r}, n={self.n})"
-
-    def __str__(self) -> str:
-        """Explicit form 'c_k*x^k + ... + c_0', suitable for certificates."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{k}")
-        return " + ".join(parts)
 
     def pretty(self, var: str = "x") -> str:
         """Human form with signs and implicit unit coefficients.

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,12 @@ class TestTestCommand:
         assert code == EXIT_PRIME
         capsys.readouterr()
 
+    def test_max_iters_below_one_rejected(self, capsys):
+        for algo in ("mr-hybrid", "eqnr"):
+            assert main(["test", "97", "--algo", algo,
+                         "--max-iters", "0"]) == EXIT_USAGE
+            assert "--max-iters" in capsys.readouterr().err
+
     def test_inconclusive_exit(self, capsys):
         # Scan seeds for a single-draw run that cannot decide 1729.
         for seed in range(500):
@@ -199,6 +206,15 @@ class TestPolyCommand:
         capsys.readouterr()
         assert main(["poly", "1"]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_oversized_m_refused_quickly(self, capsys):
+        # The prime 4099 takes seconds to build; 2^127 - 1 would never
+        # finish, and its prime-power factoring alone would not either.
+        for m in (4099, 2**127 - 1):
+            t0 = time.perf_counter()
+            assert main(["poly", str(m)]) == EXIT_USAGE
+            assert time.perf_counter() - t0 < 0.1, m
+            assert "too large" in capsys.readouterr().err
 
 
 class TestFindMCommand:

@@ -6,15 +6,7 @@ import random
 import pytest
 import sympy
 
-from ppt.ntcore import (
-    count_qnr,
-    gcd,
-    isqrt,
-    jacobi,
-    lof_tpow,
-    modexp,
-    next_prime,
-)
+from ppt.ntcore import count_qnr, isqrt, jacobi, lof_tpow, next_prime
 
 from conftest import CAR, HC1, NHC
 
@@ -67,31 +59,6 @@ class TestJacobi:
             jacobi(3, -7)
 
 
-class TestModexp:
-    def test_frozen_anchors(self):
-        assert modexp(2045, 1023, 2047) == 2046
-        assert modexp(2, 85, 341) == 32
-        assert modexp(2, 1023, 2047) == 1
-
-    def test_matches_builtin(self):
-        rng = random.Random(11)
-        for _ in range(500):
-            n = rng.randrange(2, 10**9)
-            b = rng.randrange(0, n)
-            e = rng.randrange(0, 10**6)
-            assert modexp(b, e, n) == pow(b, e, n)
-
-    def test_zero_exponent(self):
-        assert modexp(5, 0, 7) == 1
-        assert modexp(0, 0, 7) == 1
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            modexp(2, 3, 1)
-        with pytest.raises(ValueError):
-            modexp(2, -1, 7)
-
-
 class TestIsqrt:
     def test_basic(self):
         assert isqrt(0) == (0, True)
@@ -111,14 +78,6 @@ class TestIsqrt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             isqrt(-1)
-
-
-class TestGcd:
-    def test_basic(self):
-        assert gcd(12, 18) == 6
-        assert gcd(17, 31) == 1
-        assert gcd(0, 5) == 5
-        assert gcd(5, 0) == 5
 
 
 class TestLofTpow:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ppt.canonical import canonical_params, find_qnr_or_m
 from ppt.checks import bcc
-from ppt.ntcore import isqrt, jacobi, lof_tpow, modexp, next_prime
+from ppt.ntcore import isqrt, jacobi, lof_tpow, next_prime
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_mulmod
 from ppt.quadext import QuadCtx, conjugate, norm, quad_mul, quad_pow
 
@@ -28,13 +28,6 @@ class TestNtcoreProperties:
     @settings(max_examples=200, deadline=None)
     def test_jacobi_multiplicative(self, a, b, n):
         assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
-
-    @given(st.integers(min_value=0, max_value=10**12),
-           st.integers(min_value=0, max_value=10**6),
-           st.integers(min_value=2, max_value=10**12))
-    @settings(max_examples=200, deadline=None)
-    def test_modexp_matches_builtin(self, b, e, n):
-        assert modexp(b, e, n) == pow(b, e, n)
 
     @given(st.integers(min_value=0, max_value=10**24))
     @settings(max_examples=300, deadline=None)
