@@ -20,7 +20,6 @@ that certified them.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -30,7 +29,7 @@ from typing import Any, Callable, get_args
 from . import ntcore as nt
 from .canonical import CanonicalParams, canonical_params, find_qnr_or_m
 from .checks import bcc, ecc, fgpc_check, pbpc, pgpc_check, pgpc_condition
-from .ntcore import jacobi, lof_tpow
+from .ntcore import MrOutcome, jacobi, miller_rabin_base
 # Not called here; bound so that tracing tools can wrap them on this module.
 from .polyring import mbec_remainder, poly_powmod  # noqa: F401
 
@@ -276,9 +275,6 @@ class QnrSearch:
     q: int
 
 
-_NO_SEARCH = QnrSearch(False, 0, 0)
-
-
 @dataclass(frozen=True)
 class PrimeBasis:
     """What certified a prime verdict.
@@ -303,68 +299,37 @@ class Verdict:
     timings: dict = field(compare=False, hash=False, default_factory=dict)
 
 
-def _verdict(
-    n: int,
-    outcome: Outcome,
-    mechanism: Mechanism | None,
-    basis: PrimeBasis | None,
-    search: QnrSearch,
-    t0: float,
-) -> Verdict:
-    return Verdict(
-        n=n,
-        outcome=outcome,
-        mechanism=mechanism,
-        prime_basis=basis,
-        qnr_search=search,
-        timings={"total_s": time.perf_counter() - t0},
-    )
+Decision = Mechanism | PrimeBasis | Outcome
 
 
-def _degenerate(n: int, t0: float, *, prime_three: bool) -> Verdict | None:
-    """Common handling of n = 1, n = 2, optionally n = 3, and even n."""
+def _verdict(n: int, t0: float, what: Decision, iters: int | None = None) -> Verdict:
+    """The one place a Verdict is built, from what decided n.
+
+    A mechanism makes n composite and a PrimeBasis prime; an Outcome stands
+    alone. iters counts a search's probes, None where n's class fixed the
+    route. The recorded q is the scalar non-residue `what` relied on, or 0;
+    total_s is the time since t0.
+    """
+    if isinstance(what, Outcome):
+        outcome, mech, basis = what, None, None
+    elif isinstance(what, PrimeBasis):
+        outcome, mech, basis = Outcome.PRIME, None, what
+    else:
+        outcome, mech, basis = Outcome.COMPOSITE, what, None
+    search = QnrSearch(iters is not None, iters or 0, getattr(what, "q", None) or 0)
+    timings = {"total_s": time.perf_counter() - t0}
+    return Verdict(n, outcome, mech, basis, search, timings)
+
+
+def _degenerate(n: int, *, prime_three: bool) -> Decision | None:
+    """What decides n = 1, n = 2, optionally n = 3, and even n; else None."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return _verdict(n, Outcome.NOT_APPLICABLE, None, None, _NO_SEARCH, t0)
+        return Outcome.NOT_APPLICABLE
     if n == 2 or (prime_three and n == 3):
-        return _verdict(n, Outcome.PRIME, None, None, _NO_SEARCH, t0)
-    if not n & 1:
-        return _verdict(n, Outcome.COMPOSITE, Even(), None, _NO_SEARCH, t0)
-    return None
-
-
-# ------------------------------------------------------------- miller-rabin
-
-
-@dataclass(frozen=True)
-class MrOutcome:
-    """Result of one strong-pseudoprime round; value is the root or base."""
-
-    witness: bool
-    witness_kind: str | None = None
-    value: int = 0
-
-
-def miller_rabin_base(n: int, a: int) -> MrOutcome:
-    """One strong-pseudoprime round at base a for odd n >= 3.
-
-    Reports how compositeness surfaced: either a nontrivial square root of
-    unity met while squaring a**delta, or a failed Fermat test.
-    """
-    if n < 3 or not n & 1:
-        raise ValueError("miller_rabin_base: modulus must be odd and >= 3")
-    delta, t = lof_tpow(n - 1)
-    b = pow(a, delta, n)
-    s = b
-    for _ in range(t):
-        s = b * b % n
-        if s == 1 and b != 1 and b != n - 1:
-            return MrOutcome(True, "nontrivial_root", b)
-        b = s
-    if s != 1:
-        return MrOutcome(True, "fermat", a % n)
-    return MrOutcome(False)
+        return Outcome.PRIME
+    return None if n & 1 else Even()
 
 
 # ---------------------------------------------------------------- qnr scans
@@ -392,9 +357,7 @@ def _probe_scan(name: str, n: int, limit: int | None):
     """
     if n < 3 or not n & 1:
         raise ValueError(f"{name}: n must be odd and >= 3")
-    if limit is None:
-        env = os.environ.get("PPT_MAX_QNR_ITERS")
-        limit = int(env) if env else default_qnr_iter_limit(n)
+    limit = default_qnr_iter_limit(n) if limit is None else limit
     if limit < 1:
         raise ValueError("iteration limit must be >= 1")
     for i in range(1, limit + 1):
@@ -418,9 +381,8 @@ def find_qnr(n: int, iter_limit: int | None = None) -> QnrProbe:
     """Scan odd primes 3, 5, 7, ... for a quadratic non-residue of n.
 
     Stops at the first prime p with (p | n) = -1 (found_factor False), or
-    at a probe p that divides n first (found_factor True). The default probe
-    budget is min(floor(sqrt(n)), 10**6), overridable by the argument or
-    the PPT_MAX_QNR_ITERS environment variable; exhaustion raises.
+    at a probe p that divides n first (found_factor True). The probe budget
+    is iter_limit, by default min(floor(sqrt(n)), 10**6); exhaustion raises.
     """
     for i, p, j in _probe_scan("find_qnr", n, iter_limit):
         if j != 1:
@@ -456,18 +418,15 @@ def find_qnr_with_mr(n: int, iter_limit: int | None = None) -> QnrMrProbe:
 # ----------------------------------------------------------- shared closing
 
 
-def _pbpc_tail(n: int, q: int, search: QnrSearch, t0: float) -> Verdict:
+def _pbpc_tail(n: int, q: int) -> Mechanism | PrimeBasis:
     """Euler criterion then binomial congruence at non-residue q."""
     q %= n
     euler, a, b = pbpc(q, n)
     if euler:
-        mech: Mechanism = EulerWitness(q=q, ecc_value=euler)
-    elif a or b:
-        mech = BinomialWitness(q=q, a=a, b=b)
-    else:
-        basis = PrimeBasis("pbpc", q=q)
-        return _verdict(n, Outcome.PRIME, None, basis, search, t0)
-    return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
+        return EulerWitness(q=q, ecc_value=euler)
+    if a or b:
+        return BinomialWitness(q=q, a=a, b=b)
+    return PrimeBasis("pbpc", q=q)
 
 
 def _class_qnr(n: int) -> int | None:
@@ -478,22 +437,21 @@ def _class_qnr(n: int) -> int | None:
     return n - 2 if r8 == 7 else None
 
 
-def _no_search(n: int, t0: float) -> Verdict:
+def _no_search(n: int) -> Mechanism | PrimeBasis:
     """Odd n > 3 with n != 1 mod 24: 3 divides n, or a non-residue is known.
 
     Beyond the classes of _class_qnr, n = 17 mod 24 leaves q = 3, since
     (3 | n) = (n | 3) = (2 | 3) = -1.
     """
     if n % 3 == 0:
-        return _verdict(n, Outcome.COMPOSITE, TrivialFactor(3), None, _NO_SEARCH, t0)
-    q = _class_qnr(n) or 3
-    return _pbpc_tail(n, q, QnrSearch(False, 0, q), t0)
+        return TrivialFactor(3)
+    return _pbpc_tail(n, _class_qnr(n) or 3)
 
 
 # ------------------------------------------------------------ the deciders
 
 
-def ppta_eqnr(n: int, *, qnr_iter_limit: int | None = None) -> Verdict:
+def ppta_eqnr(n: int) -> Verdict:
     """Decide n with an explicit quadratic non-residue.
 
     For n = 3, 5 mod 8 the non-residue is 2; for n = 7 mod 8 it is n - 2.
@@ -504,22 +462,18 @@ def ppta_eqnr(n: int, *, qnr_iter_limit: int | None = None) -> Verdict:
     hypothesis.
     """
     t0 = time.perf_counter()
-    deg = _degenerate(n, t0, prime_three=False)
-    if deg is not None:
-        return deg
+    what = _degenerate(n, prime_three=False)
     q = _class_qnr(n)
-    if q is not None:
-        return _pbpc_tail(n, q, QnrSearch(False, 0, q), t0)
-    s, exact = nt.isqrt(n)
-    if exact:
-        mech = PerfectSquare(s)
-        return _verdict(n, Outcome.COMPOSITE, mech, None, _NO_SEARCH, t0)
-    probe = find_qnr(n, qnr_iter_limit)
-    if probe.found_factor:
-        search = QnrSearch(True, probe.iterations, 0)
-        mech = JacobiZeroFactor(probe.p)
-        return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
-    return _pbpc_tail(n, probe.p, QnrSearch(True, probe.iterations, probe.p), t0)
+    if what is None and q is not None:
+        what = _pbpc_tail(n, q)
+    if what is None:
+        s, exact = nt.isqrt(n)
+        what = PerfectSquare(s) if exact else None
+    if what is not None:
+        return _verdict(n, t0, what)
+    probe = find_qnr(n)
+    what = JacobiZeroFactor(probe.p) if probe.found_factor else _pbpc_tail(n, probe.p)
+    return _verdict(n, t0, what, probe.iterations)
 
 
 def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
@@ -535,36 +489,32 @@ def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
     if mode not in ("pgpc", "fgpc"):
         raise ValueError("ppta_inr: mode must be 'pgpc' or 'fgpc'")
     t0 = time.perf_counter()
-    deg = _degenerate(n, t0, prime_three=True)
-    if deg is not None:
-        return deg
-    if n % 24 != 1:
-        return _no_search(n, t0)
+    what = _degenerate(n, prime_three=True)
+    if what is None and n % 24 != 1:
+        what = _no_search(n)
+    if what is not None:
+        return _verdict(n, t0, what)
     fr = find_qnr_or_m(n)
-    search = QnrSearch(True, fr.iterations, 0)
     if fr.divisor is not None:
         d = fr.divisor
-        mech = PerfectSquare(d) if d * d == n else TrivialFactor(d)
-        return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
-    if fr.qnr is not None:
-        return _pbpc_tail(n, fr.qnr, QnrSearch(True, fr.iterations, fr.qnr), t0)
-    params = canonical_params(fr.m)
-    mech: Mechanism | None = None
-    if mode == "pgpc":
-        rep = pgpc_check(n, params)
-        if not rep.all_hold:
-            mech = PgpcViolation(fr.m, rep.failed, rep.witness.coeffs, rep.expected)
+        what = PerfectSquare(d) if d * d == n else TrivialFactor(d)
+    elif fr.qnr is not None:
+        what = _pbpc_tail(n, fr.qnr)
     else:
-        ok, rem = fgpc_check(n, params)
-        if not ok:
-            psi = params.psi.reduced(n).coeffs
-            mech = BinomialWitness(
-                divisor_kind="psi", divisor=psi, remainder=rem.coeffs, m=fr.m
-            )
-    if mech is None:
-        basis = PrimeBasis(mode, m=fr.m)
-        return _verdict(n, Outcome.PRIME, None, basis, search, t0)
-    return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
+        params = canonical_params(fr.m)
+        what = PrimeBasis(mode, m=fr.m)
+        if mode == "pgpc":
+            rep = pgpc_check(n, params)
+            if not rep.all_hold:
+                what = PgpcViolation(fr.m, rep.failed, rep.witness.coeffs, rep.expected)
+        else:
+            ok, rem = fgpc_check(n, params)
+            if not ok:
+                psi = params.psi.reduced(n).coeffs
+                what = BinomialWitness(
+                    divisor_kind="psi", divisor=psi, remainder=rem.coeffs, m=fr.m
+                )
+    return _verdict(n, t0, what, fr.iterations)
 
 
 def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdict:
@@ -579,35 +529,28 @@ def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdic
     if max_random_iters < 1:
         raise ValueError("enhanced_mr: max_random_iters must be >= 1")
     t0 = time.perf_counter()
-    deg = _degenerate(n, t0, prime_three=True)
-    if deg is not None:
-        return deg
-    if n % 24 != 1:
-        return _no_search(n, t0)
-    s, exact = nt.isqrt(n)
-    if exact:
-        mech = PerfectSquare(s)
-        return _verdict(n, Outcome.COMPOSITE, mech, None, _NO_SEARCH, t0)
+    what = _degenerate(n, prime_three=True)
+    if what is None and n % 24 != 1:
+        what = _no_search(n)
+    if what is None:
+        s, exact = nt.isqrt(n)
+        what = PerfectSquare(s) if exact else None
+    if what is not None:
+        return _verdict(n, t0, what)
     rng = random.Random(rng_seed)
     for i in range(1, max_random_iters + 1):
         a = rng.randint(5, n - 5)
         j = jacobi(a, n)
         if j == 0:
-            search = QnrSearch(True, i, 0)
-            mech = JacobiZeroFactor(math.gcd(a, n))
-            return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
+            return _verdict(n, t0, JacobiZeroFactor(math.gcd(a, n)), i)
         if j == -1:
-            return _pbpc_tail(n, a, QnrSearch(True, i, a % n), t0)
+            return _verdict(n, t0, _pbpc_tail(n, a), i)
         out = miller_rabin_base(n, a)
+        if out.witness_kind == "nontrivial_root":
+            return _verdict(n, t0, MrNontrivialRoot(base=a, b=out.value), i)
         if out.witness:
-            search = QnrSearch(True, i, 0)
-            if out.witness_kind == "nontrivial_root":
-                mech: Mechanism = MrNontrivialRoot(base=a, b=out.value)
-            else:
-                mech = FermatWitness(a=a)
-            return _verdict(n, Outcome.COMPOSITE, mech, None, search, t0)
-    search = QnrSearch(True, max_random_iters, 0)
-    return _verdict(n, Outcome.INCONCLUSIVE, None, None, search, t0)
+            return _verdict(n, t0, FermatWitness(a=a), i)
+    return _verdict(n, t0, Outcome.INCONCLUSIVE, max_random_iters)
 
 
 # ------------------------------------------------------------- certificates

@@ -61,6 +61,8 @@ def _tokenize(text: str) -> list[str]:
 # Bound on the bit length of each power, product and sum in an expression;
 # 2^1048576 fits.
 _MAX_POWER_BITS = 1 << 21
+# Decimal digits enough to print any n under that bound (log10(2) < 1/3).
+_MAX_DIGITS = _MAX_POWER_BITS // 3 + 1
 
 # Largest m `poly` builds. The divisor polynomials cost about 8-10x more each
 # time m doubles: on one Xeon core about 4 s at the prime 4093, 40 s at 8191.
@@ -323,6 +325,10 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Lift Python's int-to-str limit (4300 digits) so every accepted n prints.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < _MAX_DIGITS:
+        sys.set_int_max_str_digits(_MAX_DIGITS)
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -1,19 +1,22 @@
 """Arbitrary-precision integer number theory primitives.
 
 Pure functions over Python ints: Jacobi symbol, exact integer square root,
-prime stepping, odd-part decomposition, and a quadratic-residue census for
-small moduli.
+odd-part decomposition, one strong-probable-prime round, prime stepping,
+and a quadratic-residue census for small moduli.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 __all__ = [
+    "MrOutcome",
     "count_qnr",
     "isqrt",
     "jacobi",
     "lof_tpow",
+    "miller_rabin_base",
     "next_prime",
 ]
 
@@ -56,6 +59,36 @@ def lof_tpow(z: int) -> tuple[int, int]:
     return z >> t, t
 
 
+@dataclass(frozen=True)
+class MrOutcome:
+    """Result of one strong-pseudoprime round; value is the root or base."""
+
+    witness: bool
+    witness_kind: str | None = None
+    value: int = 0
+
+
+def miller_rabin_base(n: int, a: int) -> MrOutcome:
+    """One strong-pseudoprime round at base a for odd n >= 3.
+
+    Reports how compositeness surfaced: either a nontrivial square root of
+    unity met while squaring a**delta, or a failed Fermat test.
+    """
+    if n < 3 or not n & 1:
+        raise ValueError("miller_rabin_base: modulus must be odd and >= 3")
+    delta, t = lof_tpow(n - 1)
+    b = pow(a, delta, n)
+    s = b
+    for _ in range(t):
+        s = b * b % n
+        if s == 1 and b != 1 and b != n - 1:
+            return MrOutcome(True, "nontrivial_root", b)
+        b = s
+    if s != 1:
+        return MrOutcome(True, "fermat", a % n)
+    return MrOutcome(False)
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Smallest composite that is a strong pseudoprime to every base above; the
 # strong test with these bases is a primality proof strictly below it.
@@ -71,18 +104,7 @@ def _is_prime_det(n: int) -> bool:
             return n == p
     if n >= _MR_DETERMINISTIC_BOUND:
         raise ValueError("next_prime: beyond the deterministic range")
-    d, t = lof_tpow(n - 1)
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(t - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return not any(miller_rabin_base(n, a).witness for a in _MR_BASES)
 
 
 def next_prime(p: int) -> int:

@@ -472,6 +472,43 @@ class TestCertificates:
         cert["n"] = 5
         assert not verify_certificate(cert)
 
+    @pytest.mark.parametrize("decide, n, kind", [
+        (ppta_eqnr, 4, "even"),
+        (ppta_inr, 9, "trivial_factor"),
+        (ppta_eqnr, 9, "perfect_square"),
+        (ppta_eqnr, 33, "jacobi_zero_factor"),
+        (ppta_eqnr, 15, "euler_witness"),
+        (ppta_eqnr, 2047, "binomial_witness"),
+        (lambda n: ppta_inr(n, "fgpc"), 649, "binomial_witness"),
+        (ppta_inr, 649, "pgpc_violation"),
+        (enhanced_mr, 6409, "mr_nontrivial_root"),
+        (enhanced_mr, 385, "fermat_witness"),
+    ])
+    def test_each_mechanism_kind_verifies(self, decide, n, kind):
+        cert = json.loads(json.dumps(certificate(decide(n))))
+        assert cert["mechanism"]["kind"] == kind
+        assert mechanism_from_json(cert["mechanism"]).verify(n)
+        assert verify_certificate(cert)
+
+    def test_nontrivial_root_forgeries_fail(self):
+        cert = certificate(enhanced_mr(6409))
+        assert cert["mechanism"] == {"kind": "mr_nontrivial_root",
+                                     "base": 3160, "b": 1886}
+        for b in (1, 6408, 1887):  # the trivial roots, then a non-root
+            cert["mechanism"]["b"] = b
+            assert not verify_certificate(cert), b
+
+    def test_binomial_witness_forgeries_fail(self):
+        # 569 is prime, so its true defect at q = 3 is the zero pair.
+        cert = {"n": 569, "outcome": "composite",
+                "mechanism": {"kind": "binomial_witness", "q": 3, "a": 0, "b": 0}}
+        assert not verify_certificate(cert)
+        for missing in ("remainder", "divisor"):
+            cert = certificate(ppta_inr(649, "fgpc"))
+            assert verify_certificate(cert)
+            del cert["mechanism"][missing]
+            assert not verify_certificate(cert), missing
+
     def test_composite_claim_on_prime_fails(self):
         cert = certificate(ppta_eqnr(2047))
         cert["n"] = 2053  # prime; recorded witness no longer checks out

@@ -138,6 +138,22 @@ class TestTestCommand:
         assert main(["test", "abc"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_prime_basis_descriptions(self, capsys):
+        assert main(["test", "3", "--algo", "inr"]) == EXIT_PRIME
+        assert capsys.readouterr().out == "3: Prime (small prime)\n"
+        assert main(["test", "1009", "--algo", "inr"]) == EXIT_PRIME
+        assert "Prime (pgpc at m=5)" in capsys.readouterr().out
+        assert main(["test", "1009", "--algo", "inr", "--mode",
+                     "fgpc"]) == EXIT_PRIME
+        assert "Prime (fgpc at m=5)" in capsys.readouterr().out
+
+    def test_numbers_over_4300_digits_print(self, capsys):
+        # 2^20000 has 6021 digits, over Python's default int-to-str limit.
+        assert main(["test", "2^20000"]) == EXIT_COMPOSITE
+        assert capsys.readouterr().out.endswith(": Composite (even)\n")
+        assert main(["test", "2^20000", "--json"]) == EXIT_COMPOSITE
+        assert json.loads(capsys.readouterr().out)["n"] == 2**20000
+
 
 class TestBatchCommand:
     def test_batch_run_with_csv(self, tmp_path, capsys):
@@ -259,14 +275,20 @@ class TestBenchCommand:
         capsys.readouterr()
 
 
-class TestIterationLimitEnv:
-    def test_env_variable_bounds_search(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PPT_MAX_QNR_ITERS", "5")
-        assert main(["test", str(N22)]) == EXIT_ERROR
-        capsys.readouterr()
-        monkeypatch.setenv("PPT_MAX_QNR_ITERS", "30")
+class TestIterationLimits:
+    def test_exhausted_search_exits_3(self, capsys, monkeypatch):
+        import ppt.algorithms
+
         assert main(["test", str(N22)]) == EXIT_COMPOSITE
         capsys.readouterr()
+
+        def exhausted(n, iter_limit=None):
+            raise RuntimeError("find_qnr: no quadratic non-residue among the "
+                               "first 5 odd primes")
+
+        monkeypatch.setattr(ppt.algorithms, "find_qnr", exhausted)
+        assert main(["test", str(N22)]) == EXIT_ERROR
+        assert "no quadratic non-residue" in capsys.readouterr().err
 
     def test_max_iters_flag_for_hybrid(self, capsys):
         code = main(["test", "97", "--algo", "mr-hybrid",

@@ -181,6 +181,12 @@ class TestRunBatch:
         assert stats.resolved_by["trivial_factor"] == 1
         assert stats.resolved_by["pgpc"] == 1
 
+    def test_unit_counted_not_applicable(self):
+        stats, _ = run_batch(Dataset([1, 561, 569], "inline"), "eqnr")
+        assert stats.total == 3
+        assert stats.not_applicable == 1
+        assert (stats.primes_found, stats.composites_found) == (1, 1)
+
     def test_errors_counted_without_aborting(self):
         ds = Dataset([561, 0, 569], "inline")
         stats, _ = run_batch(ds, "eqnr")
