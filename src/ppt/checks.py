@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .canonical import CanonicalParams
 from .ntcore import jacobi
-from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
+from .polyring import Poly, mbec_remainder, poly_powmod, quotient_ring
 from .quadext import _pow
 
 __all__ = [
@@ -140,11 +140,11 @@ def pgpc_condition(
     if name not in _CONDITIONS:
         raise ValueError(f"pgpc_condition: unknown condition {name!r}")
     upsilon_side = name in ("cond1", "cond3")
-    div = (params.upsilon if upsilon_side else params.psi).reduced(n)
+    div = params.upsilon if upsilon_side else params.psi
     if name in ("cond1", "cond2"):
         return mbec_remainder(n, div), ()
     x = Poly([0, 1], n)
-    residue = poly_powmod(QuotientRing(div, n), x, n**params.d - 1)
+    residue = poly_powmod(quotient_ring(div, n), x, n**params.d - 1)
     p_m = params.p_m
     c = 1 % n if upsilon_side or p_m == 2 else jacobi(n, p_m) % n
     return residue, ((c,) if c else ())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -63,6 +64,8 @@ def _tokenize(text: str) -> list[str]:
 _MAX_POWER_BITS = 1 << 21
 # Decimal digits enough to print any n under that bound (log10(2) < 1/3).
 _MAX_DIGITS = _MAX_POWER_BITS // 3 + 1
+# Decimal digits of 2**_MAX_POWER_BITS; a literal with more is over the bound.
+_MAX_LITERAL_DIGITS = int(_MAX_POWER_BITS * math.log10(2)) + 1
 
 # Largest m `poly` builds. The divisor polynomials cost about 8-10x more each
 # time m doubles: on one Xeon core about 4 s at the prime 4093, 40 s at 8191.
@@ -74,9 +77,11 @@ def parse_int_expr(text: str) -> int:
 
     Grammar: + and - (left associative) over * (left associative) over ^
     (right associative) over integers and parentheses. No unary minus.
-    A power a^b with bits(a) * b over 2**21, a product a*b with
-    bits(a) + bits(b) over 2**21 and a sum or difference whose wider operand
-    has 2**21 bits are rejected before they are computed.
+    A literal over 2**21 bits, a power a^b with bits(a) * b over 2**21, a
+    product a*b with bits(a) + bits(b) over 2**21 and a sum or difference
+    whose wider operand has 2**21 bits are rejected; a literal with more
+    digits than 2**(2**21) is refused before it is converted, and the
+    others before they are computed.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -108,7 +113,12 @@ def parse_int_expr(text: str) -> int:
             take()
             return v
         if tok.isdigit():
-            return int(take(), 10)
+            digits = take().lstrip("0") or "0"
+            if len(digits) > _MAX_LITERAL_DIGITS:
+                raise _UsageError(f"literal too large: over {_MAX_POWER_BITS} bits")
+            v = int(digits, 10)
+            bound(v.bit_length(), "literal")
+            return v
         raise _UsageError(f"unexpected token {tok!r}")
 
     def power() -> int:

@@ -102,6 +102,8 @@ def _is_prime_det(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # the least composite with no prime factor up to 37
+        return True
     if n >= _MR_DETERMINISTIC_BOUND:
         raise ValueError("next_prime: beyond the deterministic range")
     return not any(miller_rabin_base(n, a).witness for a in _MR_BASES)

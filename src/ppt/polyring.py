@@ -5,17 +5,26 @@ nonzero; the zero polynomial has an empty coefficient tuple. A modulus of 0
 denotes signed integer coefficients (used by the canonical constructions
 before reduction at a concrete modulus).
 
-Every quotient-ring product, power and reduction goes through one kernel:
-a fold table of x**j mod the divisor (j = k..2k-1, k = deg divisor), built
-with each QuotientRing from the divisor's least-absolute residues mod n, so
-its entries stay small for the canonical divisors however wide n is (at
-most 31 bits up to m = 17, 44 bits at m = 23). A ladder step squares on
-raw integers, each cross product once, multiplies by a linear base x or
-1+x in O(k), and folds back to k coefficients with one % n each.
+Products and reductions go through one kernel: a fold table of x**j mod
+the divisor (j = k..2k-1, k = deg divisor), built with each QuotientRing
+from the divisor's least-absolute residues mod n, so its entries stay small
+for the canonical divisors however wide n is (at most 31 bits up to m = 17,
+44 bits at m = 23). A ladder step squares on raw integers, each cross
+product once, multiplies by a linear base x or 1+x in O(k), and folds back
+to k coefficients with one % n each.
+
+Powers run on the smallest ring that gives the same residue exactly:
+
+1. x modulo an even divisor P(x**2) is w**(e >> 1) modulo P(w), placed on
+   the even or odd coefficients by the parity of e;
+2. modulo a degree-2 divisor at odd n, the quadratic ring's ladder
+   computes the power in Z_n[sqrt(D)], D the divisor's discriminant;
+3. every other power runs on the fold table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 
 from .quadext import _pow
@@ -27,6 +36,7 @@ __all__ = [
     "mbec_remainder",
     "poly_mulmod",
     "poly_powmod",
+    "quotient_ring",
 ]
 
 
@@ -105,7 +115,7 @@ class Poly:
 class QuotientRing:
     """Z_n[x] / <divisor(x)> for a monic divisor of degree >= 1."""
 
-    __slots__ = ("divisor", "n", "_cols")
+    __slots__ = ("divisor", "n", "_cols", "_half")
 
     def __init__(self, divisor: Poly, n: int | None = None):
         if n is None:
@@ -123,6 +133,9 @@ class QuotientRing:
         object.__setattr__(self, "n", n)
         cols = _fold_columns(d.coeffs, n, 2 * d.degree - 1)
         object.__setattr__(self, "_cols", cols)
+        even = d.degree >= 4 and not any(d.coeffs[1::2])
+        half = QuotientRing(Poly(d.coeffs[::2], n)) if even else None
+        object.__setattr__(self, "_half", half)  # P(w) for d = P(x**2)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRing is immutable")
@@ -224,8 +237,32 @@ def _power(b: list[int], e: int, cols: list[tuple], n: int) -> list[int]:
 
 
 def _ring_power(ring: QuotientRing, base: list[int], e: int) -> list[int]:
-    """base**e in the ring."""
-    return _power(ring._reduce(base), e, ring._cols, ring.n)
+    """base**e in the ring, on the smallest ring that gives it exactly."""
+    b = ring._reduce(base)
+    k, n = len(b), ring.n
+    if ring._half is not None and b == [0, 1] + [0] * (k - 2):
+        out = [0] * k
+        out[e & 1::2] = _ring_power(ring._half, [0, 1], e >> 1)
+        return out
+    if k == 2 and n & 1:
+        return _quadratic_power(ring.divisor.coeffs, b, e, n)
+    return _power(b, e, ring._cols, n)
+
+
+def _quadratic_power(div: tuple[int, ...], b: list[int], e: int,
+                     n: int) -> list[int]:
+    """b**e modulo t**2 + c1*t + c0 at odd n, by the Z_n[sqrt(D)] ladder.
+
+    With s = 2t + c1, s**2 = D = c1**2 - 4*c0 and 2*(b0 + b1*t) is
+    (2*b0 - c1*b1) + b1*s, whose e-th power A + B*s is 2**e * b**e, that
+    is (A + B*c1) + 2*B*t. Everything enters as least-absolute residues,
+    so D and the base stay small for the canonical divisors.
+    """
+    h = n >> 1
+    c0, c1, b0, b1 = ((c + h) % n - h for c in (*div[:2], *b))
+    u, v = _pow((2 * b0 - c1 * b1 + h) % n - h, b1, c1 * c1 - 4 * c0, n, e)
+    g = pow(pow(2, e, n), -1, n)
+    return [(u + v * c1) * g % n, 2 * v * g % n]
 
 
 def _coeffs(ring: QuotientRing, p: Poly, what: str) -> list[int]:
@@ -250,6 +287,16 @@ def poly_powmod(ring: QuotientRing, base: Poly, e: int) -> Poly:
     return Poly(_ring_power(ring, b, e), ring.n)
 
 
+@lru_cache(maxsize=8)
+def quotient_ring(d: Poly, n: int) -> QuotientRing:
+    """QuotientRing(d, n), shared by the calls that use the same divisor.
+
+    A battery takes up to three powers modulo each divisor; the ring, its
+    fold table and its half ring are built once for them, not per power.
+    """
+    return QuotientRing(d, n)
+
+
 def mbec_remainder(n: int, d: Poly) -> Poly:
     """Remainder of (1+x)**n - 1 - x**n in Z_n[x]/<d(x)>.
 
@@ -259,7 +306,7 @@ def mbec_remainder(n: int, d: Poly) -> Poly:
     """
     if n < 3 or not n & 1:
         raise ValueError("mbec_remainder: modulus must be odd and >= 3")
-    ring = QuotientRing(d, n)
+    ring = quotient_ring(d, n)
     a = _ring_power(ring, [1, 1], n)
     b = _ring_power(ring, [0, 1], n)
     out = [u - v for u, v in zip(a, b)]

@@ -3,7 +3,8 @@
 Elements are pairs a + b*sqrt(q) with both coordinates reduced mod an odd
 modulus n >= 3. Multiplication uses sqrt(q)**2 = q; no inverses are needed
 by any caller, so none are provided. One ladder, _pow, computes every power
-in the ring, for quad_pow, ppt.checks and ppt.polyring.euler_poly_check.
+in the ring, for quad_pow, ppt.checks and ppt.polyring (euler_poly_check
+and the powers modulo a degree-2 divisor).
 """
 
 from __future__ import annotations
@@ -56,15 +57,14 @@ class QuadInt:
 def _pow(a: int, b: int, q: int, n: int, e: int) -> tuple[int, int]:
     """(a + b*r)**e with r*r = q, by left-to-right binary squaring.
 
-    q enters as its least-absolute residue (n - 2 as -2); each step
-    reduces each coordinate with one % n.
+    q enters as its least-absolute residue (n - 2 as -2) and the base as
+    given, so a small or signed one multiplies as a short integer; each
+    step reduces each coordinate with one % n (e = 1 returns the base).
     """
     if e == 0:
         return 1 % n, 0
     h = n >> 1
     q = (q + h) % n - h
-    a %= n
-    b %= n
     ra, rb = a, b
     for bit in bin(e)[3:]:
         ra, rb = (ra * ra + rb * rb * q) % n, 2 * ra * rb % n

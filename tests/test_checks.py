@@ -5,6 +5,7 @@ import random
 import pytest
 
 import ppt.checks
+import ppt.polyring
 from ppt.canonical import canonical_params
 from ppt.checks import bcc, ecc, fgpc_check, pbpc, pgpc_check, pgpc_condition
 from ppt.ntcore import jacobi
@@ -241,6 +242,22 @@ class TestSharedChecks:
         calls.clear()
         assert fgpc_check(NC, canonical_params(5))[0] is False
         assert calls == ["mbec_remainder"]
+
+    @pytest.mark.parametrize("m", [5, 7, 16])
+    def test_battery_builds_each_ring_once(self, monkeypatch, m):
+        # Upsilon_m, Psi_m and Psi_m's half ring P(w), Psi_m = P(x**2):
+        # three fold tables for the four conditions, none for the verifier's
+        # second pass over the same n; Upsilon_16 is even too.
+        built = []
+        real = ppt.polyring._fold_columns
+        monkeypatch.setattr(ppt.polyring, "_fold_columns",
+                            lambda *a: built.append(a) or real(*a))
+        ppt.polyring.quotient_ring.cache_clear()
+        n = {5: 1009, 7: 569, 16: 1153}[m]
+        assert pgpc_check(n, canonical_params(m)).all_hold
+        assert len(built) == (4 if m == 16 else 3)
+        assert pgpc_check(n, canonical_params(m)).all_hold
+        assert len(built) == (4 if m == 16 else 3)
 
     def test_pgpc_condition_rejects_unknown_name(self):
         with pytest.raises(ValueError):

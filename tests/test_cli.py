@@ -69,6 +69,18 @@ class TestExpressionParser:
         assert main(["test", "(2^1000)^1000000"]) == EXIT_USAGE
         assert main(["test", "10^500000*10^500000"]) == EXIT_USAGE
 
+    def test_literal_size_cap(self, capsys):
+        # 650,000 digits is about 2.16M bits, over the cap; 700,001 digits
+        # is also over the interpreter's digit limit that main raises. Both
+        # are refused from their length, before any conversion.
+        for digits in (650_000, 700_001):
+            t0 = time.perf_counter()
+            assert main(["test", "7" * digits]) == EXIT_USAGE
+            assert time.perf_counter() - t0 < 0.5, digits
+            assert "literal too large" in capsys.readouterr().err
+        # Leading zeros carry no value.
+        assert parse_int_expr("0" * 700_001 + "569") == 569
+
 
 class TestTestCommand:
     def test_prime_exit_and_text(self, capsys):

@@ -7,13 +7,21 @@ every operation, and divides by the divisor as stored (coefficients in
 The strategies aim at the kernel's edges: divisor coefficients at the
 sign boundary of the least-absolute residue ((n-1)/2, (n+1)/2, n-1) and
 full-width random ones; degree-1 and degree-2 divisors; small moduli,
-where fold-table entries over Z would exceed n; exponents 0, 1, 2, n-1 and
-n**d - 1; the zero base; and inputs longer than the divisor.
+where fold-table entries over Z would exceed n; exponents 0, 1, 2, n-1, n
+and n**d - 1; the zero base; and inputs longer than the divisor.
+
+They also reach each route of the power: x modulo an even divisor P(x**2)
+(the half ring), degree-2 divisors at odd n (the Z_n[sqrt(D)] ladder,
+also where n shares a factor with D), and even n, where a degree-2
+divisor stays on the fold table because 2 is not invertible.
 """
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppt.canonical import canonical_params
 from ppt.polyring import (
     Poly,
     QuotientRing,
@@ -24,6 +32,7 @@ from ppt.polyring import (
 )
 
 SMALL_N = (3, 5, 7, 9, 15, 21)
+EVEN_N = (4, 6, 10)
 
 
 def ref_rem(p, div, n):
@@ -65,7 +74,7 @@ def ref_pow(base, e, div, n):
 def moduli(draw, odd=True):
     """Small moduli, where the fold table wraps, or wide random ones."""
     if draw(st.booleans()):
-        return draw(st.sampled_from(SMALL_N))
+        return draw(st.sampled_from(SMALL_N if odd else SMALL_N + EVEN_N))
     n = draw(st.integers(min_value=3, max_value=2**200))
     return n | 1 if odd else n
 
@@ -98,7 +107,7 @@ def poly_coeffs(draw, n, k):
 @st.composite
 def exponents(draw, n, k):
     d = draw(st.integers(min_value=1, max_value=k))
-    return draw(st.one_of(st.sampled_from((0, 1, 2, n - 1, n**d - 1)),
+    return draw(st.one_of(st.sampled_from((0, 1, 2, n - 1, n, n**d - 1)),
                           st.integers(min_value=0, max_value=n**k)))
 
 
@@ -117,7 +126,7 @@ def test_mulmod_matches_reference(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_powmod_matches_reference(data):
-    n, div = data.draw(rings())
+    n, div = data.draw(rings(odd=False))
     k = len(div) - 1
     base = data.draw(poly_coeffs(n, k))
     e = data.draw(exponents(n, k))
@@ -191,3 +200,64 @@ def test_integer_divisor_at_sign_boundary():
                 for ring in (ring_z, ring_n):
                     got = poly_powmod(ring, Poly([0, 1]), e)
                     assert list(got.coeffs) == want
+
+
+@st.composite
+def even_divisors(draw):
+    """(n, P(x**2) as coefficients in [0, n)) with deg P in 1..4, any n."""
+    n = draw(moduli(odd=False))
+    k = draw(st.integers(min_value=1, max_value=4))
+    low = [draw(coefficient(n)) for _ in range(k)] + [1]
+    div = [0] * (2 * k + 1)
+    div[::2] = low
+    return n, div
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_x_powers_modulo_even_divisors(data):
+    """x**e modulo P(x**2), where P may itself be even, at any parity."""
+    n, div = data.draw(even_divisors())
+    e = data.draw(exponents(n, len(div) - 1))
+    ring = QuotientRing(Poly(div, n))
+    got = poly_powmod(ring, Poly([0, 1], n), e)
+    assert list(got.coeffs) == ref_pow([0, 1], e, div, n)
+
+
+UPS5 = [-1, 1, 1]  # D = 5
+P5 = [5, 5, 1]  # Psi_5 = P5(x**2), D = 5
+P16 = [2, -4, 1]  # Upsilon_16 = P16(x**2), D = 8
+
+
+@pytest.mark.parametrize("div", [UPS5, P5, P16, [0, 0, 1], [3, 0, 1]])
+@pytest.mark.parametrize("n", [3, 5, 15, 25, 7, 9, 4, 6])
+def test_degree_two_at_moduli_sharing_the_discriminant(n, div):
+    """n in {5, 15, 25} divides D = 5, 3 is the least odd modulus, and at
+    4 and 6 the ring stays on the fold table."""
+    reduced = [c % n for c in div]
+    ring = QuotientRing(Poly(div), n)
+    for base in ([0, 1], [1, 1], [n - 1, 1], [2, n - 1], [0, 3], [4]):
+        for e in (0, 1, 2, n - 1, n, n**2 - 1, 7 * n + 3):
+            got = poly_powmod(ring, Poly(base, n), e)
+            assert list(got.coeffs) == ref_pow(base, e, reduced, n), (base, e)
+
+
+@pytest.mark.parametrize("m", [5, 16, 32, 64])
+def test_canonical_divisors_match_reference(m):
+    """Upsilon_m and Psi_m at small and wide moduli, bases x and 1 + x."""
+    params = canonical_params(m)
+    for n in (3, 5, 15, 25, 97, 1009, 2**61 - 1, 2**127 - 1):
+        for div in (params.upsilon, params.psi):
+            reduced = list(div.reduced(n).coeffs)
+            ring = QuotientRing(div, n)
+            exps = (0, 1, 2, n) if m > 16 and n > 1009 else (
+                0, 1, 2, n, n**params.d - 1)
+            for e in exps:
+                for base in ([0, 1], [1, 1]):
+                    got = poly_powmod(ring, Poly(base, n), e)
+                    assert list(got.coeffs) == ref_pow(base, e, reduced, n)
+            a = ref_pow([1, 1], n, reduced, n)
+            b = ref_pow([0, 1], n, reduced, n)
+            want = [u - v for u, v in zip(a + [0] * m, b + [0] * m)]
+            want[0] -= 1
+            assert mbec_remainder(n, div) == Poly(want, n)
