@@ -62,7 +62,7 @@ def _euler(q: int, n: int) -> tuple[int, int]:
 
 def _binomial_defect(q: int, n: int, h: int) -> tuple[int, int]:
     """(1 + sqrt(q))**n - 1 - h*sqrt(q) for h = q**((n-1)/2) mod n."""
-    a, b = _pow(1, 1, q, n, n)
+    a, b = _pow(1, 1, q, 0, n, n)
     return (a - 1) % n, (b - h) % n
 
 

@@ -14,6 +14,7 @@ are deliberately naive reference oracles for cross-checking the deciders.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -172,7 +173,9 @@ def _verdicts(
     numbers: Sequence[int], algo: str, jobs: int
 ) -> Iterable[tuple[int, Verdict | None, Exception | None]]:
     fn = ALGORITHMS[algo]
-    if jobs <= 1:
+    # A fork pool starts every worker on the first submit: cap them.
+    workers = min(jobs, len(numbers), os.cpu_count() or 1)
+    if workers <= 1:
         for n in numbers:
             try:
                 yield n, fn(n), None
@@ -181,8 +184,8 @@ def _verdicts(
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(numbers) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(numbers) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(_worker, [(algo, n) for n in numbers], chunksize=chunk)
         for n, res in zip(numbers, results):
             if isinstance(res, Exception):

@@ -17,8 +17,9 @@ Powers run on the smallest ring that gives the same residue exactly:
 
 1. x modulo an even divisor P(x**2) is w**(e >> 1) modulo P(w), placed on
    the even or odd coefficients by the parity of e;
-2. modulo a degree-2 divisor at odd n, the quadratic ring's ladder
-   computes the power in Z_n[sqrt(D)], D the divisor's discriminant;
+2. modulo a degree-2 divisor t**2 + c1*t + c0, quadext._pow, which
+   serves every relation r**2 = q + p*r at any n >= 2 (only QuadCtx
+   requires odd n), computes it with q = -c0 and p = -c1;
 3. every other power runs on the fold table.
 """
 
@@ -244,25 +245,10 @@ def _ring_power(ring: QuotientRing, base: list[int], e: int) -> list[int]:
         out = [0] * k
         out[e & 1::2] = _ring_power(ring._half, [0, 1], e >> 1)
         return out
-    if k == 2 and n & 1:
-        return _quadratic_power(ring.divisor.coeffs, b, e, n)
+    if k == 2:  # b is reduced, so _pow's e = 1 returns a ring element
+        c0, c1 = ring.divisor.coeffs[:2]
+        return list(_pow(*b, -c0, -c1, n, e))
     return _power(b, e, ring._cols, n)
-
-
-def _quadratic_power(div: tuple[int, ...], b: list[int], e: int,
-                     n: int) -> list[int]:
-    """b**e modulo t**2 + c1*t + c0 at odd n, by the Z_n[sqrt(D)] ladder.
-
-    With s = 2t + c1, s**2 = D = c1**2 - 4*c0 and 2*(b0 + b1*t) is
-    (2*b0 - c1*b1) + b1*s, whose e-th power A + B*s is 2**e * b**e, that
-    is (A + B*c1) + 2*B*t. Everything enters as least-absolute residues,
-    so D and the base stay small for the canonical divisors.
-    """
-    h = n >> 1
-    c0, c1, b0, b1 = ((c + h) % n - h for c in (*div[:2], *b))
-    u, v = _pow((2 * b0 - c1 * b1 + h) % n - h, b1, c1 * c1 - 4 * c0, n, e)
-    g = pow(pow(2, e, n), -1, n)
-    return [(u + v * c1) * g % n, 2 * v * g % n]
 
 
 def _coeffs(ring: QuotientRing, p: Poly, what: str) -> list[int]:
@@ -323,5 +309,5 @@ def euler_poly_check(n: int, q: int) -> int | None:
     """
     if n < 3 or not n & 1:
         raise ValueError("euler_poly_check: modulus must be odd and >= 3")
-    c0, c1 = _pow(0, 1, q, n, n - 1)
+    c0, c1 = _pow(0, 1, q, 0, n, n - 1)
     return None if c1 else c0

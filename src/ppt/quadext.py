@@ -3,8 +3,10 @@
 Elements are pairs a + b*sqrt(q) with both coordinates reduced mod an odd
 modulus n >= 3. Multiplication uses sqrt(q)**2 = q; no inverses are needed
 by any caller, so none are provided. One ladder, _pow, computes every power
-in the ring, for quad_pow, ppt.checks and ppt.polyring (euler_poly_check
-and the powers modulo a degree-2 divisor).
+in every rank-2 ring Z_n[r] with r**2 = q + p*r at any n >= 2: with p = 0
+for quad_pow, ppt.checks and ppt.polyring.euler_poly_check, and with the
+linear term of a degree-2 divisor for ppt.polyring's powers modulo it.
+QuadCtx alone still requires odd n.
 """
 
 from __future__ import annotations
@@ -54,22 +56,23 @@ class QuadInt:
         return f"{self.a} + {self.b}*sqrt({self.ctx.q})"
 
 
-def _pow(a: int, b: int, q: int, n: int, e: int) -> tuple[int, int]:
-    """(a + b*r)**e with r*r = q, by left-to-right binary squaring.
+def _pow(a: int, b: int, q: int, p: int, n: int, e: int) -> tuple[int, int]:
+    """(a + b*r)**e with r*r = q + p*r mod n, n >= 2, by binary squaring.
 
-    q enters as its least-absolute residue (n - 2 as -2) and the base as
+    q and p enter as least-absolute residues (n - 2 as -2) and the base as
     given, so a small or signed one multiplies as a short integer; each
     step reduces each coordinate with one % n (e = 1 returns the base).
     """
     if e == 0:
         return 1 % n, 0
     h = n >> 1
-    q = (q + h) % n - h
+    q, p = (q + h) % n - h, (p + h) % n - h
+    c = a + b * p
     ra, rb = a, b
     for bit in bin(e)[3:]:
-        ra, rb = (ra * ra + rb * rb * q) % n, 2 * ra * rb % n
+        ra, rb = (ra * ra + rb * rb * q) % n, rb * (2 * ra + p * rb) % n
         if bit == "1":
-            ra, rb = (ra * a + rb * b * q) % n, (ra * b + rb * a) % n
+            ra, rb = (ra * a + rb * b * q) % n, (ra * b + rb * c) % n
     return ra, rb
 
 
@@ -85,7 +88,7 @@ def quad_pow(x: QuadInt, e: int) -> QuadInt:
     """x**e for e >= 0 (x**0 is the ring identity)."""
     if e < 0:
         raise ValueError("quad_pow: exponent must be >= 0")
-    a, b = _pow(x.a, x.b, x.ctx.q, x.ctx.n, e)
+    a, b = _pow(x.a, x.b, x.ctx.q, 0, x.ctx.n, e)
     return QuadInt(a, b, x.ctx)
 
 

@@ -1,5 +1,8 @@
 """Unit tests for dataset loading, batch runs, and composite generators."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from ppt.algorithms import ppta_eqnr, ppta_inr
@@ -202,6 +205,45 @@ class TestRunBatch:
         assert serial.composites_found == parallel.composites_found
         assert serial.resolved_by == parallel.resolved_by
         assert serial.sum_of_q == parallel.sum_of_q
+
+    def test_jobs_capped_by_inputs_and_cpus(self, monkeypatch):
+        """A huge jobs count asks for no more workers than inputs or CPUs.
+
+        The pool is a fake that records max_workers and maps serially, so
+        no process is started whatever the code under test asks for.
+        """
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        nums = [1, 0, 561, 569, 2047, 7919]
+        for cpus, k, jobs, want in (
+            (4, 6, 10**6, [4]),
+            (4, 6, 3, [3]),
+            (4, 2, 10**6, [2]),
+            (4, 1, 10**6, []),
+            (None, 6, 10**6, []),
+            (4, 6, 1, []),
+        ):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            data = Dataset(nums[:k], "inline")
+            asked.clear()
+            got = run_batch(data, "eqnr", print_every=2, jobs=jobs)
+            assert asked == want
+            assert got == run_batch(data, "eqnr", print_every=2)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):

@@ -11,9 +11,9 @@ where fold-table entries over Z would exceed n; exponents 0, 1, 2, n-1, n
 and n**d - 1; the zero base; and inputs longer than the divisor.
 
 They also reach each route of the power: x modulo an even divisor P(x**2)
-(the half ring), degree-2 divisors at odd n (the Z_n[sqrt(D)] ladder,
-also where n shares a factor with D), and even n, where a degree-2
-divisor stays on the fold table because 2 is not invertible.
+(the half ring), degree-2 divisors at odd and even n (quadext's ladder
+with r**2 = -c0 - c1*r, also where n shares a factor with the
+discriminant), and every other divisor on the fold table.
 """
 
 import pytest
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppt import polyring
 from ppt.canonical import canonical_params
 from ppt.polyring import (
     Poly,
@@ -230,10 +231,11 @@ P16 = [2, -4, 1]  # Upsilon_16 = P16(x**2), D = 8
 
 
 @pytest.mark.parametrize("div", [UPS5, P5, P16, [0, 0, 1], [3, 0, 1]])
-@pytest.mark.parametrize("n", [3, 5, 15, 25, 7, 9, 4, 6])
-def test_degree_two_at_moduli_sharing_the_discriminant(n, div):
-    """n in {5, 15, 25} divides D = 5, 3 is the least odd modulus, and at
-    4 and 6 the ring stays on the fold table."""
+@pytest.mark.parametrize("n", [3, 5, 15, 25, 7, 9, 4, 6, 2, 2**64])
+def test_degree_two_at_moduli_sharing_the_discriminant(n, div, monkeypatch):
+    """n in {5, 15, 25} divides D = 5, 3 is the least odd modulus, 2 the
+    least modulus, and even n runs on the same ladder as odd n."""
+    monkeypatch.delattr(polyring, "_power")  # no power here folds
     reduced = [c % n for c in div]
     ring = QuotientRing(Poly(div), n)
     for base in ([0, 1], [1, 1], [n - 1, 1], [2, n - 1], [0, 3], [4]):
