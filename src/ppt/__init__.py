@@ -14,7 +14,6 @@ from .algorithms import (
     FermatWitness,
     JacobiZeroFactor,
     MrNontrivialRoot,
-    MrOutcome,
     Outcome,
     PerfectSquare,
     PgpcViolation,
@@ -45,7 +44,7 @@ from .canonical import (
     psi_of,
     upsilon_of,
 )
-from .checks import BccResult, EccResult, PgpcReport, bcc, ecc, fgpc_check, pgpc_check
+from .checks import PgpcReport, bcc, ecc, fgpc_check, pgpc_check
 from .harness import (
     BatchStats,
     Dataset,
@@ -55,7 +54,7 @@ from .harness import (
     run_batch,
     trial_division,
 )
-from .ntcore import count_qnr, isqrt, jacobi, lof_tpow, next_prime
+from .ntcore import MrOutcome, count_qnr, isqrt, jacobi, lof_tpow, next_prime
 from .polyring import (
     Poly,
     QuotientRing,

@@ -13,8 +13,8 @@ Three deciders share one verdict model:
   bases or, once one is a non-residue, as the q for the two checks above.
 
 Composite verdicts carry a mechanism object that re-verifies from its own
-fields; prime verdicts name the basis (explicit non-residue or parameter m)
-that certified them.
+fields; prime verdicts carry the basis (explicit non-residue or parameter m)
+that certified them, which re-verifies the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Callable, get_args
 from . import ntcore as nt
 from .canonical import CanonicalParams, canonical_params, find_qnr_or_m
 from .checks import bcc, ecc, fgpc_check, pbpc, pgpc_check, pgpc_condition
-from .ntcore import MrOutcome, jacobi, miller_rabin_base
+from .ntcore import jacobi, miller_rabin_base
 # Not called here; bound so that tracing tools can wrap them on this module.
 from .polyring import mbec_remainder, poly_powmod  # noqa: F401
 
@@ -40,7 +40,6 @@ __all__ = [
     "FermatWitness",
     "JacobiZeroFactor",
     "MrNontrivialRoot",
-    "MrOutcome",
     "Outcome",
     "PerfectSquare",
     "PgpcViolation",
@@ -146,7 +145,7 @@ class EulerWitness:
     def verify(self, n: int) -> bool:
         if jacobi(self.q, n) == 0:
             return False
-        return self.ecc_value != 0 and ecc(self.q, n).value == self.ecc_value
+        return self.ecc_value != 0 and ecc(self.q, n) == self.ecc_value
 
     def describe(self) -> str:
         return f"euler defect {self.ecc_value} at q={self.q}"
@@ -176,8 +175,7 @@ class BinomialWitness:
         if self.q is not None:
             if (self.a, self.b) == (0, 0):
                 return False
-            got = bcc(self.q, n)
-            return (got.a, got.b) == (self.a, self.b)
+            return bcc(self.q, n) == (self.a, self.b)
         if self.divisor is None or self.remainder is None:
             return False
         params = _search_params(n, self.m)
@@ -282,11 +280,32 @@ class PrimeBasis:
     kind 'pbpc': explicit non-residue q passed both scalar checks.
     kind 'pgpc': parameter m passed the four-condition battery.
     kind 'fgpc': parameter m passed the single-condition battery.
+    Like a mechanism, it re-verifies from its own fields; a battery
+    parameter verifies only if it is the m the parameter search picks for n.
     """
 
     kind: str
-    q: int = 0
-    m: int = 0
+    q: int | None = None
+    m: int | None = None
+
+    def __post_init__(self) -> None:
+        if (self.q if self.kind == "pbpc" else self.m) is None:
+            raise ValueError(f"a {self.kind} basis needs its parameter")
+
+    def verify(self, n: int) -> bool:
+        if self.kind == "pbpc":
+            return jacobi(self.q, n) == -1 and pbpc(self.q, n) == (0, 0, 0)
+        params = _search_params(n, self.m)
+        if params is None:
+            return False
+        if self.kind == "pgpc":
+            return pgpc_check(n, params).all_hold
+        return fgpc_check(n, params)[0]
+
+    def describe(self) -> str:
+        if self.kind == "pbpc":
+            return f"explicit non-residue q={self.q}"
+        return f"{self.kind} at m={self.m}"
 
 
 @dataclass(frozen=True)
@@ -556,10 +575,10 @@ def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdic
 # ------------------------------------------------------------- certificates
 
 
-def _mechanism_to_json(mech: Mechanism) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": mech.kind}
-    for name in mech.__dataclass_fields__:
-        value = getattr(mech, name)
+def _claim_to_json(claim: Mechanism | PrimeBasis) -> dict[str, Any]:
+    out: dict[str, Any] = {"kind": claim.kind}
+    for name in claim.__dataclass_fields__:
+        value = getattr(claim, name)
         if isinstance(value, tuple):
             value = list(value)
         if value is not None:
@@ -567,10 +586,13 @@ def _mechanism_to_json(mech: Mechanism) -> dict[str, Any]:
     return out
 
 
-# kind -> (name, annotation, required) for each field of that mechanism
+# Prime-basis kind -> claim class, as _MECHANISMS is for the mechanism slot
+_BASES = dict.fromkeys(("pbpc", "pgpc", "fgpc"), PrimeBasis)
+
+# class -> (name, annotation, required) for each field of that claim
 _FIELDS = {
-    kind: [(f.name, f.type, f.default is MISSING) for f in fields(cls)]
-    for kind, cls in _MECHANISMS.items()
+    cls: [(f.name, f.type, f.default is MISSING) for f in fields(cls)]
+    for cls in (*_MECHANISMS.values(), PrimeBasis)
 }
 
 
@@ -585,10 +607,27 @@ def _fits(value: Any, annotation: str) -> bool:
     return isinstance(value, str) and annotation.startswith("str")
 
 
-def _kind_of(data: Any, table: dict[str, Any]) -> Any:
-    """table[data["kind"]] for a dict with a known string kind, else None."""
+def _claim_from_json(data: Any, table: dict[str, type]) -> Any:
+    """Rebuild the claim of class table[data["kind"]] from its certificate entry.
+
+    Raises ValueError unless data is a dictionary whose kind is in table
+    and every field is present (or has a default) with its annotated type:
+    int, str or list of ints.
+    """
     kind = data.get("kind") if isinstance(data, dict) else None
-    return table.get(kind) if isinstance(kind, str) else None
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError("not a claim dictionary of a known kind")
+    kwargs = {}
+    for name, annotation, required in _FIELDS[cls]:
+        if name in data:
+            value = data[name]
+            if not _fits(value, annotation):
+                raise ValueError(f"{kind}.{name} must be {annotation}")
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
+        elif required:
+            raise ValueError(f"{kind}.{name} is missing")
+    return cls(**kwargs)
 
 
 def mechanism_from_json(data: dict[str, Any]) -> Mechanism:
@@ -597,34 +636,17 @@ def mechanism_from_json(data: dict[str, Any]) -> Mechanism:
     Raises ValueError unless the kind is known and every field is present
     (or has a default) with its annotated type: int, str or list of ints.
     """
-    cls = _kind_of(data, _MECHANISMS)
-    if cls is None:
-        raise ValueError("not a mechanism dictionary of a known kind")
-    kwargs = {}
-    for name, annotation, required in _FIELDS[cls.kind]:
-        if name in data:
-            value = data[name]
-            if not _fits(value, annotation):
-                raise ValueError(f"{cls.kind}.{name} must be {annotation}")
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
-        elif required:
-            raise ValueError(f"{cls.kind}.{name} is missing")
-    return cls(**kwargs)
-
-
-# PrimeBasis kind -> the one field its certificate entry carries
-_BASIS_FIELD = {"pbpc": "q", "pgpc": "m", "fgpc": "m"}
+    return _claim_from_json(data, _MECHANISMS)
 
 
 def certificate(verdict: Verdict) -> dict[str, Any]:
     """JSON-ready dictionary carrying every field a re-check needs."""
-    mech = verdict.mechanism
-    basis = verdict.prime_basis
-    out: dict[str, Any] = {
+    mech, basis = verdict.mechanism, verdict.prime_basis
+    return {
         "n": verdict.n,
         "outcome": verdict.outcome.value,
-        "mechanism": _mechanism_to_json(mech) if mech is not None else None,
-        "prime_basis": None,
+        "mechanism": None if mech is None else _claim_to_json(mech),
+        "prime_basis": None if basis is None else _claim_to_json(basis),
         "qnr_search": {
             "needed": verdict.qnr_search.needed,
             "iterations": verdict.qnr_search.iterations,
@@ -632,53 +654,28 @@ def certificate(verdict: Verdict) -> dict[str, Any]:
         },
         "timings": dict(verdict.timings),
     }
-    if basis is not None:
-        key = _BASIS_FIELD[basis.kind]
-        out["prime_basis"] = {"kind": basis.kind, key: getattr(basis, key)}
-    return out
-
-
-def _well_formed(cert: Any) -> bool:
-    """Shape and int-ness of n and of the prime basis, if there is one."""
-    if not isinstance(cert, dict) or type(cert.get("n")) is not int or cert["n"] < 1:
-        return False
-    basis = cert.get("prime_basis")
-    if basis is None:
-        return True
-    key = _kind_of(basis, _BASIS_FIELD)
-    return key is not None and type(basis.get(key)) is int
-
-
-def _verify_prime_basis(n: int, basis: dict[str, Any]) -> bool:
-    if basis["kind"] == "pbpc":
-        q = basis["q"]
-        return jacobi(q, n) == -1 and pbpc(q, n) == (0, 0, 0)
-    params = _search_params(n, basis["m"])
-    if params is None:
-        return False
-    if basis["kind"] == "pgpc":
-        return pgpc_check(n, params).all_hold
-    return fgpc_check(n, params)[0]
 
 
 def verify_certificate(cert: Any) -> bool:
     """Re-check a certificate from its own fields; never raises.
 
     Composite: the mechanism must re-verify against n. Prime: the recorded
-    basis conditions must hold (a degenerate small prime passes with no
-    basis). Not-applicable requires n = 1; inconclusive makes no claim
-    beyond consistency. A malformed certificate, a non-int where an int
-    belongs, or an n outside a check's domain reads False.
+    basis must re-verify (a degenerate small prime passes with no basis).
+    Not-applicable requires n = 1; inconclusive makes no claim beyond
+    consistency. A malformed certificate, a non-int where an int belongs,
+    or an n outside a check's domain reads False.
     """
-    if not _well_formed(cert):
+    if not isinstance(cert, dict) or type(cert.get("n")) is not int or cert["n"] < 1:
         return False
     n, outcome = cert["n"], cert.get("outcome")
     mech, basis = cert.get("mechanism"), cert.get("prime_basis")
     try:
+        if basis is not None:
+            basis = _claim_from_json(basis, _BASES)
         if outcome == "composite":
             return mech is not None and mechanism_from_json(mech).verify(n)
         if outcome == "prime":
-            return n in (2, 3) if basis is None else _verify_prime_basis(n, basis)
+            return n in (2, 3) if basis is None else basis.verify(n)
     except (ValueError, RuntimeError):
         return False
     if outcome == "not_applicable":

@@ -14,7 +14,6 @@ minimizes deg Upsilon_m among the admissible prime powers examined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -178,7 +177,6 @@ def find_qnr_or_m(n: int) -> FindResult:
     s, exact = isqrt(n)
     if exact:
         return FindResult(iterations=0, divisor=s)
-    cap = 4 * max(2, n.bit_length())
     myprod = 1
     p = 2
     deg: int | None = None
@@ -186,8 +184,6 @@ def find_qnr_or_m(n: int) -> FindResult:
     i = 0
     while myprod <= n - 1:
         i += 1
-        if i > cap:
-            raise RuntimeError("find_qnr_or_m: iteration cap exceeded")
         r = n % p
         if r == 0:
             return FindResult(iterations=i, divisor=p)
@@ -200,8 +196,6 @@ def find_qnr_or_m(n: int) -> FindResult:
                 m = 2**k
             else:
                 tdeg = ((p - 1) // 2) * p ** (k - 1)
-                if deg is None:
-                    raise RuntimeError("find_qnr_or_m: degree tracker unset")
                 if tdeg < deg:
                     deg = tdeg
                     m = p**k
@@ -212,12 +206,8 @@ def find_qnr_or_m(n: int) -> FindResult:
         else:
             if jacobi(r, p) == -1:
                 return FindResult(iterations=i, qnr=p)
-            if deg is None:
-                raise RuntimeError("find_qnr_or_m: degree tracker unset")
             if (p - 1) // 2 < deg:
                 deg = (p - 1) // 2
                 m = p
             break
-    if m is None or math.gcd(m, n) != 1 or n % m == 1:
-        raise RuntimeError("find_qnr_or_m: inadmissible parameter")
     return FindResult(iterations=i, m=m)

@@ -16,8 +16,6 @@ from .polyring import Poly, mbec_remainder, poly_powmod, quotient_ring
 from .quadext import _pow
 
 __all__ = [
-    "BccResult",
-    "EccResult",
     "PgpcReport",
     "bcc",
     "ecc",
@@ -26,29 +24,6 @@ __all__ = [
     "pgpc_check",
     "pgpc_condition",
 ]
-
-
-@dataclass(frozen=True)
-class EccResult:
-    """Euler-criterion defect q**((n-1)/2) - (q | n) mod n."""
-
-    value: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-
-@dataclass(frozen=True)
-class BccResult:
-    """Binomial-congruence defect (1+sqrt(q))**n - 1 - sqrt(q)**n, mod n."""
-
-    a: int
-    b: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
 
 def _euler(q: int, n: int) -> tuple[int, int]:
@@ -66,24 +41,25 @@ def _binomial_defect(q: int, n: int, h: int) -> tuple[int, int]:
     return (a - 1) % n, (b - h) % n
 
 
-def ecc(q: int, n: int) -> EccResult:
-    """Euler-criterion defect of q at odd modulus n >= 3.
+def ecc(q: int, n: int) -> int:
+    """Euler-criterion defect q**((n-1)/2) - (q | n) mod n, at odd n >= 3.
 
     Zero exactly when q**((n-1)/2) = (q | n) mod n. Raises when the Jacobi
     symbol vanishes, since gcd(q, n) > 1 already exposes a factor.
     """
-    return EccResult(_euler(q, n)[1])
+    return _euler(q, n)[1]
 
 
-def bcc(q: int, n: int) -> BccResult:
-    """Binomial-congruence defect of q at odd modulus n >= 3.
+def bcc(q: int, n: int) -> tuple[int, int]:
+    """Binomial-congruence defect (a, b) of q at odd modulus n >= 3.
 
-    Computes (1 + sqrt(q))**n - 1 - sqrt(q)**n in Z_n[sqrt(q)], where
-    sqrt(q)**n reduces to the scalar multiple q**((n-1)/2) * sqrt(q).
+    Computes (1 + sqrt(q))**n - 1 - sqrt(q)**n = a + b*sqrt(q) in
+    Z_n[sqrt(q)], where sqrt(q)**n reduces to the scalar multiple
+    q**((n-1)/2) * sqrt(q).
     """
     if n < 3 or not n & 1:
         raise ValueError("bcc: modulus must be odd and >= 3")
-    return BccResult(*_binomial_defect(q, n, pow(q, (n - 1) >> 1, n)))
+    return _binomial_defect(q, n, pow(q, (n - 1) >> 1, n))
 
 
 def pbpc(q: int, n: int) -> tuple[int, int, int]:

@@ -215,12 +215,7 @@ def _algo_name(algo: str, mode: str) -> str:
 def _describe(verdict: Verdict) -> str:
     if verdict.outcome is Outcome.PRIME:
         basis = verdict.prime_basis
-        if basis is None:
-            detail = "small prime"
-        elif basis.kind == "pbpc":
-            detail = f"explicit non-residue q={basis.q}"
-        else:
-            detail = f"{basis.kind} at m={basis.m}"
+        detail = "small prime" if basis is None else basis.describe()
         return f"{verdict.n}: Prime ({detail})"
     if verdict.outcome is Outcome.COMPOSITE:
         return f"{verdict.n}: Composite ({verdict.mechanism.describe()})"

@@ -609,6 +609,8 @@ class TestCertificates:
         {"n": 1009, "outcome": "prime", "prime_basis": {"kind": "pgpc"}},
         {"n": 1009, "outcome": "prime", "prime_basis": {"kind": {}, "m": 5}},
         {"n": 10, "outcome": "prime", "prime_basis": {"kind": "pbpc", "q": 3}},
+        {"n": 1009, "outcome": "prime", "prime_basis": {"kind": "pgpc", "m": 5, "q": "x"}},
+        {"n": 569, "outcome": "prime", "prime_basis": {"kind": "pbpc", "q": 3, "m": True}},
     ])
     def test_verify_certificate_is_total(self, cert):
         assert verify_certificate(cert) is False

@@ -33,47 +33,35 @@ from conftest import (
 )
 
 
-def _ev(q, n):
-    """Euler defect as a bare integer."""
-    return ecc(q, n).value
-
-
-def _bp(q, n):
-    """Binomial defect as a bare pair."""
-    r = bcc(q, n)
-    return (r.a, r.b)
-
-
-
 class TestEcc:
     def test_frozen_values(self):
-        assert _ev(3, 2047) == 1566
-        assert _ev(2, 341) == 2
-        assert _ev(2045, 2047) == 0
-        assert _ev(389, 561) == 2
-        assert _ev(13, 15) == 8
-        assert _ev(31, HC2) == 2
-        assert _ev(2, NHC) == 0
-        assert _ev(2, ARN) == 0
-        assert _ev(CAR - 2, CAR) == 0
-        assert _ev(2046, 2047) == 0
+        assert ecc(3, 2047) == 1566
+        assert ecc(2, 341) == 2
+        assert ecc(2045, 2047) == 0
+        assert ecc(389, 561) == 2
+        assert ecc(13, 15) == 8
+        assert ecc(31, HC2) == 2
+        assert ecc(2, NHC) == 0
+        assert ecc(2, ARN) == 0
+        assert ecc(CAR - 2, CAR) == 0
+        assert ecc(2046, 2047) == 0
 
     def test_first_random_nonresidues_for_589(self):
         for q, _, euler_defect in QUAD_589:
             assert jacobi(q, 589) == -1
-            assert _ev(q, 589) == euler_defect
+            assert ecc(q, 589) == euler_defect
 
     def test_zero_for_primes(self):
-        assert _ev(233, 569) == 0
-        assert _ev(337, 569) == 0
-        assert _ev(3, 569) == 0
-        assert _ev(2, 5) == 0
+        assert ecc(233, 569) == 0
+        assert ecc(337, 569) == 0
+        assert ecc(3, 569) == 0
+        assert ecc(2, 5) == 0
 
     def test_zero_for_every_unit_when_prime(self):
         for n in (13, 97, 569):
             for q in range(2, n):
                 if jacobi(q, n) != 0:
-                    assert ecc(q, n).is_zero, (q, n)
+                    assert ecc(q, n) == 0, (q, n)
 
     def test_rejects_vanishing_jacobi_symbol(self):
         with pytest.raises(ValueError):
@@ -82,34 +70,34 @@ class TestEcc:
 
 class TestBcc:
     def test_frozen_values(self):
-        assert _bp(15, 2047) == (1194, 322)
-        assert _bp(2, 2047) == (1196, 1265)
-        assert _bp(2045, 2047) == (1522, 1068)
-        assert _bp(389, 561) == (0, 0)
-        assert _bp(2, NHC) == BCC_2_NHC
-        assert _bp(33, NHC) == BCC_33_NHC
-        assert _bp(34, NHC) == BCC_34_NHC
-        assert _bp(35, NHC) == BCC_35_NHC
-        assert _bp(7, NHC) == BCC_7_NHC
-        assert _bp(2, ARN) == BCC_2_ARN
-        assert _bp(CAR - 2, CAR) == BCC_CARM2_CAR
+        assert bcc(15, 2047) == (1194, 322)
+        assert bcc(2, 2047) == (1196, 1265)
+        assert bcc(2045, 2047) == (1522, 1068)
+        assert bcc(389, 561) == (0, 0)
+        assert bcc(2, NHC) == BCC_2_NHC
+        assert bcc(33, NHC) == BCC_33_NHC
+        assert bcc(34, NHC) == BCC_34_NHC
+        assert bcc(35, NHC) == BCC_35_NHC
+        assert bcc(7, NHC) == BCC_7_NHC
+        assert bcc(2, ARN) == BCC_2_ARN
+        assert bcc(CAR - 2, CAR) == BCC_CARM2_CAR
 
     def test_first_random_nonresidues_for_589(self):
         for q, pair, _ in QUAD_589:
-            assert _bp(q, 589) == pair
+            assert bcc(q, 589) == pair
 
     def test_zero_for_primes_any_radicand(self):
-        assert _bp(233, 569) == (0, 0)
-        assert _bp(337, 569) == (0, 0)
-        assert _bp(3, 569) == (0, 0)
-        assert _bp(2, 5) == (0, 0)
+        assert bcc(233, 569) == (0, 0)
+        assert bcc(337, 569) == (0, 0)
+        assert bcc(3, 569) == (0, 0)
+        assert bcc(2, 5) == (0, 0)
         # Holds for residues and even for q = n - 1.
-        assert _bp(2046, 2047) == (0, 0)
-        assert _bp(CAR - 1, CAR) == (0, 0)
+        assert bcc(2046, 2047) == (0, 0)
+        assert bcc(CAR - 1, CAR) == (0, 0)
         rng = random.Random(61)
         for _ in range(50):
             q = rng.randrange(2, 569)
-            assert _bp(q, 569) == (0, 0), q
+            assert bcc(q, 569) == (0, 0), q
 
     def test_matches_direct_power_computation(self):
         rng = random.Random(67)
@@ -120,21 +108,21 @@ class TestBcc:
             y = quad_pow(ctx.one_plus_root(), n)
             s = pow(q, (n - 1) // 2, n)
             want = ((y.a - 1) % n, (y.b - s) % n)
-            assert _bp(q, n) == want
+            assert bcc(q, n) == want
 
     def test_condition_pair_separation(self):
         # Cases where the Euler defect vanishes but the binomial defect
         # still witnesses compositeness, and one where only the Euler
         # defect fires.
-        assert _ev(2045, 2047) == 0 and _bp(2045, 2047) != (0, 0)
-        assert _ev(2, NHC) == 0 and _bp(2, NHC) != (0, 0)
-        assert _ev(2, ARN) == 0 and _bp(2, ARN) != (0, 0)
-        assert _ev(CAR - 2, CAR) == 0 and _bp(CAR - 2, CAR) != (0, 0)
-        assert _ev(2, 341) != 0
+        assert ecc(2045, 2047) == 0 and bcc(2045, 2047) != (0, 0)
+        assert ecc(2, NHC) == 0 and bcc(2, NHC) != (0, 0)
+        assert ecc(2, ARN) == 0 and bcc(2, ARN) != (0, 0)
+        assert ecc(CAR - 2, CAR) == 0 and bcc(CAR - 2, CAR) != (0, 0)
+        assert ecc(2, 341) != 0
         # q = n - 1 defeats both defects on these composites, which is
         # why that radicand is excluded by the applicability conditions.
-        assert _ev(2046, 2047) == 0 and _bp(2046, 2047) == (0, 0)
-        assert _bp(CAR - 1, CAR) == (0, 0)
+        assert ecc(2046, 2047) == 0 and bcc(2046, 2047) == (0, 0)
+        assert bcc(CAR - 1, CAR) == (0, 0)
 
 
 class TestPgpc:
@@ -201,8 +189,8 @@ class TestSharedChecks:
                 with pytest.raises(ValueError):
                     pbpc(q, n)
                 continue
-            euler = ecc(q, n).value
-            pair = (0, 0) if euler else _bp(q, n)
+            euler = ecc(q, n)
+            pair = (0, 0) if euler else bcc(q, n)
             assert pbpc(q, n) == (euler, *pair), (q, n)
 
     @pytest.mark.parametrize("n, m", [(1729, 5), (NC, 5), (1009, 5), (N22, 7),

@@ -158,6 +158,9 @@ class TestTestCommand:
         assert main(["test", "1009", "--algo", "inr", "--mode",
                      "fgpc"]) == EXIT_PRIME
         assert "Prime (fgpc at m=5)" in capsys.readouterr().out
+        for algo in ("eqnr", "inr"):
+            assert main(["test", "569", "--algo", algo]) == EXIT_PRIME
+            assert capsys.readouterr().out == "569: Prime (explicit non-residue q=3)\n"
 
     def test_numbers_over_4300_digits_print(self, capsys):
         # 2^20000 has 6021 digits, over Python's default int-to-str limit.

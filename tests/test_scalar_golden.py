@@ -79,7 +79,7 @@ def scalar_digest(moduli, full: bool) -> str:
             y = quad_pow(ctx.one_plus_root(), n)
             z = quad_pow(x, e)
             b = bcc(q, n)
-            row = [n, q, _pbpc_or_marker(q, n), (b.a, b.b),
+            row = [n, q, _pbpc_or_marker(q, n), b,
                    euler_poly_check(n, q), (y.a, y.b), (z.a, z.b)]
             h.update(repr(row).encode())
             h.update(b"\n")
