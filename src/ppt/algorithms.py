@@ -662,24 +662,29 @@ def verify_certificate(cert: Any) -> bool:
     Composite: the mechanism must re-verify against n. Prime: the recorded
     basis must re-verify (a degenerate small prime passes with no basis).
     Not-applicable requires n = 1; inconclusive makes no claim beyond
-    consistency. A malformed certificate, a non-int where an int belongs,
-    or an n outside a check's domain reads False.
+    consistency. The slot an outcome does not use must be None. A
+    malformed certificate, a non-int where an int belongs, or an n outside
+    a check's domain reads False.
     """
     if not isinstance(cert, dict) or type(cert.get("n")) is not int or cert["n"] < 1:
         return False
     n, outcome = cert["n"], cert.get("outcome")
     mech, basis = cert.get("mechanism"), cert.get("prime_basis")
     try:
-        if basis is not None:
-            basis = _claim_from_json(basis, _BASES)
         if outcome == "composite":
-            return mech is not None and mechanism_from_json(mech).verify(n)
+            if basis is not None or mech is None:
+                return False
+            return mechanism_from_json(mech).verify(n)
         if outcome == "prime":
-            return n in (2, 3) if basis is None else basis.verify(n)
+            if mech is not None:
+                return False
+            if basis is None:
+                return n in (2, 3)
+            return _claim_from_json(basis, _BASES).verify(n)
     except (ValueError, RuntimeError):
         return False
     if outcome == "not_applicable":
-        return n == 1
+        return n == 1 and mech is None and basis is None
     if outcome == "inconclusive":
         return mech is None and basis is None
     return False

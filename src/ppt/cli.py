@@ -15,6 +15,7 @@ Exit codes: 0 prime, 1 composite, 2 not applicable or inconclusive,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import re
@@ -67,6 +68,17 @@ _MAX_DIGITS = _MAX_POWER_BITS // 3 + 1
 # Decimal digits of 2**_MAX_POWER_BITS; a literal with more is over the bound.
 _MAX_LITERAL_DIGITS = int(_MAX_POWER_BITS * math.log10(2)) + 1
 
+
+def _limit_digits() -> str:
+    """The decimal digits of 2**_MAX_POWER_BITS, exactly.
+
+    decimal's products are subquadratic: this takes about 0.06 s, where
+    int() of a literal that long takes about 3 s.
+    """
+    prec = _MAX_LITERAL_DIGITS
+    ctx = decimal.Context(prec=prec, Emax=prec, traps=[decimal.Inexact])
+    return str(ctx.power(2, _MAX_POWER_BITS))
+
 # Largest m `poly` builds. The divisor polynomials cost about 8-10x more each
 # time m doubles: on one Xeon core about 4 s at the prime 4093, 40 s at 8191.
 _MAX_POLY_M = 4096
@@ -79,9 +91,9 @@ def parse_int_expr(text: str) -> int:
     (right associative) over integers and parentheses. No unary minus.
     A literal over 2**21 bits, a power a^b with bits(a) * b over 2**21, a
     product a*b with bits(a) + bits(b) over 2**21 and a sum or difference
-    whose wider operand has 2**21 bits are rejected; a literal with more
-    digits than 2**(2**21) is refused before it is converted, and the
-    others before they are computed.
+    whose wider operand has 2**21 bits are rejected; a literal is refused
+    from its digits before it is converted, and the others before they are
+    computed.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -114,11 +126,13 @@ def parse_int_expr(text: str) -> int:
             return v
         if tok.isdigit():
             digits = take().lstrip("0") or "0"
-            if len(digits) > _MAX_LITERAL_DIGITS:
+            # At or over 2**_MAX_POWER_BITS, compared as digit strings.
+            if len(digits) > _MAX_LITERAL_DIGITS or (
+                len(digits) == _MAX_LITERAL_DIGITS
+                and digits >= _limit_digits()
+            ):
                 raise _UsageError(f"literal too large: over {_MAX_POWER_BITS} bits")
-            v = int(digits, 10)
-            bound(v.bit_length(), "literal")
-            return v
+            return int(digits, 10)
         raise _UsageError(f"unexpected token {tok!r}")
 
     def power() -> int:

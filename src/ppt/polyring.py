@@ -10,8 +10,7 @@ the divisor (j = k..2k-1, k = deg divisor), built with each QuotientRing
 from the divisor's least-absolute residues mod n, so its entries stay small
 for the canonical divisors however wide n is (at most 31 bits up to m = 17,
 44 bits at m = 23). A ladder step squares on raw integers, each cross
-product once, multiplies by a linear base x or 1+x in O(k), and folds back
-to k coefficients with one % n each.
+product once, and folds back to k coefficients with one % n each.
 
 Powers run on the smallest ring that gives the same residue exactly:
 
@@ -20,7 +19,18 @@ Powers run on the smallest ring that gives the same residue exactly:
 2. modulo a degree-2 divisor t**2 + c1*t + c0, quadext._pow, which
    serves every relation r**2 = q + p*r at any n >= 2 (only QuadCtx
    requires odd n), computes it with q = -c0 and p = -c1;
-3. every other power runs on the fold table.
+3. a linear base (x, 1 + x or c0 + c1*x) modulo a divisor of degree
+   3.._MAX_UNROLLED runs on a ladder generated as straight-line Python for
+   the ring's shape: its degree, the zero pattern of its fold table and
+   the base kind. The k coefficients live in locals, each square writes
+   each cross product as one multiply, the fold has a term only for each
+   nonzero table entry, and a set bit multiplies by the base before the
+   fold (for x, a shift of the fold's inputs). Only the shape enters the
+   source; n, the base and the table entries are arguments, so one
+   compiled function serves every ring of that shape. It is compiled on
+   the first such power, kept in a bounded cache, and each ring keeps the
+   ladders it has used;
+4. every other power runs on the list ladder, _power.
 """
 
 from __future__ import annotations
@@ -116,7 +126,7 @@ class Poly:
 class QuotientRing:
     """Z_n[x] / <divisor(x)> for a monic divisor of degree >= 1."""
 
-    __slots__ = ("divisor", "n", "_cols", "_half")
+    __slots__ = ("divisor", "n", "_cols", "_half", "_ladders")
 
     def __init__(self, divisor: Poly, n: int | None = None):
         if n is None:
@@ -137,6 +147,7 @@ class QuotientRing:
         even = d.degree >= 4 and not any(d.coeffs[1::2])
         half = QuotientRing(Poly(d.coeffs[::2], n)) if even else None
         object.__setattr__(self, "_half", half)  # P(w) for d = P(x**2)
+        object.__setattr__(self, "_ladders", {})  # base kind -> (ladder, fold)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRing is immutable")
@@ -212,35 +223,108 @@ def _product(a: list[int], b: list[int]) -> list[int]:
 
 
 def _power(b: list[int], e: int, cols: list[tuple], n: int) -> list[int]:
-    """b**e mod <divisor, n> for reduced b, by a left-to-right ladder.
+    """b**e mod <divisor, n> for reduced b and e >= 1, left to right.
 
-    Each step squares and folds once. On a set bit a linear b = c0 + c1*x
-    multiplies the raw square, which the table folds one degree higher,
-    for O(k) work and no extra fold; any other b multiplies the folded
-    square and folds again.
+    Each step squares and folds; a set bit multiplies the folded square by
+    b and folds again.
     """
-    if e == 0:
-        return [1] + [0] * (len(cols) - 1)
-    c0, c1, *rest = b + [0]
-    linear = not any(rest)
     cur = b
     for bit in bin(e)[3:]:
         sq = _square(cur)
         if bit == "1":
-            if not linear:
-                sq = _product(_fold(sq, cols, n), b)
-            elif c0 == 0 and c1 == 1:
-                sq = [0, *sq]  # times x: a shift
-            else:
-                sq = [c0 * u + c1 * v for u, v in zip([*sq, 0], [0, *sq])]
+            sq = _product(_fold(sq, cols, n), b)
         cur = _fold(sq, cols, n)
     return cur
+
+
+# Largest ring degree whose linear-base powers run on a generated ladder.
+# The source grows as k**2 and compiling it takes about 0.4 ms at k = 4,
+# 3 ms at 16, 12 ms at 32 and 55 ms at 64, which a 256-bit battery at that
+# degree still repays; above it the list ladder serves.
+_MAX_UNROLLED = 64
+
+
+def _ladder_source(k: int, nz: tuple, kind: str) -> str:
+    """Straight-line ladder for one shape, as the source of `ladder`.
+
+    The shape is the ring degree k >= 3, the (i, j) places of the nonzero
+    fold-table entries, which `fold` holds in that order, and the base
+    kind: "x", "1+x" or "c0+c1*x". The base is c0 + c1*x.
+    """
+    a = [f"a{i}" for i in range(k)]
+    s = [f"s{i}" for i in range(2 * k - 1)]
+    body = [f"d{i} = a{i} + a{i}" for i in range(k - 1)]
+    for m in range(2 * k - 1):
+        terms = [f"d{i} * a{m - i}" for i in range(max(0, m - k + 1), (m + 1) // 2)]
+        terms += [f"a{m // 2} * a{m // 2}"] * (m % 2 == 0)
+        body.append(f"s{m} = {' + '.join(terms)}")
+
+    def fold(lo: list, hi: list) -> list[str]:
+        out = []
+        for i in range(k):
+            terms = [lo[i]] * (lo[i] is not None)
+            terms += [f"f{i}_{j} * {hi[j]}" for i2, j in nz if i2 == i and j < len(hi)]
+            out.append(f"a{i} = ({' + '.join(terms)}) % n" if terms else f"a{i} = 0")
+        return out
+
+    if kind == "x":  # t_j = s_(j-1): shift the fold's inputs
+        pre, lo, hi = [], [None, *s[:k - 1]], s[k - 1:]
+    else:
+        # t_j = c0*s_j + c1*s_(j-1), with 1 + x as s_j + s_(j-1)
+        u, v = ("", "") if kind == "1+x" else ("c0 * ", "c1 * ")
+        t = [f"{u}{s[0]}"]
+        t += [f"{u}{s[j]} + {v}{s[j - 1]}" for j in range(1, 2 * k - 1)]
+        t.append(f"{v}{s[-1]}")
+        lo, hi, pre = t[:k], t[k:], []
+        for j in sorted({j for _, j in nz}):  # the t_j the fold reads
+            if not hi[j].isidentifier():
+                pre.append(f"t{k + j} = {hi[j]}")
+                hi[j] = f"t{k + j}"
+    lines = [
+        "def ladder(bits, n, c0, c1, fold):",
+        *[f"    {''.join(f'f{i}_{j}, ' for i, j in nz)}= fold"] * bool(nz),
+        f"    a0, a1, {', '.join(a[2:])} = c0, c1{', 0' * (k - 2)}",
+        "    for bit in bits:",
+        *(f"        {x}" for x in body),
+        "        if bit == '1':",
+        *(f"            {x}" for x in pre + fold(lo, hi)),
+        "        else:",
+        *(f"            {x}" for x in fold(s[:k], s[k:])),
+        f"    return [{', '.join(a)}]",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# Every battery condition at m <= 23 runs on 18 shapes; 64 leaves room for
+# moduli small enough to zero a table entry, and bounds the memory held.
+@lru_cache(maxsize=64)
+def _ladder(k: int, nz: tuple, kind: str):
+    """The compiled ladder of one shape (see _ladder_source)."""
+    scope: dict = {}
+    exec(compile(_ladder_source(k, nz, kind), f"<ladder k={k} {kind}>", "exec"), scope)
+    return scope["ladder"]
+
+
+def _linear_power(ring: QuotientRing, c0: int, c1: int, e: int) -> list[int]:
+    """(c0 + c1*x)**e, e >= 1, on the ring's generated ladder for the base."""
+    kind = {(0, 1): "x", (1, 1): "1+x"}.get((c0, c1), "c0+c1*x")
+    try:
+        ladder, fold = ring._ladders[kind]
+    except KeyError:
+        cols = ring._cols
+        nz = tuple((i, j) for i, col in enumerate(cols) for j, f in enumerate(col) if f)
+        fold = tuple(cols[i][j] for i, j in nz)
+        ladder = _ladder(len(cols), nz, kind)
+        ring._ladders[kind] = ladder, fold
+    return ladder(bin(e)[3:], ring.n, c0, c1, fold)
 
 
 def _ring_power(ring: QuotientRing, base: list[int], e: int) -> list[int]:
     """base**e in the ring, on the smallest ring that gives it exactly."""
     b = ring._reduce(base)
     k, n = len(b), ring.n
+    if e == 0:
+        return [1] + [0] * (k - 1)
     if ring._half is not None and b == [0, 1] + [0] * (k - 2):
         out = [0] * k
         out[e & 1::2] = _ring_power(ring._half, [0, 1], e >> 1)
@@ -248,6 +332,8 @@ def _ring_power(ring: QuotientRing, base: list[int], e: int) -> list[int]:
     if k == 2:  # b is reduced, so _pow's e = 1 returns a ring element
         c0, c1 = ring.divisor.coeffs[:2]
         return list(_pow(*b, -c0, -c1, n, e))
+    if 3 <= k <= _MAX_UNROLLED and not any(b[2:]):
+        return _linear_power(ring, b[0], b[1], e)
     return _power(b, e, ring._cols, n)
 
 

@@ -62,6 +62,7 @@ def _pow(a: int, b: int, q: int, p: int, n: int, e: int) -> tuple[int, int]:
     q and p enter as least-absolute residues (n - 2 as -2) and the base as
     given, so a small or signed one multiplies as a short integer; each
     step reduces each coordinate with one % n (e = 1 returns the base).
+    With p = 0 the square's r-coordinate is 2*ra*rb, one product fewer.
     """
     if e == 0:
         return 1 % n, 0
@@ -69,8 +70,14 @@ def _pow(a: int, b: int, q: int, p: int, n: int, e: int) -> tuple[int, int]:
     q, p = (q + h) % n - h, (p + h) % n - h
     c = a + b * p
     ra, rb = a, b
+    if p:
+        for bit in bin(e)[3:]:
+            ra, rb = (ra * ra + rb * rb * q) % n, rb * (2 * ra + p * rb) % n
+            if bit == "1":
+                ra, rb = (ra * a + rb * b * q) % n, (ra * b + rb * c) % n
+        return ra, rb
     for bit in bin(e)[3:]:
-        ra, rb = (ra * ra + rb * rb * q) % n, rb * (2 * ra + p * rb) % n
+        ra, rb = (ra * ra + rb * rb * q) % n, 2 * ra * rb % n
         if bit == "1":
             ra, rb = (ra * a + rb * b * q) % n, (ra * b + rb * c) % n
     return ra, rb

@@ -611,6 +611,11 @@ class TestCertificates:
         {"n": 10, "outcome": "prime", "prime_basis": {"kind": "pbpc", "q": 3}},
         {"n": 1009, "outcome": "prime", "prime_basis": {"kind": "pgpc", "m": 5, "q": "x"}},
         {"n": 569, "outcome": "prime", "prime_basis": {"kind": "pbpc", "q": 3, "m": True}},
+        # A filled slot that the outcome does not use.
+        {"n": 1, "outcome": "not_applicable", "prime_basis": {"kind": "pbpc", "q": 3}},
+        {"n": 3, "outcome": "prime", "mechanism": {"kind": "even"}},
+        {"n": 10, "outcome": "composite", "mechanism": {"kind": "even"},
+         "prime_basis": {"kind": "pgpc", "m": 5}},
     ])
     def test_verify_certificate_is_total(self, cert):
         assert verify_certificate(cert) is False

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ppt
+from ppt import cli
 from ppt.algorithms import verify_certificate
 from ppt.cli import (
     EXIT_COMPOSITE,
@@ -80,6 +81,25 @@ class TestExpressionParser:
             assert "literal too large" in capsys.readouterr().err
         # Leading zeros carry no value.
         assert parse_int_expr("0" * 700_001 + "569") == 569
+
+    def test_literal_of_the_bound_length(self, capsys, monkeypatch):
+        # 631,306 digits, as many as 2**(2**21) has: a literal from that
+        # value up is refused from its digits, without the ~3 s int().
+        limit = cli._limit_digits()
+        assert len(limit) == cli._MAX_LITERAL_DIGITS
+        for lit in ("5" + "0" * (len(limit) - 1), limit):
+            t0 = time.perf_counter()
+            assert main(["test", lit]) == EXIT_USAGE
+            assert time.perf_counter() - t0 < 0.5
+            assert "literal too large" in capsys.readouterr().err
+        # The same rule at a 64-bit bound: 2**64 = 18446744073709551616.
+        monkeypatch.setattr(cli, "_MAX_POWER_BITS", 64)
+        monkeypatch.setattr(cli, "_MAX_LITERAL_DIGITS", 20)
+        assert parse_int_expr("18446744073709551615") == 2**64 - 1
+        assert parse_int_expr("10000000000000000000") == 10**19
+        for lit in ("18446744073709551616", "18446744073709551617", "2" + "0" * 19):
+            with pytest.raises(cli._UsageError, match="literal too large"):
+                parse_int_expr(lit)
 
 
 class TestTestCommand:

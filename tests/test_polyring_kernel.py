@@ -13,8 +13,15 @@ and n**d - 1; the zero base; and inputs longer than the divisor.
 They also reach each route of the power: x modulo an even divisor P(x**2)
 (the half ring), degree-2 divisors at odd and even n (quadext's ladder
 with r**2 = -c0 - c1*r, also where n shares a factor with the
-discriminant), and every other divisor on the fold table.
+discriminant), linear bases on the generated ladders of degree 3 and up,
+and every other power on the list ladder.
 """
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,7 +146,7 @@ def test_powmod_matches_reference(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_linear_powmod_matches_reference(data):
-    """x, 1 + x and other linear bases, which take the O(k) multiply."""
+    """x, 1 + x and other linear bases, on the generated ladders."""
     n, div = data.draw(rings())
     k = len(div) - 1
     base = [data.draw(coefficient(n)), data.draw(coefficient(n))]
@@ -244,7 +251,7 @@ def test_degree_two_at_moduli_sharing_the_discriminant(n, div, monkeypatch):
             assert list(got.coeffs) == ref_pow(base, e, reduced, n), (base, e)
 
 
-@pytest.mark.parametrize("m", [5, 16, 32, 64])
+@pytest.mark.parametrize("m", [5, 7, 9, 11, 13, 16, 17, 23, 32, 64])
 def test_canonical_divisors_match_reference(m):
     """Upsilon_m and Psi_m at small and wide moduli, bases x and 1 + x."""
     params = canonical_params(m)
@@ -263,3 +270,49 @@ def test_canonical_divisors_match_reference(m):
             want = [u - v for u, v in zip(a + [0] * m, b + [0] * m)]
             want[0] -= 1
             assert mbec_remainder(n, div) == Poly(want, n)
+
+
+def test_one_ladder_per_shape():
+    """Rings of one divisor at two wide moduli run one compiled ladder per
+    base kind: the table entries are the same small integers at both."""
+    div = canonical_params(17).upsilon
+    rings = [QuotientRing(div, n) for n in (2**127 - 1, 2**255 - 19)]
+    for ring in rings:
+        for base in ([0, 1], [1, 1], [2, 3]):
+            poly_powmod(ring, Poly(base, ring.n), ring.n)
+    a, b = (ring._ladders for ring in rings)
+    assert a.keys() == b.keys() == {"x", "1+x", "c0+c1*x"}
+    for kind in a:
+        assert a[kind][0] is b[kind][0]
+        assert a[kind][1] == b[kind][1]
+
+
+def test_ladder_cache_is_bounded():
+    """Nothing is compiled at import or by canonical_params, and the shape
+    cache keeps a fixed number of ladders however many shapes run."""
+    code = ("import ppt; from ppt import polyring; ppt.canonical_params(17);"
+            "print(polyring._ladder.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(polyring.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["0"]
+    size = polyring._ladder.cache_info().maxsize
+    assert size is not None
+    for mask in range(1, size + 6):  # shapes by the zero pattern of k = 3
+        nz = tuple((i, j) for i in range(3) for j in range(3) if mask >> (3 * i + j) & 1)
+        polyring._ladder(3, nz, "x")
+    assert polyring._ladder.cache_info().currsize == size
+
+
+def test_linear_base_above_the_unrolled_degree():
+    """A divisor of degree _MAX_UNROLLED + 1 takes the list ladder."""
+    k = polyring._MAX_UNROLLED + 1
+    n = 2**89 - 1
+    rng = random.Random(k)
+    div = [rng.randrange(n) for _ in range(k)] + [1]
+    ring = QuotientRing(Poly(div, n))
+    for base in ([0, 1], [1, 1], [5, n - 2]):
+        for e in (2 * k + 1, 1000):
+            got = poly_powmod(ring, Poly(base, n), e)
+            assert list(got.coeffs) == ref_pow(base, e, div, n)
+    assert not ring._ladders
