@@ -298,8 +298,9 @@ def test_ladder_cache_is_bounded():
     assert out.stdout.split() == ["0"]
     size = polyring._ladder.cache_info().maxsize
     assert size is not None
+    places = [(i, j) for i in range(3) for j in range(3)]
     for mask in range(1, size + 6):  # shapes by the zero pattern of k = 3
-        nz = tuple((i, j) for i in range(3) for j in range(3) if mask >> (3 * i + j) & 1)
+        nz = tuple(p for b, p in enumerate(places) if mask >> b & 1)
         polyring._ladder(3, nz, "x")
     assert polyring._ladder.cache_info().currsize == size
 
