@@ -656,15 +656,44 @@ def certificate(verdict: Verdict) -> dict[str, Any]:
     }
 
 
+_SEARCH_KEYS = frozenset(("needed", "iterations", "q"))
+
+
+def _records_fit(cert: dict, q: int) -> bool:
+    """Whether the certificate's qnr_search and timings, where present, fit.
+
+    qnr_search must hold exactly `needed` (bool), `iterations` (int >= 0)
+    and `q`, the claim's scalar non-residue or 0 where it has none, as
+    _verdict records it; timings must map str to finite numbers >= 0.
+    """
+    if "qnr_search" in cert:
+        search = cert["qnr_search"]
+        if not (
+            isinstance(search, dict) and search.keys() == _SEARCH_KEYS
+            and type(search["needed"]) is bool
+            and type(search["iterations"]) is int and search["iterations"] >= 0
+            and type(search["q"]) is int and search["q"] == q
+        ):
+            return False
+    timings = cert.get("timings", {})
+    if not isinstance(timings, dict):
+        return False
+    for key, value in timings.items():
+        if not (isinstance(key, str) and type(value) in (int, float) and 0 <= value < math.inf):
+            return False
+    return True
+
+
 def verify_certificate(cert: Any) -> bool:
     """Re-check a certificate from its own fields; never raises.
 
     Composite: the mechanism must re-verify against n. Prime: the recorded
     basis must re-verify (a degenerate small prime passes with no basis).
     Not-applicable requires n = 1; inconclusive makes no claim beyond
-    consistency. The slot an outcome does not use must be None. A
-    malformed certificate, a non-int where an int belongs, or an n outside
-    a check's domain reads False.
+    consistency. The slot an outcome does not use must be None, and
+    qnr_search and timings must fit (_records_fit). A malformed
+    certificate, a non-int where an int belongs, or an n outside a
+    check's domain reads False.
     """
     if not isinstance(cert, dict) or type(cert.get("n")) is not int or cert["n"] < 1:
         return False
@@ -674,20 +703,26 @@ def verify_certificate(cert: Any) -> bool:
         if outcome == "composite":
             if basis is not None or mech is None:
                 return False
-            return mechanism_from_json(mech).verify(n)
-        if outcome == "prime":
+            claim = mechanism_from_json(mech)
+        elif outcome == "prime":
             if mech is not None:
                 return False
-            if basis is None:
-                return n in (2, 3)
-            return _claim_from_json(basis, _BASES).verify(n)
+            claim = None if basis is None else _claim_from_json(basis, _BASES)
+        elif outcome in ("not_applicable", "inconclusive"):
+            if mech is not None or basis is not None:
+                return False
+            claim = None
+        else:
+            return False
+        if not _records_fit(cert, getattr(claim, "q", None) or 0):
+            return False
+        if claim is not None:
+            return claim.verify(n)
     except (ValueError, RuntimeError):
         return False
-    if outcome == "not_applicable":
-        return n == 1 and mech is None and basis is None
-    if outcome == "inconclusive":
-        return mech is None and basis is None
-    return False
+    if outcome == "prime":
+        return n in (2, 3)
+    return outcome == "inconclusive" or n == 1
 
 
 ALGORITHMS: dict[str, Callable[[int], Verdict]] = {

@@ -9,8 +9,9 @@ polynomials attached to a parameter m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .canonical import CanonicalParams
+from .canonical import CanonicalParams, canonical_params
 from .ntcore import jacobi
 from .polyring import Poly, mbec_remainder, poly_powmod, quotient_ring
 from .quadext import _pow
@@ -79,26 +80,92 @@ class PgpcReport:
     """Outcome of the four-condition polynomial battery for parameter m.
 
     Conditions are evaluated in order and short-circuit at the first
-    failure; a condition that was never evaluated reads None. For the
-    failing condition the offending residue is kept as the witness, and
-    what a prime would have given there as `expected`.
+    failure, so `failed` fixes them all: cond1-cond4 read True before it,
+    False at it and None (never evaluated) after it. For the failing
+    condition the offending residue is kept as the witness, and what a
+    prime would have given there as `expected`.
     """
 
     m: int
-    cond1: bool | None
-    cond2: bool | None
-    cond3: bool | None
-    cond4: bool | None
     failed: str | None
     witness: Poly | None
     expected: tuple[int, ...] | None
 
+    def _state(self, i: int) -> bool | None:
+        if self.failed is None:
+            return True
+        at = _CONDITIONS.index(self.failed)
+        return None if i > at else i < at
+
+    cond1 = property(lambda self: self._state(0))
+    cond2 = property(lambda self: self._state(1))
+    cond3 = property(lambda self: self._state(2))
+    cond4 = property(lambda self: self._state(3))
+
     @property
     def all_hold(self) -> bool:
-        return (self.cond1, self.cond2, self.cond3, self.cond4) == (True,) * 4
+        return self.failed is None
 
 
 _CONDITIONS = ("cond1", "cond2", "cond3", "cond4")
+
+
+@lru_cache(maxsize=1024)
+def _galois_image(m: int, r: int, upsilon_side: bool) -> tuple[int, ...]:
+    """s_r(x) mod the divisor over Z, deg D coefficients: sigma_r of its root.
+
+    sigma_r sends zeta = exp(2*pi*i/m) to zeta**r, for r a unit mod m.
+    Upsilon_m's root t = zeta + 1/zeta goes to zeta**r + zeta**-r =
+    V_r(t), with V_0 = 2, V_1 = t, V_j = t*V_(j-1) - V_(j-2). Psi_m's
+    root u = zeta - 1/zeta goes to zeta**r - zeta**-r, which for odd r is
+    W_r(u), with W_0 = 2, W_1 = u, W_j = u*W_(j-1) + W_(j-2); for even r
+    (odd m) it is -W_(m-r)(u).
+    """
+    params = canonical_params(m)
+    div = (params.upsilon if upsilon_side else params.psi).coeffs
+    sign, step = 1, -1 if upsilon_side else 1
+    if not upsilon_side and not r & 1:
+        sign, r = -1, m - r
+
+    def times_x(p: list[int]) -> list[int]:  # x*p mod the monic divisor
+        return [a - p[-1] * c for a, c in zip([0, *p[:-1]], div)]
+
+    one = [1] + [0] * (len(div) - 2)
+    prev, cur = [2 * c for c in one], times_x(one)
+    for _ in range(r - 1):
+        prev, cur = cur, [a + step * b for a, b in zip(times_x(cur), prev)]
+    return tuple(sign * c for c in cur)
+
+
+def _condition(
+    n: int, params: CanonicalParams, name: str, xn: dict
+) -> tuple[Poly, tuple[int, ...]]:
+    """pgpc_condition, with x**n modulo each divisor D kept in xn.
+
+    cond3/cond4 start from x**n. With r = n mod m a unit and m >= 5,
+    x -> s_r(x) (_galois_image) is a ring endomorphism of Z_n[x]/D for
+    every n, since D(s_r(x)) = 0 mod D over Z. So if x**n = s_r(x) mod
+    <D, n>, then x**(n**j) is the j-fold composite of s_r, which at j = d
+    is c*x over Z, with c the expected constant (r**d = +-1 mod m); x is
+    a unit (D(0) is +- a power of p_m), so x**(n**d - 1) = c exactly.
+    Otherwise the power runs in full.
+    """
+    if name not in _CONDITIONS:
+        raise ValueError(f"pgpc_condition: unknown condition {name!r}")
+    upsilon_side = name in ("cond1", "cond3")
+    div = params.upsilon if upsilon_side else params.psi
+    ring, x = quotient_ring(div, n), Poly([0, 1], n)
+    if upsilon_side not in xn:
+        xn[upsilon_side] = poly_powmod(ring, x, n)
+    if name in ("cond1", "cond2"):
+        return mbec_remainder(n, div, xn[upsilon_side]), ()
+    m, p_m = params.m, params.p_m
+    c = 1 % n if upsilon_side or p_m == 2 else jacobi(n, p_m) % n
+    want = (c,) if c else ()
+    if m >= 5 and n % p_m:
+        if xn[upsilon_side].coeffs == Poly(_galois_image(m, n % m, upsilon_side), n).coeffs:
+            return Poly(want, n), want
+    return poly_powmod(ring, x, n**params.d - 1), want
 
 
 def pgpc_condition(
@@ -112,28 +179,23 @@ def pgpc_condition(
     4. x**(n**d - 1)        = c mod <Psi_m, n>, c = 1 if p_m = 2 else (n | p_m)
 
     The condition holds when the residue's coefficients equal `expected`.
+    Conditions 3 and 4 start from x**n (see _condition).
     """
-    if name not in _CONDITIONS:
-        raise ValueError(f"pgpc_condition: unknown condition {name!r}")
-    upsilon_side = name in ("cond1", "cond3")
-    div = params.upsilon if upsilon_side else params.psi
-    if name in ("cond1", "cond2"):
-        return mbec_remainder(n, div), ()
-    x = Poly([0, 1], n)
-    residue = poly_powmod(quotient_ring(div, n), x, n**params.d - 1)
-    p_m = params.p_m
-    c = 1 % n if upsilon_side or p_m == 2 else jacobi(n, p_m) % n
-    return residue, ((c,) if c else ())
+    return _condition(n, params, name, {})
 
 
 def pgpc_check(n: int, params: CanonicalParams) -> PgpcReport:
-    """The four conditions of pgpc_condition in order, for odd n >= 3."""
-    for i, name in enumerate(_CONDITIONS):
-        residue, want = pgpc_condition(n, params, name)
+    """The four conditions of pgpc_condition in order, for odd n >= 3.
+
+    x**n modulo each divisor is computed once and serves both of its
+    conditions; it is dropped when the call returns.
+    """
+    xn: dict = {}
+    for name in _CONDITIONS:
+        residue, want = _condition(n, params, name, xn)
         if residue.coeffs != want:
-            conds = [True] * i + [False] + [None] * (3 - i)
-            return PgpcReport(params.m, *conds, name, residue, want)
-    return PgpcReport(params.m, True, True, True, True, None, None, None)
+            return PgpcReport(params.m, name, residue, want)
+    return PgpcReport(params.m, None, None, None)
 
 
 def fgpc_check(n: int, params: CanonicalParams) -> tuple[bool, Poly]:

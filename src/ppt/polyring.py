@@ -369,18 +369,23 @@ def quotient_ring(d: Poly, n: int) -> QuotientRing:
     return QuotientRing(d, n)
 
 
-def mbec_remainder(n: int, d: Poly) -> Poly:
+def mbec_remainder(n: int, d: Poly, xn: Poly | None = None) -> Poly:
     """Remainder of (1+x)**n - 1 - x**n in Z_n[x]/<d(x)>.
 
     Zero exactly when the binomial congruence holds modulo d at modulus n.
     d must be monic of degree >= 1; integer-coefficient d is reduced mod n,
-    and a d reduced under another modulus is refused.
+    and a d reduced under another modulus is refused. xn, when given, is
+    x**n in that ring as poly_powmod returns it, and is not recomputed.
     """
     if n < 3 or not n & 1:
         raise ValueError("mbec_remainder: modulus must be odd and >= 3")
     ring = quotient_ring(d, n)
     a = _ring_power(ring, [1, 1], n)
-    b = _ring_power(ring, [0, 1], n)
+    if xn is None:
+        b = _ring_power(ring, [0, 1], n)
+    else:
+        b = _coeffs(ring, xn, "mbec_remainder")
+        b += [0] * (len(a) - len(b))
     out = [u - v for u, v in zip(a, b)]
     out[0] -= 1
     return Poly(out, n)

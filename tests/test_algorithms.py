@@ -620,6 +620,30 @@ class TestCertificates:
     def test_verify_certificate_is_total(self, cert):
         assert verify_certificate(cert) is False
 
+    def test_search_and_timing_records_must_fit(self):
+        # The two forged prime certificates for 1009 (an ill-typed search
+        # record, a string for timings) verified True before these checks.
+        for cert in (certificate(ppta_inr(1009)), certificate(ppta_eqnr(1009)),
+                     certificate(ppta_eqnr(NC)), certificate(ppta_inr(2))):
+            assert verify_certificate(cert)
+            search = cert["qnr_search"]
+            claim = cert["mechanism"] or cert["prime_basis"] or {}
+            assert search["q"] == claim.get("q", 0)
+            for bad in ({"q": "junk", "iterations": -5}, None, "x",
+                        {**search, "q": search["q"] + 1},
+                        {**search, "q": str(search["q"])},
+                        {**search, "iterations": -1},
+                        {**search, "needed": int(search["needed"])},
+                        {**search, "extra": 0}):
+                assert not verify_certificate({**cert, "qnr_search": bad}), bad
+            for bad in ("x", None, [], {"total_s": -1.0}, {"total_s": "1"},
+                        {1: 0.5}, {"total_s": float("nan")},
+                        {"total_s": float("inf")}, {"total_s": True}):
+                assert not verify_certificate({**cert, "timings": bad}), bad
+            assert verify_certificate({**cert, "timings": {"total_s": 0, "x_s": 2.5}})
+            bare = {k: v for k, v in cert.items() if k not in ("qnr_search", "timings")}
+            assert verify_certificate(bare)
+
     def test_verify_certificate_survives_search_failure(self, monkeypatch):
         import ppt.algorithms
 
