@@ -18,16 +18,13 @@ from .algorithms import (
     PerfectSquare,
     PgpcViolation,
     PrimeBasis,
-    QnrMrProbe,
     QnrProbe,
     QnrSearch,
     TrivialFactor,
     Verdict,
     certificate,
-    default_qnr_iter_limit,
     enhanced_mr,
     find_qnr,
-    find_qnr_with_mr,
     mechanism_from_json,
     miller_rabin_base,
     ppta_eqnr,
@@ -60,7 +57,6 @@ from .polyring import (
     QuotientRing,
     euler_poly_check,
     mbec_remainder,
-    poly_mulmod,
     poly_powmod,
 )
 from .quadext import QuadCtx, QuadInt, conjugate, norm, quad_mul, quad_pow

@@ -44,16 +44,13 @@ __all__ = [
     "PerfectSquare",
     "PgpcViolation",
     "PrimeBasis",
-    "QnrMrProbe",
     "QnrProbe",
     "QnrSearch",
     "TrivialFactor",
     "Verdict",
     "certificate",
-    "default_qnr_iter_limit",
     "enhanced_mr",
     "find_qnr",
-    "find_qnr_with_mr",
     "mechanism_from_json",
     "miller_rabin_base",
     "ppta_eqnr",
@@ -151,6 +148,9 @@ class EulerWitness:
         return f"euler defect {self.ecc_value} at q={self.q}"
 
 
+_WITNESS_FORMS = ({"q", "a", "b"}, {"divisor_kind", "divisor", "remainder", "m"})
+
+
 @dataclass(frozen=True)
 class BinomialWitness:
     """Nonzero binomial-congruence defect.
@@ -158,8 +158,9 @@ class BinomialWitness:
     Scalar form: (q, a, b) is the defect pair in Z_n[sqrt(q)].
     Polynomial form: `divisor` (ascending coefficients mod n) leaves the
     nonzero `remainder`; `divisor_kind` names which canonical polynomial it
-    was reduced from, and `m` its parameter. It verifies only for the m
-    the parameter search picks for n and the divisor Psi_m mod n.
+    was reduced from, always "psi", and `m` its parameter. It verifies only
+    for the m the parameter search picks for n and the divisor Psi_m mod n.
+    A witness holds exactly the fields of one form.
     """
 
     q: int | None = None
@@ -171,13 +172,16 @@ class BinomialWitness:
     m: int | None = None
     kind = "binomial_witness"
 
+    def __post_init__(self) -> None:
+        held = {f for f in self.__dataclass_fields__ if getattr(self, f) is not None}
+        if held not in _WITNESS_FORMS or self.divisor_kind not in (None, "psi"):
+            raise ValueError("a binomial witness holds the fields of one form")
+
     def verify(self, n: int) -> bool:
         if self.q is not None:
             if (self.a, self.b) == (0, 0):
                 return False
             return bcc(self.q, n) == (self.a, self.b)
-        if self.divisor is None or self.remainder is None:
-            return False
         params = _search_params(n, self.m)
         if params is None or tuple(self.divisor) != params.psi.reduced(n).coeffs:
             return False
@@ -280,8 +284,9 @@ class PrimeBasis:
     kind 'pbpc': explicit non-residue q passed both scalar checks.
     kind 'pgpc': parameter m passed the four-condition battery.
     kind 'fgpc': parameter m passed the single-condition battery.
-    Like a mechanism, it re-verifies from its own fields; a battery
-    parameter verifies only if it is the m the parameter search picks for n.
+    A basis holds its own parameter alone. Like a mechanism, it re-verifies
+    from its own fields; a battery parameter verifies only if it is the m
+    the parameter search picks for n.
     """
 
     kind: str
@@ -289,8 +294,9 @@ class PrimeBasis:
     m: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.q if self.kind == "pbpc" else self.m) is None:
-            raise ValueError(f"a {self.kind} basis needs its parameter")
+        own, other = (self.q, self.m) if self.kind == "pbpc" else (self.m, self.q)
+        if own is None or other is not None:
+            raise ValueError(f"a {self.kind} basis holds its parameter alone")
 
     def verify(self, n: int) -> bool:
         if self.kind == "pbpc":
@@ -363,28 +369,8 @@ def _probe_prime(i: int) -> int:
     return _probe_primes[i - 1]
 
 
-def default_qnr_iter_limit(n: int) -> int:
-    """Default probe budget: min(floor(sqrt(n)), 10**6)."""
-    return min(math.isqrt(n), 10**6)
-
-
-def _probe_scan(name: str, n: int, limit: int | None):
-    """Yield (i, p, (p | n)) for the odd primes p within the probe budget.
-
-    Shared by the scans below: validates n, resolves the budget, and raises
-    RuntimeError when a caller runs through the budget without stopping.
-    """
-    if n < 3 or not n & 1:
-        raise ValueError(f"{name}: n must be odd and >= 3")
-    limit = default_qnr_iter_limit(n) if limit is None else limit
-    if limit < 1:
-        raise ValueError("iteration limit must be >= 1")
-    for i in range(1, limit + 1):
-        p = _probe_prime(i)
-        yield i, p, jacobi(p, n)
-    raise RuntimeError(
-        f"{name}: no quadratic non-residue among the first {limit} odd primes"
-    )
+# The most odd primes find_qnr probes; below it, isqrt(n) bounds the scan.
+_QNR_PROBE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -396,42 +382,25 @@ class QnrProbe:
     iterations: int
 
 
-def find_qnr(n: int, iter_limit: int | None = None) -> QnrProbe:
+def find_qnr(n: int) -> QnrProbe:
     """Scan odd primes 3, 5, 7, ... for a quadratic non-residue of n.
 
     Stops at the first prime p with (p | n) = -1 (found_factor False), or
-    at a probe p that divides n first (found_factor True). The probe budget
-    is iter_limit, by default min(floor(sqrt(n)), 10**6); exhaustion raises.
+    at a probe p that divides n first (found_factor True). It probes at
+    most min(floor(sqrt(n)), 10**6) primes and raises RuntimeError past
+    them.
     """
-    for i, p, j in _probe_scan("find_qnr", n, iter_limit):
+    if n < 3 or not n & 1:
+        raise ValueError("find_qnr: n must be odd and >= 3")
+    limit = min(math.isqrt(n), _QNR_PROBE_CAP)
+    for i in range(1, limit + 1):
+        p = _probe_prime(i)
+        j = jacobi(p, n)
         if j != 1:
             return QnrProbe(j == 0, p, i)
-
-
-@dataclass(frozen=True)
-class QnrMrProbe:
-    """find_qnr_with_mr outcome: a code, its value, and the probe count.
-
-    code 0: value is a quadratic non-residue of n.
-    code 1: value is a probe prime dividing n.
-    code 2: value is a nontrivial square root of 1 mod n.
-    code 3: value is a Fermat witness for n.
-    """
-
-    code: int
-    value: int
-    iterations: int
-
-
-def find_qnr_with_mr(n: int, iter_limit: int | None = None) -> QnrMrProbe:
-    """Like find_qnr, but residue probes double as Miller-Rabin bases."""
-    for i, p, j in _probe_scan("find_qnr_with_mr", n, iter_limit):
-        if j != 1:
-            return QnrMrProbe(int(j == 0), p, i)
-        out = miller_rabin_base(n, p)
-        if out.witness:
-            code = 2 if out.witness_kind == "nontrivial_root" else 3
-            return QnrMrProbe(code, out.value if code == 2 else p, i)
+    raise RuntimeError(
+        f"find_qnr: no quadratic non-residue among the first {limit} odd primes"
+    )
 
 
 # ----------------------------------------------------------- shared closing
@@ -594,6 +563,8 @@ _FIELDS = {
     cls: [(f.name, f.type, f.default is MISSING) for f in fields(cls)]
     for cls in (*_MECHANISMS.values(), PrimeBasis)
 }
+# class -> the keys its certificate entry may hold
+_KEYS = {cls: {"kind", *(name for name, _, _ in spec)} for cls, spec in _FIELDS.items()}
 
 
 def _fits(value: Any, annotation: str) -> bool:
@@ -610,14 +581,17 @@ def _fits(value: Any, annotation: str) -> bool:
 def _claim_from_json(data: Any, table: dict[str, type]) -> Any:
     """Rebuild the claim of class table[data["kind"]] from its certificate entry.
 
-    Raises ValueError unless data is a dictionary whose kind is in table
-    and every field is present (or has a default) with its annotated type:
-    int, str or list of ints.
+    Raises ValueError unless data is a dictionary whose kind is in table,
+    every field is present (or has a default) with its annotated type (int,
+    str or list of ints), no other key is present, and the claim's own
+    checks pass.
     """
     kind = data.get("kind") if isinstance(data, dict) else None
     cls = table.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError("not a claim dictionary of a known kind")
+    if not data.keys() <= _KEYS[cls]:
+        raise ValueError(f"{kind} holds a field it does not define")
     kwargs = {}
     for name, annotation, required in _FIELDS[cls]:
         if name in data:
@@ -633,8 +607,9 @@ def _claim_from_json(data: Any, table: dict[str, type]) -> Any:
 def mechanism_from_json(data: dict[str, Any]) -> Mechanism:
     """Rebuild a mechanism object from its certificate dictionary.
 
-    Raises ValueError unless the kind is known and every field is present
-    (or has a default) with its annotated type: int, str or list of ints.
+    Raises ValueError unless the kind is known, every field is present
+    (or has a default) with its annotated type (int, str or list of ints),
+    and the fields make one form of the claim.
     """
     return _claim_from_json(data, _MECHANISMS)
 

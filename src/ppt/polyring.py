@@ -16,11 +16,8 @@ Powers run on the smallest ring that gives the same residue exactly:
 
 1. x modulo an even divisor P(x**2) is w**(e >> 1) modulo P(w), placed on
    the even or odd coefficients by the parity of e;
-2. modulo a degree-2 divisor t**2 + c1*t + c0, quadext._pow, which
-   serves every relation r**2 = q + p*r at any n >= 2 (only QuadCtx
-   requires odd n), computes it with q = -c0 and p = -c1;
-3. a linear base (x, 1 + x or c0 + c1*x) modulo a divisor of degree
-   3.._MAX_UNROLLED runs on a ladder generated as straight-line Python for
+2. a linear base (x, 1 + x or c0 + c1*x) modulo a divisor of degree
+   2.._MAX_UNROLLED runs on a ladder generated as straight-line Python for
    the ring's shape: its degree, the zero pattern of its fold table and
    the base kind. The k coefficients live in locals, each square writes
    each cross product as one multiply, the fold has a term only for each
@@ -30,7 +27,7 @@ Powers run on the smallest ring that gives the same residue exactly:
    compiled function serves every ring of that shape. It is compiled on
    the first such power, kept in a bounded cache, and each ring keeps the
    ladders it has used;
-4. every other power runs on the list ladder, _power.
+3. every other power runs on the list ladder, _power.
 """
 
 from __future__ import annotations
@@ -38,14 +35,11 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .quadext import _pow
-
 __all__ = [
     "Poly",
     "QuotientRing",
     "euler_poly_check",
     "mbec_remainder",
-    "poly_mulmod",
     "poly_powmod",
     "quotient_ring",
 ]
@@ -247,7 +241,7 @@ _MAX_UNROLLED = 64
 def _ladder_source(k: int, nz: tuple, kind: str) -> str:
     """Straight-line ladder for one shape, as the source of `ladder`.
 
-    The shape is the ring degree k >= 3, the (i, j) places of the nonzero
+    The shape is the ring degree k >= 2, the (i, j) places of the nonzero
     fold-table entries, which `fold` holds in that order, and the base
     kind: "x", "1+x" or "c0+c1*x". The base is c0 + c1*x.
     """
@@ -283,7 +277,7 @@ def _ladder_source(k: int, nz: tuple, kind: str) -> str:
     lines = [
         "def ladder(bits, n, c0, c1, fold):",
         *[f"    {''.join(f'f{i}_{j}, ' for i, j in nz)}= fold"] * bool(nz),
-        f"    a0, a1, {', '.join(a[2:])} = c0, c1{', 0' * (k - 2)}",
+        f"    {', '.join(a)} = c0, c1{', 0' * (k - 2)}",
         "    for bit in bits:",
         *(f"        {x}" for x in body),
         "        if bit == '1':",
@@ -295,8 +289,8 @@ def _ladder_source(k: int, nz: tuple, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Every battery condition at m <= 23 runs on 18 shapes; 64 leaves room for
-# moduli small enough to zero a table entry, and bounds the memory held.
+# The batteries at every m <= 23 run on 25 shapes at a wide n; 64 leaves room
+# for moduli small enough to zero a table entry, and bounds the memory held.
 @lru_cache(maxsize=64)
 def _ladder(k: int, nz: tuple, kind: str):
     """The compiled ladder of one shape (see _ladder_source)."""
@@ -329,10 +323,7 @@ def _ring_power(ring: QuotientRing, base: list[int], e: int) -> list[int]:
         out = [0] * k
         out[e & 1::2] = _ring_power(ring._half, [0, 1], e >> 1)
         return out
-    if k == 2:  # b is reduced, so _pow's e = 1 returns a ring element
-        c0, c1 = ring.divisor.coeffs[:2]
-        return list(_pow(*b, -c0, -c1, n, e))
-    if 3 <= k <= _MAX_UNROLLED and not any(b[2:]):
+    if 2 <= k <= _MAX_UNROLLED and not any(b[2:]):
         return _linear_power(ring, b[0], b[1], e)
     return _power(b, e, ring._cols, n)
 
@@ -342,13 +333,6 @@ def _coeffs(ring: QuotientRing, p: Poly, what: str) -> list[int]:
     if p.n not in (0, ring.n):
         raise ValueError(f"{what}: modulus mismatch")
     return list(p.coeffs)
-
-
-def poly_mulmod(ring: QuotientRing, p1: Poly, p2: Poly) -> Poly:
-    """p1 * p2 reduced in the quotient ring."""
-    a = _coeffs(ring, p1, "poly_mulmod")
-    b = _coeffs(ring, p2, "poly_mulmod")
-    return ring.element(_product(a, b))
 
 
 def poly_powmod(ring: QuotientRing, base: Poly, e: int) -> Poly:
@@ -394,11 +378,12 @@ def mbec_remainder(n: int, d: Poly, xn: Poly | None = None) -> Poly:
 def euler_poly_check(n: int, q: int) -> int | None:
     """x**(n-1) in Z_n[x]/<x**2 - q> when constant, else None.
 
-    The ring is Z_n[sqrt(q)], so the quadratic ring's ladder computes it. For
-    prime n with (q | n) nonzero the value is q**((n-1)/2) mod n by the
+    For prime n with (q | n) nonzero the value is q**((n-1)/2) mod n by the
     reduction x**2 = q; a non-constant remainder is reported, not resolved.
+    The ring is built here, not taken from quotient_ring's cache, so the
+    check evicts no battery ring.
     """
     if n < 3 or not n & 1:
         raise ValueError("euler_poly_check: modulus must be odd and >= 3")
-    c0, c1 = _pow(0, 1, q, 0, n, n - 1)
+    c0, c1 = _ring_power(QuotientRing(Poly([-q, 0, 1]), n), [0, 1], n - 1)
     return None if c1 else c0

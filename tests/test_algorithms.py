@@ -12,10 +12,8 @@ from ppt.algorithms import (
     QnrSearch,
     Verdict,
     certificate,
-    default_qnr_iter_limit,
     enhanced_mr,
     find_qnr,
-    find_qnr_with_mr,
     mechanism_from_json,
     miller_rabin_base,
     ppta_eqnr,
@@ -87,32 +85,12 @@ class TestFindQnr:
             assert probe.p == p, n
             assert probe.iterations == iters, n
 
-    def test_iteration_limit_exhaustion(self):
-        with pytest.raises(RuntimeError):
-            find_qnr(N22, iter_limit=10)
+    def test_iteration_limit_exhaustion(self, monkeypatch):
+        import ppt.algorithms
 
-    def test_rejects_bad_limit(self):
-        with pytest.raises(ValueError):
-            find_qnr(2047, iter_limit=0)
-
-    def test_default_limit(self):
-        assert default_qnr_iter_limit(49) == 7
-        assert default_qnr_iter_limit(10**14) == 10**6
-
-
-class TestFindQnrWithMr:
-    def test_frozen_traces(self):
-        cases = [
-            (341, 0, 3, 1),
-            (2047, 0, 3, 1),
-            (1729, 2, 664, 1),
-            (N22, 2, 33395479608146748, 1),
-        ]
-        for n, code, value, iters in cases:
-            probe = find_qnr_with_mr(n)
-            assert probe.code == code, n
-            assert probe.value == value, n
-            assert probe.iterations == iters, n
+        monkeypatch.setattr(ppt.algorithms, "_QNR_PROBE_CAP", 10)
+        with pytest.raises(RuntimeError, match="first 10 odd primes"):
+            find_qnr(N22)
 
 
 class TestEqnr:
@@ -565,6 +543,34 @@ class TestCertificates:
             for m in (4, 7, 25):
                 cert["prime_basis"]["m"] = m
                 assert not verify_certificate(cert), (kind, m)
+
+    def test_claims_hold_only_the_fields_of_their_form(self):
+        # Each forgery adds a field its claim never reads, or drops or
+        # changes the divisor kind. All but the one with q (read as a
+        # scalar witness, whose pair fails) verify if those are ignored.
+        pbpc = certificate(ppta_inr(569))
+        pgpc = certificate(ppta_inr(1009))
+        scalar = certificate(ppta_eqnr(2047))
+        poly = certificate(ppta_inr(649, "fgpc"))
+        for cert in (pbpc, pgpc, scalar, poly):
+            assert verify_certificate(cert)
+        forged = [
+            {**pbpc, "prime_basis": {**pbpc["prime_basis"], "m": 5}},
+            {**pgpc, "prime_basis": {**pgpc["prime_basis"], "q": 7},
+             "qnr_search": {**pgpc["qnr_search"], "q": 7}},
+            {**pgpc, "prime_basis": {**pgpc["prime_basis"], "extra": 0}},
+        ]
+        mech = scalar["mechanism"]
+        for extra in ({"m": 5}, {"divisor": [1, 0, 1]}, {"divisor_kind": "psi"},
+                      {"extra": 0}):
+            forged.append({**scalar, "mechanism": {**mech, **extra}})
+        mech = poly["mechanism"]
+        for extra in ({"a": 1}, {"b": 1}, {"q": 3}, {"divisor_kind": "upsilon"}):
+            forged.append({**poly, "mechanism": {**mech, **extra}})
+        no_kind = {k: v for k, v in mech.items() if k != "divisor_kind"}
+        forged.append({**poly, "mechanism": no_kind})
+        for cert in forged:
+            assert verify_certificate(cert) is False, cert
 
     def test_polynomial_binomial_witness_needs_psi_divisor(self):
         cert = certificate(ppta_inr(1729, "fgpc"))

@@ -317,7 +317,7 @@ class TestIterationLimits:
         assert main(["test", str(N22)]) == EXIT_COMPOSITE
         capsys.readouterr()
 
-        def exhausted(n, iter_limit=None):
+        def exhausted(n):
             raise RuntimeError("find_qnr: no quadratic non-residue among the "
                                "first 5 odd primes")
 

@@ -9,7 +9,6 @@ from ppt.polyring import (
     QuotientRing,
     euler_poly_check,
     mbec_remainder,
-    poly_mulmod,
     poly_powmod,
 )
 
@@ -34,6 +33,7 @@ from conftest import (
     UPS5,
     UPS23,
 )
+from test_polyring_kernel import ref_pow
 
 
 class TestPoly:
@@ -108,61 +108,6 @@ class TestQuotientRing:
         assert e.coeffs == (2,)
 
 
-class TestMulmod:
-    def test_product_of_factor_polynomials(self):
-        # (x^3+5x^2+4x+10)(x^3+7x^2+6x+10) has all-ones coefficients
-        # mod 11 once reduced, matching the degree-6 all-ones target.
-        ring = QuotientRing(Poly([0, 0, 0, 0, 0, 0, 0, 1]), 11)  # x^7
-        a = Poly([10, 4, 5, 1], 11)
-        b = Poly([10, 6, 7, 1], 11)
-        assert poly_mulmod(ring, a, b).coeffs == (1, 1, 1, 1, 1, 1, 1)
-
-    def test_modulus_mismatch_rejected(self):
-        ring = QuotientRing(Poly([-2, 0, 1]), 7)
-        with pytest.raises(ValueError):
-            poly_mulmod(ring, Poly([1, 2], 13), Poly([1], 7))
-
-    def test_integer_coefficients_coerced(self):
-        ring = QuotientRing(Poly([-2, 0, 1]), 7)
-        out = poly_mulmod(ring, Poly([0, 1]), Poly([0, 1]))
-        assert out.coeffs == (2,)
-
-    def test_matches_schoolbook_reference(self):
-        rng = random.Random(43)
-        for _ in range(150):
-            n = rng.randrange(3, 10**4) | 1
-            deg = rng.randint(1, 6)
-            div = [rng.randrange(n) for _ in range(deg)] + [1]
-            ring = QuotientRing(Poly(div, n))
-            a = [rng.randrange(n) for _ in range(rng.randint(0, 8))]
-            b = [rng.randrange(n) for _ in range(rng.randint(0, 8))]
-            got = poly_mulmod(ring, Poly(a, n), Poly(b, n))
-            want = _schoolbook_mulmod(a, b, div, n)
-            assert list(got.coeffs) == want
-
-
-def _schoolbook_mulmod(a, b, div, n):
-    """Reference: raw convolution then repeated subtraction of divisor."""
-    prod = [0] * (len(a) + len(b))
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            prod[i + j] = (prod[i + j] + ca * cb) % n
-    d = len(div) - 1
-    while len(prod) > d:
-        while prod and prod[-1] % n == 0:
-            prod.pop()
-        if len(prod) <= d:
-            break
-        lead = prod[-1] % n
-        shift = len(prod) - 1 - d
-        for k in range(len(div)):
-            prod[shift + k] = (prod[shift + k] - lead * div[k]) % n
-    out = [c % n for c in prod]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 class TestPowmod:
     def test_frozen_linear_base_anchors(self):
         # x^568 mod <x^2 - 233, 569> collapses to the scalar 568.
@@ -200,6 +145,11 @@ class TestPowmod:
         with pytest.raises(ValueError):
             poly_powmod(ring, Poly([3, 4], 7), -1)
 
+    def test_base_under_another_modulus_rejected(self):
+        ring = QuotientRing(Poly([-2, 0, 1]), 7)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            poly_powmod(ring, Poly([1, 2], 13), 2)
+
     def test_matches_iterated_multiplication(self):
         rng = random.Random(47)
         for _ in range(100):
@@ -207,12 +157,10 @@ class TestPowmod:
             deg = rng.randint(1, 5)
             div = [rng.randrange(n) for _ in range(deg)] + [1]
             ring = QuotientRing(Poly(div, n))
-            base = Poly([rng.randrange(n) for _ in range(deg)], n)
+            base = [rng.randrange(n) for _ in range(deg)]
             e = rng.randrange(0, 30)
-            acc = ring.element([1])
-            for _ in range(e):
-                acc = poly_mulmod(ring, acc, base)
-            assert poly_powmod(ring, base, e) == acc
+            got = poly_powmod(ring, Poly(base, n), e)
+            assert list(got.coeffs) == ref_pow(base, e, div, n)
 
     def test_linear_base_fast_path_matches_generic(self):
         rng = random.Random(53)
@@ -223,11 +171,8 @@ class TestPowmod:
             ring = QuotientRing(Poly(div, n))
             c0, c1 = rng.randrange(n), rng.randrange(n)
             e = rng.randrange(0, 512)
-            lin = Poly([c0, c1], n)
-            acc = ring.element([1])
-            for _ in range(e):
-                acc = poly_mulmod(ring, acc, lin)
-            assert poly_powmod(ring, lin, e) == acc
+            got = poly_powmod(ring, Poly([c0, c1], n), e)
+            assert list(got.coeffs) == ref_pow([c0, c1], e, div, n)
 
 
 class TestMbecRemainder:

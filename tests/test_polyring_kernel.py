@@ -11,10 +11,9 @@ where fold-table entries over Z would exceed n; exponents 0, 1, 2, n-1, n
 and n**d - 1; the zero base; and inputs longer than the divisor.
 
 They also reach each route of the power: x modulo an even divisor P(x**2)
-(the half ring), degree-2 divisors at odd and even n (quadext's ladder
-with r**2 = -c0 - c1*r, also where n shares a factor with the
-discriminant), linear bases on the generated ladders of degree 3 and up,
-and every other power on the list ladder.
+(the half ring), linear bases on the generated ladders of degree 2 and
+up (at degree 2 at odd and even n, also where n shares a factor with the
+discriminant), and every other power on the list ladder.
 """
 
 import os
@@ -35,7 +34,6 @@ from ppt.polyring import (
     QuotientRing,
     euler_poly_check,
     mbec_remainder,
-    poly_mulmod,
     poly_powmod,
 )
 
@@ -117,18 +115,6 @@ def exponents(draw, n, k):
     d = draw(st.integers(min_value=1, max_value=k))
     return draw(st.one_of(st.sampled_from((0, 1, 2, n - 1, n, n**d - 1)),
                           st.integers(min_value=0, max_value=n**k)))
-
-
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_mulmod_matches_reference(data):
-    n, div = data.draw(rings(odd=False))
-    k = len(div) - 1
-    a = data.draw(poly_coeffs(n, k))
-    b = data.draw(poly_coeffs(n, k))
-    ring = QuotientRing(Poly(div, n))
-    got = poly_mulmod(ring, Poly(a, n), Poly(b, n))
-    assert list(got.coeffs) == ref_mul(a, b, div, n)
 
 
 @given(st.data())
@@ -241,14 +227,15 @@ P16 = [2, -4, 1]  # Upsilon_16 = P16(x**2), D = 8
 @pytest.mark.parametrize("n", [3, 5, 15, 25, 7, 9, 4, 6, 2, 2**64])
 def test_degree_two_at_moduli_sharing_the_discriminant(n, div, monkeypatch):
     """n in {5, 15, 25} divides D = 5, 3 is the least odd modulus, 2 the
-    least modulus, and even n runs on the same ladder as odd n."""
-    monkeypatch.delattr(polyring, "_power")  # no power here folds
+    least modulus, and even n runs on the same ladders as odd n."""
+    monkeypatch.delattr(polyring, "_power")  # no power here takes the list ladder
     reduced = [c % n for c in div]
     ring = QuotientRing(Poly(div), n)
     for base in ([0, 1], [1, 1], [n - 1, 1], [2, n - 1], [0, 3], [4]):
         for e in (0, 1, 2, n - 1, n, n**2 - 1, 7 * n + 3):
             got = poly_powmod(ring, Poly(base, n), e)
             assert list(got.coeffs) == ref_pow(base, e, reduced, n), (base, e)
+    assert ring._ladders.keys() == {"x", "1+x", "c0+c1*x"}
 
 
 @pytest.mark.parametrize("m", [5, 7, 9, 11, 13, 16, 17, 23, 32, 64])
@@ -274,17 +261,19 @@ def test_canonical_divisors_match_reference(m):
 
 def test_one_ladder_per_shape():
     """Rings of one divisor at two wide moduli run one compiled ladder per
-    base kind: the table entries are the same small integers at both."""
-    div = canonical_params(17).upsilon
-    rings = [QuotientRing(div, n) for n in (2**127 - 1, 2**255 - 19)]
-    for ring in rings:
-        for base in ([0, 1], [1, 1], [2, 3]):
-            poly_powmod(ring, Poly(base, ring.n), ring.n)
-    a, b = (ring._ladders for ring in rings)
-    assert a.keys() == b.keys() == {"x", "1+x", "c0+c1*x"}
-    for kind in a:
-        assert a[kind][0] is b[kind][0]
-        assert a[kind][1] == b[kind][1]
+    base kind: the table entries are the same small integers at both.
+    Upsilon_17 has degree 8, Upsilon_5 degree 2."""
+    for m in (17, 5):
+        div = canonical_params(m).upsilon
+        rings = [QuotientRing(div, n) for n in (2**127 - 1, 2**255 - 19)]
+        for ring in rings:
+            for base in ([0, 1], [1, 1], [2, 3]):
+                poly_powmod(ring, Poly(base, ring.n), ring.n)
+        a, b = (ring._ladders for ring in rings)
+        assert a.keys() == b.keys() == {"x", "1+x", "c0+c1*x"}, m
+        for kind in a:
+            assert a[kind][0] is b[kind][0]
+            assert a[kind][1] == b[kind][1]
 
 
 def test_ladder_cache_is_bounded():

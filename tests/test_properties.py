@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ppt.canonical import canonical_params, find_qnr_or_m
 from ppt.checks import bcc
 from ppt.ntcore import isqrt, jacobi, lof_tpow, next_prime
-from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_mulmod
+from ppt.polyring import Poly, mbec_remainder
 from ppt.quadext import QuadCtx, conjugate, norm, quad_mul, quad_pow
 
 odd_moduli = st.integers(min_value=1, max_value=10**9).map(
@@ -86,17 +86,6 @@ class TestQuadraticRingProperties:
 
 
 class TestPolynomialProperties:
-    def test_mulmod_commutes_and_distributes(self):
-        rng = random.Random(109)
-        for _ in range(100):
-            n = rng.randrange(3, 10**4) | 1
-            deg = rng.randint(1, 5)
-            div = [rng.randrange(n) for _ in range(deg)] + [1]
-            ring = QuotientRing(Poly(div, n))
-            a = Poly([rng.randrange(n) for _ in range(deg)], n)
-            b = Poly([rng.randrange(n) for _ in range(deg)], n)
-            assert poly_mulmod(ring, a, b) == poly_mulmod(ring, b, a)
-
     def test_binomial_congruence_vanishes_for_primes(self):
         # Freshman's-dream check against every monic divisor tried.
         rng = random.Random(113)
