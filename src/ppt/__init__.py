@@ -52,13 +52,7 @@ from .harness import (
     trial_division,
 )
 from .ntcore import MrOutcome, count_qnr, isqrt, jacobi, lof_tpow, next_prime
-from .polyring import (
-    Poly,
-    QuotientRing,
-    euler_poly_check,
-    mbec_remainder,
-    poly_powmod,
-)
-from .quadext import QuadCtx, QuadInt, conjugate, norm, quad_mul, quad_pow
+from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
+from .quadext import QuadCtx, QuadInt, conjugate, quad_mul, quad_pow
 
 __version__ = "0.1.0"

@@ -12,9 +12,11 @@ Three deciders share one verdict model:
 * enhanced_mr: randomized hybrid; random bases serve either as Miller-Rabin
   bases or, once one is a non-residue, as the q for the two checks above.
 
-Composite verdicts carry a mechanism object that re-verifies from its own
-fields; prime verdicts carry the basis (explicit non-residue or parameter m)
-that certified them, which re-verifies the same way.
+Composite verdicts carry a mechanism object and prime verdicts the basis
+(explicit non-residue or parameter m) that certified them. Each re-verifies
+from n and its own fields: a factor, square or root by arithmetic, and a
+claim made at a q or an m by re-running the route that made it there
+(_pbpc_tail or _battery) and comparing the result with the claim.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from enum import Enum
 from typing import Any, Callable, get_args
 
 from . import ntcore as nt
-from .canonical import CanonicalParams, canonical_params, find_qnr_or_m
-from .checks import bcc, ecc, fgpc_check, pbpc, pgpc_check, pgpc_condition
+from .canonical import canonical_params, find_qnr_or_m
+from .checks import fgpc_check, pbpc, pgpc_check
 from .ntcore import jacobi, miller_rabin_base
 # Not called here; bound so that tracing tools can wrap them on this module.
+from .checks import bcc, ecc  # noqa: F401
 from .polyring import mbec_remainder, poly_powmod  # noqa: F401
 
 __all__ = [
@@ -69,15 +72,19 @@ class Outcome(Enum):
 # --------------------------------------------------------------- mechanisms
 
 
-def _search_params(n: int, m: int | None) -> CanonicalParams | None:
-    """Canonical data for m if m is the parameter find_qnr_or_m picks for n.
+def _tail_makes(claim: Mechanism | PrimeBasis, n: int) -> bool:
+    """Whether the scalar tail at claim.q, a non-residue of n, makes claim."""
+    return jacobi(claim.q, n) == -1 and _pbpc_tail(n, claim.q) == claim
 
-    The one admissibility rule for a battery parameter in a certificate: it
-    fixes the divisors, and bounds the verifier's cost, by the search's m.
+
+def _battery_makes(claim: Mechanism | PrimeBasis, n: int, mode: str) -> bool:
+    """Whether the battery makes claim at claim.m, the m find_qnr_or_m picks.
+
+    The searched m fixes the divisors, and bounds the verifier's cost.
     """
-    if m is None or n < 25 or n % 24 != 1 or find_qnr_or_m(n).m != m:
-        return None
-    return canonical_params(m)
+    m = claim.m
+    searched = n >= 25 and n % 24 == 1 and find_qnr_or_m(n).m == m
+    return searched and _battery(n, m, mode) == claim
 
 
 @dataclass(frozen=True)
@@ -133,16 +140,14 @@ class JacobiZeroFactor(TrivialFactor):
 
 @dataclass(frozen=True)
 class EulerWitness:
-    """Nonzero Euler-criterion defect at a non-residue q."""
+    """Nonzero Euler-criterion defect at a non-residue q (made by _pbpc_tail)."""
 
     q: int
     ecc_value: int
     kind = "euler_witness"
 
     def verify(self, n: int) -> bool:
-        if jacobi(self.q, n) == 0:
-            return False
-        return self.ecc_value != 0 and ecc(self.q, n) == self.ecc_value
+        return _tail_makes(self, n)
 
     def describe(self) -> str:
         return f"euler defect {self.ecc_value} at q={self.q}"
@@ -155,12 +160,12 @@ _WITNESS_FORMS = ({"q", "a", "b"}, {"divisor_kind", "divisor", "remainder", "m"}
 class BinomialWitness:
     """Nonzero binomial-congruence defect.
 
-    Scalar form: (q, a, b) is the defect pair in Z_n[sqrt(q)].
-    Polynomial form: `divisor` (ascending coefficients mod n) leaves the
-    nonzero `remainder`; `divisor_kind` names which canonical polynomial it
-    was reduced from, always "psi", and `m` its parameter. It verifies only
-    for the m the parameter search picks for n and the divisor Psi_m mod n.
-    A witness holds exactly the fields of one form.
+    Scalar form (made by _pbpc_tail): (q, a, b) is the defect pair in
+    Z_n[sqrt(q)]. Polynomial form (made by _battery in mode 'fgpc'):
+    `divisor`, Psi_m mod n in ascending coefficients, leaves the nonzero
+    `remainder`; `divisor_kind` names the canonical polynomial, always
+    "psi", and `m` its parameter. A witness holds exactly the fields of one
+    form.
     """
 
     q: int | None = None
@@ -179,14 +184,8 @@ class BinomialWitness:
 
     def verify(self, n: int) -> bool:
         if self.q is not None:
-            if (self.a, self.b) == (0, 0):
-                return False
-            return bcc(self.q, n) == (self.a, self.b)
-        params = _search_params(n, self.m)
-        if params is None or tuple(self.divisor) != params.psi.reduced(n).coeffs:
-            return False
-        got, _ = pgpc_condition(n, params, "cond2")
-        return got.coeffs == tuple(self.remainder) != ()
+            return _tail_makes(self, n)
+        return _battery_makes(self, n, "fgpc")
 
     def describe(self) -> str:
         if self.q is not None:
@@ -228,11 +227,10 @@ class FermatWitness:
 class PgpcViolation:
     """First failing condition of the four-condition polynomial battery.
 
-    `remainder` holds the offending residue (ascending coefficients mod n)
-    and `expected` what a prime would have produced there: the empty tuple
-    for the two binomial conditions, (1,) or the Jacobi constant for the
-    power conditions. Both are recomputed on verification, at the m the
-    parameter search picks for n.
+    Made by _battery in mode 'pgpc'. `remainder` holds the offending
+    residue (ascending coefficients mod n) and `expected` what a prime
+    would have produced there: the empty tuple for the two binomial
+    conditions, (1,) or the Jacobi constant for the power conditions.
     """
 
     m: int
@@ -242,11 +240,7 @@ class PgpcViolation:
     kind = "pgpc_violation"
 
     def verify(self, n: int) -> bool:
-        params = _search_params(n, self.m)
-        if params is None:
-            return False
-        got, want = pgpc_condition(n, params, self.failed)
-        return got.coeffs == tuple(self.remainder) != want == tuple(self.expected)
+        return _battery_makes(self, n, "pgpc")
 
     def describe(self) -> str:
         return f"polynomial battery failed {self.failed} at m={self.m}"
@@ -285,8 +279,8 @@ class PrimeBasis:
     kind 'pgpc': parameter m passed the four-condition battery.
     kind 'fgpc': parameter m passed the single-condition battery.
     A basis holds its own parameter alone. Like a mechanism, it re-verifies
-    from its own fields; a battery parameter verifies only if it is the m
-    the parameter search picks for n.
+    by re-running the route that made it: _pbpc_tail, or _battery with the
+    kind as its mode.
     """
 
     kind: str
@@ -295,18 +289,13 @@ class PrimeBasis:
 
     def __post_init__(self) -> None:
         own, other = (self.q, self.m) if self.kind == "pbpc" else (self.m, self.q)
-        if own is None or other is not None:
-            raise ValueError(f"a {self.kind} basis holds its parameter alone")
+        if self.kind not in _BASES or own is None or other is not None:
+            raise ValueError(f"a {self.kind} basis: unknown kind, or not its parameter alone")
 
     def verify(self, n: int) -> bool:
         if self.kind == "pbpc":
-            return jacobi(self.q, n) == -1 and pbpc(self.q, n) == (0, 0, 0)
-        params = _search_params(n, self.m)
-        if params is None:
-            return False
-        if self.kind == "pgpc":
-            return pgpc_check(n, params).all_hold
-        return fgpc_check(n, params)[0]
+            return _tail_makes(self, n)
+        return _battery_makes(self, n, self.kind)
 
     def describe(self) -> str:
         if self.kind == "pbpc":
@@ -417,6 +406,21 @@ def _pbpc_tail(n: int, q: int) -> Mechanism | PrimeBasis:
     return PrimeBasis("pbpc", q=q)
 
 
+def _battery(n: int, m: int, mode: str) -> Mechanism | PrimeBasis:
+    """The battery at parameter m: four conditions (mode 'pgpc') or cond2 alone."""
+    params = canonical_params(m)
+    if mode == "pgpc":
+        rep = pgpc_check(n, params)
+        if not rep.all_hold:
+            return PgpcViolation(m, rep.failed, rep.witness.coeffs, rep.expected)
+    else:
+        ok, rem = fgpc_check(n, params)
+        if not ok:
+            psi = params.psi.reduced(n).coeffs
+            return BinomialWitness(divisor_kind="psi", divisor=psi, remainder=rem.coeffs, m=m)
+    return PrimeBasis(mode, m=m)
+
+
 def _class_qnr(n: int) -> int | None:
     """The non-residue n mod 8 fixes: 2 for 3, 5 mod 8, n - 2 for 7 mod 8."""
     r8 = n & 7
@@ -489,19 +493,7 @@ def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
     elif fr.qnr is not None:
         what = _pbpc_tail(n, fr.qnr)
     else:
-        params = canonical_params(fr.m)
-        what = PrimeBasis(mode, m=fr.m)
-        if mode == "pgpc":
-            rep = pgpc_check(n, params)
-            if not rep.all_hold:
-                what = PgpcViolation(fr.m, rep.failed, rep.witness.coeffs, rep.expected)
-        else:
-            ok, rem = fgpc_check(n, params)
-            if not ok:
-                psi = params.psi.reduced(n).coeffs
-                what = BinomialWitness(
-                    divisor_kind="psi", divisor=psi, remainder=rem.coeffs, m=fr.m
-                )
+        what = _battery(n, fr.m, mode)
     return _verdict(n, t0, what, fr.iterations)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -172,26 +173,19 @@ def _worker(args: tuple[str, int]) -> "Verdict | Exception":
 def _verdicts(
     numbers: Sequence[int], algo: str, jobs: int
 ) -> Iterable[tuple[int, Verdict | None, Exception | None]]:
-    fn = ALGORITHMS[algo]
+    tasks = [(algo, n) for n in numbers]
     # A fork pool starts every worker on the first submit: cap them.
     workers = min(jobs, len(numbers), os.cpu_count() or 1)
-    if workers <= 1:
-        for n in numbers:
-            try:
-                yield n, fn(n), None
-            except Exception as exc:  # noqa: BLE001 - per-number diagnostics
-                yield n, None, exc
-        return
-    from concurrent.futures import ProcessPoolExecutor
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(numbers) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(_worker, [(algo, n) for n in numbers], chunksize=chunk)
+        pool = ProcessPoolExecutor(max_workers=workers)
+        results = pool.map(_worker, tasks, chunksize=max(1, len(numbers) // (workers * 8)))
+    else:
+        pool, results = nullcontext(), map(_worker, tasks)
+    with pool:
         for n, res in zip(numbers, results):
-            if isinstance(res, Exception):
-                yield n, None, res
-            else:
-                yield n, res, None
+            yield (n, None, res) if isinstance(res, Exception) else (n, res, None)
 
 
 def run_batch(

@@ -38,7 +38,6 @@ from operator import mul
 __all__ = [
     "Poly",
     "QuotientRing",
-    "euler_poly_check",
     "mbec_remainder",
     "poly_powmod",
     "quotient_ring",
@@ -145,10 +144,6 @@ class QuotientRing:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRing is immutable")
-
-    def element(self, coeffs) -> Poly:
-        """Coefficients reduced into the ring (mod n, then mod divisor)."""
-        return Poly(self._reduce(list(coeffs)), self.n)
 
     def _reduce(self, p: list[int]) -> list[int]:
         """p reduced to deg(divisor) coefficients; extends p."""
@@ -373,17 +368,3 @@ def mbec_remainder(n: int, d: Poly, xn: Poly | None = None) -> Poly:
     out = [u - v for u, v in zip(a, b)]
     out[0] -= 1
     return Poly(out, n)
-
-
-def euler_poly_check(n: int, q: int) -> int | None:
-    """x**(n-1) in Z_n[x]/<x**2 - q> when constant, else None.
-
-    For prime n with (q | n) nonzero the value is q**((n-1)/2) mod n by the
-    reduction x**2 = q; a non-constant remainder is reported, not resolved.
-    The ring is built here, not taken from quotient_ring's cache, so the
-    check evicts no battery ring.
-    """
-    if n < 3 or not n & 1:
-        raise ValueError("euler_poly_check: modulus must be odd and >= 3")
-    c0, c1 = _ring_power(QuotientRing(Poly([-q, 0, 1]), n), [0, 1], n - 1)
-    return None if c1 else c0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["QuadCtx", "QuadInt", "conjugate", "norm", "quad_mul", "quad_pow"]
+__all__ = ["QuadCtx", "QuadInt", "conjugate", "quad_mul", "quad_pow"]
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,3 @@ def quad_pow(x: QuadInt, e: int) -> QuadInt:
 def conjugate(x: QuadInt) -> QuadInt:
     """a + b*sqrt(q) -> a - b*sqrt(q)."""
     return QuadInt(x.a, -x.b, x.ctx)
-
-
-def norm(x: QuadInt) -> int:
-    """x times its conjugate: a**2 - q*b**2 mod n (multiplicative)."""
-    n, q = x.ctx.n, x.ctx.q
-    return (x.a * x.a - q * x.b * x.b) % n

@@ -8,7 +8,10 @@ import sympy
 
 from ppt.algorithms import (
     ALGORITHMS,
+    BinomialWitness,
+    EulerWitness,
     Outcome,
+    PrimeBasis,
     QnrSearch,
     Verdict,
     certificate,
@@ -20,6 +23,8 @@ from ppt.algorithms import (
     ppta_inr,
     verify_certificate,
 )
+from ppt.canonical import canonical_params
+from ppt.checks import bcc, ecc, pgpc_condition
 
 from conftest import (
     ARN,
@@ -659,6 +664,39 @@ class TestCertificates:
         cert = certificate(ppta_inr(1009))
         monkeypatch.setattr(ppt.algorithms, "find_qnr_or_m", fail)
         assert verify_certificate(cert) is False
+
+    def test_claims_no_route_makes_fail(self):
+        # Each forged claim is true arithmetic at its q or m, but no decider
+        # makes it: a q not reduced mod n, a binomial pair where the Euler
+        # check already fails, a condition after the first one that fails.
+        def forge(n, slot, claim):
+            cert = certificate(ppta_inr(n) if slot == "mechanism" else ppta_eqnr(n))
+            assert verify_certificate(cert)
+            cert[slot] = claim
+            cert["qnr_search"]["q"] = claim.get("q", 0)
+            return cert
+
+        assert bcc(13, 15) == (9, 12) and ecc(13, 15) != 0
+        residue, want = pgpc_condition(649, canonical_params(5), "cond2")
+        assert residue.coeffs != want
+        forged = [
+            forge(15, "mechanism", {"kind": "euler_witness", "q": 13 + 15,
+                                    "ecc_value": ecc(13 + 15, 15)}),
+            forge(15, "mechanism", {"kind": "binomial_witness", "q": 13, "a": 9, "b": 12}),
+            forge(569, "prime_basis", {"kind": "pbpc", "q": 3 + 569}),
+            forge(649, "mechanism", {"kind": "pgpc_violation", "m": 5, "failed": "cond2",
+                                     "remainder": list(residue.coeffs),
+                                     "expected": list(want)}),
+        ]
+        for cert in forged:
+            assert verify_certificate(cert) is False, cert
+        # A q sharing a factor with n reads False; it does not raise.
+        for q in (3, 5, 0, 15):
+            assert EulerWitness(q=q, ecc_value=1).verify(15) is False
+            assert BinomialWitness(q=q, a=1, b=1).verify(15) is False
+        # No route makes a basis of another kind.
+        with pytest.raises(ValueError):
+            PrimeBasis("xyz", m=5)
 
 
 class TestRandomisedCrossCheck:

@@ -4,13 +4,7 @@ import random
 
 import pytest
 
-from ppt.polyring import (
-    Poly,
-    QuotientRing,
-    euler_poly_check,
-    mbec_remainder,
-    poly_powmod,
-)
+from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
 from conftest import (
     HC1,
@@ -104,7 +98,7 @@ class TestQuotientRing:
 
     def test_element_reduces_by_divisor(self):
         ring = QuotientRing(Poly([-2, 0, 1]), 7)  # x^2 - 2
-        e = ring.element([0, 0, 1])  # x^2 -> 2
+        e = poly_powmod(ring, Poly([0, 0, 1]), 1)  # x^2 -> 2
         assert e.coeffs == (2,)
 
 
@@ -209,27 +203,3 @@ class TestMbecRemainder:
         with pytest.raises(ValueError):
             mbec_remainder(10, Poly(PSI5))
 
-
-class TestEulerPolyCheck:
-    def test_prime_with_nonresidue(self):
-        # jacobi(233, 569) = -1 so x^568 mod <x^2-233> is the scalar -1.
-        assert euler_poly_check(569, 233) == 568
-        assert euler_poly_check(7, 3) == 6
-
-    def test_prime_with_residue(self):
-        # jacobi(2, 7) = 1 so the power collapses to +1.
-        assert euler_poly_check(7, 2) == 1
-
-    def test_collapses_to_scalar_euler_power(self):
-        # n - 1 is even, so x^(n-1) = (x^2)^((n-1)/2) reduces to the
-        # scalar q^((n-1)/2) for every odd n, prime or not.
-        rng = random.Random(59)
-        for _ in range(100):
-            n = rng.randrange(3, 10**6) | 1
-            q = rng.randrange(2, n)
-            assert euler_poly_check(n, q) == pow(q, (n - 1) // 2, n)
-        assert euler_poly_check(561, 389) == 1
-
-    def test_rejects_even_modulus(self):
-        with pytest.raises(ValueError):
-            euler_poly_check(8, 3)

@@ -29,13 +29,7 @@ from hypothesis import strategies as st
 
 from ppt import polyring
 from ppt.canonical import canonical_params
-from ppt.polyring import (
-    Poly,
-    QuotientRing,
-    euler_poly_check,
-    mbec_remainder,
-    poly_powmod,
-)
+from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
 SMALL_N = (3, 5, 7, 9, 15, 21)
 EVEN_N = (4, 6, 10)
@@ -166,18 +160,7 @@ def test_element_matches_reference(data):
     coeffs = data.draw(st.lists(st.integers(min_value=-n**3, max_value=n**3),
                                 min_size=size, max_size=size))
     ring = QuotientRing(Poly(div, n))
-    assert list(ring.element(coeffs).coeffs) == ref_rem(coeffs, div, n)
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_euler_poly_check_matches_reference(data):
-    n = data.draw(moduli())
-    q = data.draw(st.one_of(st.sampled_from((0, 1, 2, 3, n - 2, n - 1)),
-                            st.integers(min_value=0, max_value=n - 1)))
-    rem = ref_pow([0, 1], n - 1, [(-q) % n, 0, 1], n)
-    want = None if len(rem) > 1 else (rem[0] if rem else 0)
-    assert euler_poly_check(n, q) == want
+    assert list(poly_powmod(ring, Poly(coeffs), 1).coeffs) == ref_rem(coeffs, div, n)
 
 
 def test_integer_divisor_at_sign_boundary():
