@@ -42,17 +42,21 @@ from .canonical import (
     upsilon_of,
 )
 from .checks import PgpcReport, bcc, ecc, fgpc_check, pgpc_check
-from .harness import (
-    BatchStats,
-    Dataset,
-    TrialResult,
-    generate_carmichaels,
-    load_dataset,
-    run_batch,
-    trial_division,
-)
 from .ntcore import MrOutcome, count_qnr, isqrt, jacobi, lof_tpow, next_prime
 from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 from .quadext import QuadCtx, QuadInt, conjugate, quad_mul, quad_pow
 
 __version__ = "0.1.0"
+
+# Resolved from ppt.harness on first use (PEP 562), so that importing ppt
+# does not load the batch harness.
+_HARNESS = {"BatchStats", "Dataset", "TrialResult", "generate_carmichaels",
+            "load_dataset", "run_batch", "trial_division"}
+
+
+def __getattr__(name: str):
+    if name in _HARNESS:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,7 @@ from typing import Any, Callable, get_args
 
 from . import ntcore as nt
 from .canonical import canonical_params, find_qnr_or_m
-from .checks import fgpc_check, pbpc, pgpc_check
+from .checks import _tail, fgpc_check, pgpc_check
 from .ntcore import jacobi, miller_rabin_base
 # Not called here; bound so that tracing tools can wrap them on this module.
 from .checks import bcc, ecc  # noqa: F401
@@ -153,9 +153,6 @@ class EulerWitness:
         return f"euler defect {self.ecc_value} at q={self.q}"
 
 
-_WITNESS_FORMS = ({"q", "a", "b"}, {"divisor_kind", "divisor", "remainder", "m"})
-
-
 @dataclass(frozen=True)
 class BinomialWitness:
     """Nonzero binomial-congruence defect.
@@ -178,8 +175,9 @@ class BinomialWitness:
     kind = "binomial_witness"
 
     def __post_init__(self) -> None:
-        held = {f for f in self.__dataclass_fields__ if getattr(self, f) is not None}
-        if held not in _WITNESS_FORMS or self.divisor_kind not in (None, "psi"):
+        scalar, poly = (self.q, self.a, self.b), (self.divisor, self.remainder, self.m)
+        if not (None not in scalar and poly == (None,) * 3 and self.divisor_kind is None
+                or scalar == (None,) * 3 and None not in poly and self.divisor_kind == "psi"):
             raise ValueError("a binomial witness holds the fields of one form")
 
     def verify(self, n: int) -> bool:
@@ -396,9 +394,10 @@ def find_qnr(n: int) -> QnrProbe:
 
 
 def _pbpc_tail(n: int, q: int) -> Mechanism | PrimeBasis:
-    """Euler criterion then binomial congruence at non-residue q."""
+    """Euler criterion then binomial congruence at q, where (q | n) = -1 is
+    known: n's class fixes it, or the caller has just evaluated it."""
     q %= n
-    euler, a, b = pbpc(q, n)
+    euler, a, b = _tail(q, n, -1)
     if euler:
         return EulerWitness(q=q, ecc_value=euler)
     if a or b:

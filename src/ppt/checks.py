@@ -27,19 +27,25 @@ __all__ = [
 ]
 
 
-def _euler(q: int, n: int) -> tuple[int, int]:
-    """(h, defect) with h = q**((n-1)/2) mod n and defect = h - (q | n)."""
-    j = jacobi(q, n)
-    if j == 0:
-        raise ValueError("jacobi symbol is zero; gcd(q, n) is a factor")
-    h = pow(q % n, (n - 1) >> 1, n)
-    return h, (h - j) % n
-
-
-def _binomial_defect(q: int, n: int, h: int) -> tuple[int, int]:
-    """(1 + sqrt(q))**n - 1 - h*sqrt(q) for h = q**((n-1)/2) mod n."""
+def _tail(q: int, n: int, j: int, pair: bool = True) -> tuple[int, int, int]:
+    """(euler, a, b) at q and odd n >= 3, in one pass: euler = q**((n-1)/2)
+    - j mod n for j = (q | n), or 0 where j = 0 skips the criterion; then,
+    if pair is set and euler is zero, the binomial defect (1 + sqrt(q))**n
+    - 1 - q**((n-1)/2)*sqrt(q) = a + b*sqrt(q), else (a, b) = (0, 0).
+    """
+    h = pow(q, (n - 1) >> 1, n)
+    euler = (h - j) % n if j else 0
+    if euler or not pair:
+        return euler, 0, 0
     a, b = _pow(1, 1, q, n, n)
-    return (a - 1) % n, (b - h) % n
+    return 0, (a - 1) % n, (b - h) % n
+
+
+def _symbol(q: int, n: int) -> int:
+    """(q | n), refused when it is zero."""
+    if j := jacobi(q, n):
+        return j
+    raise ValueError("jacobi symbol is zero; gcd(q, n) is a factor")
 
 
 def ecc(q: int, n: int) -> int:
@@ -48,7 +54,7 @@ def ecc(q: int, n: int) -> int:
     Zero exactly when q**((n-1)/2) = (q | n) mod n. Raises when the Jacobi
     symbol vanishes, since gcd(q, n) > 1 already exposes a factor.
     """
-    return _euler(q, n)[1]
+    return _tail(q, n, _symbol(q, n), pair=False)[0]
 
 
 def bcc(q: int, n: int) -> tuple[int, int]:
@@ -60,7 +66,7 @@ def bcc(q: int, n: int) -> tuple[int, int]:
     """
     if n < 3 or not n & 1:
         raise ValueError("bcc: modulus must be odd and >= 3")
-    return _binomial_defect(q, n, pow(q, (n - 1) >> 1, n))
+    return _tail(q, n, 0)[1:]
 
 
 def pbpc(q: int, n: int) -> tuple[int, int, int]:
@@ -69,10 +75,7 @@ def pbpc(q: int, n: int) -> tuple[int, int, int]:
     Both share q**((n-1)/2); the pair reads (0, 0) when it is not
     computed. Raises as ecc does.
     """
-    h, euler = _euler(q, n)
-    if euler:
-        return euler, 0, 0
-    return (0, *_binomial_defect(q, n, h))
+    return _tail(q, n, _symbol(q, n))
 
 
 @dataclass(frozen=True)

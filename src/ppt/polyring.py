@@ -6,11 +6,14 @@ denotes signed integer coefficients (used by the canonical constructions
 before reduction at a concrete modulus).
 
 Products and reductions go through one kernel: a fold table of x**j mod
-the divisor (j = k..2k-1, k = deg divisor), built with each QuotientRing
-from the divisor's least-absolute residues mod n, so its entries stay small
-for the canonical divisors however wide n is (at most 31 bits up to m = 17,
-44 bits at m = 23). A ladder step squares on raw integers, each cross
-product once, and folds back to k coefficients with one % n each.
+the divisor (j = k..2k-1, k = deg divisor). A divisor given over Z whose
+table over Z has no entry wider than 64 bits, as for the canonical divisors
+(at most 31 bits up to m = 17, 44 bits at m = 23), keeps that one table,
+built on its first ring and shared with its fold patterns and ladders by
+its rings at every n; its entries are congruent to the reduced ones, so
+every residue is the same. Any other divisor gets a table of least-absolute
+residues mod n with each ring. A ladder step squares on raw integers, each
+cross product once, and folds back to k coefficients with one % n each.
 
 Powers run on the smallest ring that gives the same residue exactly:
 
@@ -25,8 +28,8 @@ Powers run on the smallest ring that gives the same residue exactly:
    fold (for x, a shift of the fold's inputs). Only the shape enters the
    source; n, the base and the table entries are arguments, so one
    compiled function serves every ring of that shape. It is compiled on
-   the first such power, kept in a bounded cache, and each ring keeps the
-   ladders it has used;
+   the first such power, kept in a bounded cache, and each table keeps
+   the ladders its rings have used;
 3. every other power runs on the list ladder, _power.
 """
 
@@ -135,24 +138,24 @@ class QuotientRing:
             raise ValueError("QuotientRing: divisor must be monic")
         object.__setattr__(self, "divisor", d)
         object.__setattr__(self, "n", n)
-        cols = _fold_columns(d.coeffs, n, 2 * d.degree - 1)
+        table = None if divisor.n else _shared(divisor.coeffs)
+        cols, ladders, half = table or _table(d.coeffs, n)
         object.__setattr__(self, "_cols", cols)
-        even = d.degree >= 4 and not any(d.coeffs[1::2])
-        half = QuotientRing(Poly(d.coeffs[::2], n)) if even else None
-        object.__setattr__(self, "_half", half)  # P(w) for d = P(x**2)
-        object.__setattr__(self, "_ladders", {})  # base kind -> (ladder, fold)
+        object.__setattr__(self, "_ladders", ladders)  # base kind -> (ladder, fold)
+        object.__setattr__(self, "_half", half and QuotientRing(half, n))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRing is immutable")
 
     def _reduce(self, p: list[int]) -> list[int]:
-        """p reduced to deg(divisor) coefficients; extends p."""
-        k = self.divisor.degree
-        p += [0] * (k - len(p))
+        """p reduced to deg(divisor) coefficients."""
+        k, n = self.divisor.degree, self.n
+        if len(p) <= k:  # nothing to fold
+            return [c % n for c in p] + [0] * (k - len(p))
         cols = self._cols
         if len(p) > 2 * k:
-            cols = _fold_columns(self.divisor.coeffs, self.n, len(p) - 1)
-        return _fold(p, cols, self.n)
+            cols = _fold_columns(self.divisor.coeffs, n, len(p) - 1)
+        return _fold(p, cols, n)
 
     def __repr__(self) -> str:
         return f"QuotientRing({self.divisor!r})"
@@ -162,21 +165,43 @@ def _fold_columns(div: tuple[int, ...], n: int, top: int) -> list[tuple]:
     """Fold table of the monic divisor div, read by columns; top >= deg div.
 
     Entry [i][j - k] is the coefficient of x**i in x**j mod the divisor, for
-    j = k..top, kept as a least-absolute residue mod n: folding a wide
-    coefficient then costs a product with a short integer, not with a
-    full-width residue.
+    j = k..top: over Z when n = 0, else kept as a least-absolute residue mod
+    n. Folding a wide coefficient then costs a product with a short integer
+    (for a canonical divisor, at any n), not with a full-width residue.
     """
     h = n >> 1
-    low = [(c + h) % n - h for c in div[:-1]]
+    low = [(c + h) % n - h for c in div[:-1]] if n else list(div[:-1])
     row = [-c for c in low]  # x**k
     rows = [row]
     for _ in range(len(low), top):
         t = row[-1]
         row = [0, *row[:-1]]
         if t:
-            row = [(a - t * c + h) % n - h for a, c in zip(row, low)]
+            row = [a - t * c for a, c in zip(row, low)]
+            if n:
+                row = [(a + h) % n - h for a in row]
         rows.append(row)
     return list(zip(*rows))
+
+
+def _table(div: tuple[int, ...], n: int) -> tuple[list[tuple], dict, Poly | None]:
+    """Fold table of div mod n (over Z at n = 0), an empty dict for its
+    ladders by base kind, and P(w) for an even div = P(x**2) of degree >= 4.
+    """
+    even = len(div) > 4 and not any(div[1::2])
+    return _fold_columns(div, n, 2 * len(div) - 3), {}, Poly(div[::2], n) if even else None
+
+
+# 64 keeps the two or three divisors of a battery for twenty m values.
+@lru_cache(maxsize=64)
+def _shared(div: tuple[int, ...]) -> tuple | None:
+    """_table(div, 0), shared by the rings of div at every n: an entry differs
+    from the residue mod n it stands for by a multiple of n, so each fold
+    gives the same residue. None where an entry is wider than 64 bits (the
+    canonical divisors' take at most 44 up to m = 23), so that a divisor
+    with wide coefficients keeps a table reduced mod each n."""
+    table = _table(div, 0)
+    return table if max(abs(f) for col in table[0] for f in col).bit_length() <= 64 else None
 
 
 def _fold(p: list[int], cols: list[tuple], n: int) -> list[int]:
@@ -342,8 +367,8 @@ def poly_powmod(ring: QuotientRing, base: Poly, e: int) -> Poly:
 def quotient_ring(d: Poly, n: int) -> QuotientRing:
     """QuotientRing(d, n), shared by the calls that use the same divisor.
 
-    A battery takes up to three powers modulo each divisor; the ring, its
-    fold table and its half ring are built once for them, not per power.
+    A battery takes up to three powers modulo each divisor; the ring and
+    its half ring are built once for them, not per power.
     """
     return QuotientRing(d, n)
 

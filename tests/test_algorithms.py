@@ -655,6 +655,34 @@ class TestCertificates:
             bare = {k: v for k, v in cert.items() if k not in ("qnr_search", "timings")}
             assert verify_certificate(bare)
 
+    @pytest.mark.parametrize("n, slot, kind", [
+        (15, "mechanism", "euler_witness"),
+        (2047, "mechanism", "binomial_witness"),
+        (569, "prime_basis", "pbpc"),
+    ])
+    def test_scalar_claim_verifies_with_one_symbol(self, monkeypatch, n, slot, kind):
+        # The verifier evaluates (q | n) once, and the scalar tail it re-runs
+        # takes that symbol rather than evaluating it again. The spy replaces
+        # every binding of jacobi in the package's modules.
+        import sys
+
+        import ppt.ntcore
+
+        real, calls = ppt.ntcore.jacobi, []
+
+        def spy(a, m):
+            calls.append((a, m))
+            return real(a, m)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ppt" and getattr(module, "jacobi", None) is real:
+                monkeypatch.setattr(module, "jacobi", spy)
+        cert = json.loads(json.dumps(certificate(ppta_eqnr(n))))
+        assert cert[slot]["kind"] == kind
+        calls.clear()
+        assert verify_certificate(cert)
+        assert calls == [(cert[slot]["q"], n)]
+
     def test_verify_certificate_survives_search_failure(self, monkeypatch):
         import ppt.algorithms
 

@@ -236,18 +236,21 @@ class TestSharedChecks:
     @pytest.mark.parametrize("m", [5, 7, 16])
     def test_battery_builds_each_ring_once(self, monkeypatch, m):
         # Upsilon_m, Psi_m and Psi_m's half ring P(w), Psi_m = P(x**2):
-        # three fold tables for the four conditions, none for the verifier's
-        # second pass over the same n; Upsilon_16 is even too.
+        # three fold tables over Z for the four conditions (Upsilon_16 is
+        # even too), built at the first n; none for the verifier's second
+        # pass over the same n, and none for a second n at the same m.
         built = []
         real = ppt.polyring._fold_columns
         monkeypatch.setattr(ppt.polyring, "_fold_columns",
                             lambda *a: built.append(a) or real(*a))
         ppt.polyring.quotient_ring.cache_clear()
-        n = {5: 1009, 7: 569, 16: 1153}[m]
-        assert pgpc_check(n, canonical_params(m)).all_hold
-        assert len(built) == (4 if m == 16 else 3)
-        assert pgpc_check(n, canonical_params(m)).all_hold
-        assert len(built) == (4 if m == 16 else 3)
+        ppt.polyring._shared.cache_clear()
+        tables = 4 if m == 16 else 3
+        first, second = {5: (1009, 409), 7: (569, 1801), 16: (1153, 7561)}[m]
+        for n in (first, first, second):
+            assert pgpc_check(n, canonical_params(m)).all_hold
+            assert len(built) == tables
+        assert all(n == 0 for _, n, _ in built)
 
     def test_pgpc_condition_rejects_unknown_name(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,12 @@
 
 import concurrent.futures
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ppt
 from ppt.algorithms import ppta_eqnr, ppta_inr
 from ppt.harness import (
     CSV_HEADER,
@@ -258,3 +261,22 @@ class TestAlgorithmsAgreeWithTrialDivision:
             assert ppta_eqnr(n).outcome.value == "composite"
             assert ppta_inr(n).outcome.value == "composite"
             assert enhanced_mr(n).outcome.value == "composite"
+
+
+def test_package_loads_the_harness_on_first_use():
+    """import ppt leaves ppt.harness unloaded; each harness name the
+    package offers still imports from it."""
+    code = (
+        "import sys, ppt; print('ppt.harness' in sys.modules)\n"
+        "from ppt import BatchStats, Dataset, TrialResult, generate_carmichaels\n"
+        "from ppt import load_dataset, run_batch, trial_division\n"
+        "import ppt.harness as h\n"
+        "print(all(getattr(ppt, k) is getattr(h, k) for k in (\n"
+        "    'BatchStats', 'Dataset', 'TrialResult', 'generate_carmichaels',\n"
+        "    'load_dataset', 'run_batch', 'trial_division')))\n"
+        "print(hasattr(ppt, 'CSV_HEADER'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ppt.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["False", "True", "False"]

@@ -242,6 +242,55 @@ def test_canonical_divisors_match_reference(m):
             assert mbec_remainder(n, div) == Poly(want, n)
 
 
+@pytest.mark.parametrize("m", [5, 7, 9, 11, 13, 16, 17])
+def test_shared_table_at_moduli_dividing_an_entry(m):
+    """A divisor over Z folds with one table over Z at every n, whose
+    entries some of these n divide. Powers of x and 1 + x and the binomial
+    remainder on Upsilon_m, Psi_m and Psi_m's half ring P(w), Psi_m =
+    P(x**2), match the reference there, as they do on the same divisors
+    given mod n, whose rings build their own table."""
+    params = canonical_params(m)
+    divs = (params.upsilon, params.psi, Poly(params.psi.coeffs[::2]))
+    hits = 0
+    for n in (3, 5, 7, 9, 11, 13, 25, 49):
+        for div in divs:
+            cols = polyring._shared(div.coeffs)[0]
+            hits += any(f and f % n == 0 for col in cols for f in col)
+            reduced = list(div.reduced(n).coeffs)
+            for e in (0, 1, 2, n, n * n + 1, 12345):
+                for base in ([0, 1], [1, 1]):
+                    want = ref_pow(base, e, reduced, n)
+                    for ring in (QuotientRing(div, n), QuotientRing(div.reduced(n))):
+                        got = poly_powmod(ring, Poly(base, n), e)
+                        assert list(got.coeffs) == want, (n, div, e, base)
+            a = ref_pow([1, 1], n, reduced, n)
+            b = ref_pow([0, 1], n, reduced, n)
+            want = [u - v for u, v in zip(a + [0] * m, b + [0] * m)]
+            want[0] -= 1
+            for d in (div, div.reduced(n)):
+                assert mbec_remainder(n, d) == Poly(want, n), (n, d)
+    assert hits
+
+
+def test_wide_divisor_over_z_keeps_a_table_per_n():
+    """A divisor over Z shares its table over Z only while every entry fits
+    64 bits. The canonical divisors up to m = 23 do; one with 100-bit
+    coefficients does not, and its ring folds with least-absolute residues
+    mod n, as the ring of a divisor given mod n does."""
+    for m in (5, 7, 9, 11, 13, 16, 17, 23):
+        params = canonical_params(m)
+        for div in (params.upsilon, params.psi):
+            assert polyring._shared(div.coeffs) is not None, (m, div)
+    n = 2**61 - 1
+    div = Poly([2**100 + 3, 2**99 + 1, 0, 1])
+    assert polyring._shared(div.coeffs) is None
+    ring = QuotientRing(div, n)
+    assert all(abs(f) <= n // 2 for col in ring._cols for f in col)
+    for base in ([0, 1], [1, 1]):
+        got = poly_powmod(ring, Poly(base, n), n)
+        assert list(got.coeffs) == ref_pow(base, n, list(div.reduced(n).coeffs), n)
+
+
 def test_one_ladder_per_shape():
     """Rings of one divisor at two wide moduli run one compiled ladder per
     base kind: the table entries are the same small integers at both.
