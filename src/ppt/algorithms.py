@@ -12,11 +12,15 @@ Three deciders share one verdict model:
 * enhanced_mr: randomized hybrid; random bases serve either as Miller-Rabin
   bases or, once one is a non-residue, as the q for the two checks above.
 
-Composite verdicts carry a mechanism object and prime verdicts the basis
-(explicit non-residue or parameter m) that certified them. Each re-verifies
-from n and its own fields: a factor, square or root by arithmetic, and a
-claim made at a q or an m by re-running the route that made it there
-(_pbpc_tail or _battery) and comparing the result with the claim.
+Composite verdicts carry a mechanism and prime verdicts the basis (explicit
+non-residue or parameter m) that certified them. Both are claims, and one
+table, _CLAIMS, describes every claim kind: its class, its certificate
+slot, and the forms it takes, each with its fields and their JSON types,
+its check and its description. The claim classes and the certificate
+codec are built from that table. A claim re-verifies from n and its own
+fields: a factor, square or root by arithmetic, and a claim made at a q or
+an m by re-running the route that made it there (_pbpc_tail or _battery)
+and comparing the result with the claim.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from collections import namedtuple
 from enum import Enum
-from typing import Any, Callable, get_args
+from typing import Any, Callable, NamedTuple
 
 from . import ntcore as nt
 from .canonical import canonical_params, find_qnr_or_m
@@ -69,15 +73,15 @@ class Outcome(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-# --------------------------------------------------------------- mechanisms
+# ------------------------------------------------------------------ claims
 
 
-def _tail_makes(claim: Mechanism | PrimeBasis, n: int) -> bool:
+def _tail_makes(claim: _Claim, n: int) -> bool:
     """Whether the scalar tail at claim.q, a non-residue of n, makes claim."""
     return jacobi(claim.q, n) == -1 and _pbpc_tail(n, claim.q) == claim
 
 
-def _battery_makes(claim: Mechanism | PrimeBasis, n: int, mode: str) -> bool:
+def _battery_makes(claim: _Claim, n: int, mode: str) -> bool:
     """Whether the battery makes claim at claim.m, the m find_qnr_or_m picks.
 
     The searched m fixes the divisors, and bounds the verifier's cost.
@@ -87,176 +91,177 @@ def _battery_makes(claim: Mechanism | PrimeBasis, n: int, mode: str) -> bool:
     return searched and _battery(n, m, mode) == claim
 
 
-@dataclass(frozen=True)
-class Even:
-    """n is even and greater than 2."""
+def _proper_factor(claim: _Claim, n: int) -> bool:
+    return 1 < claim.p < n and n % claim.p == 0
 
-    kind = "even"
+
+def _nontrivial_root(claim: _Claim, n: int) -> bool:
+    r = claim.b % n
+    return r not in (1, n - 1) and r * r % n == 1
+
+
+class _Form(NamedTuple):
+    """One form of a claim kind.
+
+    fields maps each field the form holds to its JSON type: int, str, or
+    list (of ints, held as a tuple). verify(n) runs check(claim, n), and
+    describe() fills text from the fields.
+    """
+
+    fields: dict[str, type]
+    check: Callable[[Any, int], bool]
+    text: str
+
+
+# kind -> (claim class, certificate slot, *forms). A claim holds the fields
+# of one form of its kind; the other fields of its class read None.
+_CLAIMS: dict[str, tuple] = {
+    "even": ("Even", "mechanism", _Form({}, lambda c, n: n > 2 and n % 2 == 0, "even")),
+    "trivial_factor": ("TrivialFactor", "mechanism",
+                       _Form({"p": int}, _proper_factor, "factor {p}")),
+    "perfect_square": ("PerfectSquare", "mechanism",
+                       _Form({"s": int}, lambda c, n: c.s > 1 and c.s * c.s == n,
+                             "perfect square of {s}")),
+    "jacobi_zero_factor": ("JacobiZeroFactor", "mechanism",
+                           _Form({"p": int}, _proper_factor, "shared factor {p}")),
+    "euler_witness": ("EulerWitness", "mechanism",
+                      _Form({"q": int, "ecc_value": int}, _tail_makes,
+                            "euler defect {ecc_value} at q={q}")),
+    "binomial_witness": (
+        "BinomialWitness", "mechanism",
+        _Form({"q": int, "a": int, "b": int}, _tail_makes,
+              "binomial defect ({a}, {b}) at q={q}"),
+        _Form({"divisor_kind": str, "divisor": list, "remainder": list, "m": int},
+              lambda c, n: _battery_makes(c, n, "fgpc"),
+              "binomial defect mod {divisor_kind} (m={m})"),
+    ),
+    "mr_nontrivial_root": ("MrNontrivialRoot", "mechanism",
+                           _Form({"base": int, "b": int}, _nontrivial_root,
+                                 "nontrivial root of unity {b} (base {base})")),
+    "fermat_witness": ("FermatWitness", "mechanism",
+                       _Form({"a": int},
+                             lambda c, n: n >= 3 and c.a % n != 0 and pow(c.a, n - 1, n) != 1,
+                             "fermat witness {a}")),
+    "pgpc_violation": ("PgpcViolation", "mechanism",
+                       _Form({"m": int, "failed": str, "remainder": list, "expected": list},
+                             lambda c, n: _battery_makes(c, n, "pgpc"),
+                             "polynomial battery failed {failed} at m={m}")),
+    "pbpc": ("PrimeBasis", "prime_basis",
+             _Form({"q": int}, _tail_makes, "explicit non-residue q={q}")),
+    "pgpc": ("PrimeBasis", "prime_basis",
+             _Form({"m": int}, lambda c, n: _battery_makes(c, n, "pgpc"), "pgpc at m={m}")),
+    "fgpc": ("PrimeBasis", "prime_basis",
+             _Form({"m": int}, lambda c, n: _battery_makes(c, n, "fgpc"), "fgpc at m={m}")),
+}
+
+
+class _Claim(tuple):
+    """A claim is the tuple (kind, *fields), so == and hash include the kind.
+
+    Each claim class also derives from the namedtuple of those names, which
+    reads them by name; the fields outside the claim's form read None.
+    """
+
+    __slots__ = ()
+    _kinds: list[str]
+    _forms: dict[tuple, _Form]  # (kind, which fields after it are set) -> form
+    _form: Callable[[_Claim], _Form]  # the claim's own form
 
     def verify(self, n: int) -> bool:
-        return n > 2 and n % 2 == 0
+        return self._form().check(self, n)
 
     def describe(self) -> str:
-        return "even"
+        return self._form().text.format(**self._asdict())
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self) if len(self._kinds) > 1 else self[1:]
 
 
-@dataclass(frozen=True)
-class TrivialFactor:
-    """A proper divisor found by direct residue screening."""
+# The compiled members of a claim class. The constructor refuses a kind not
+# of the class, or values whose set fields are not one form of the kind.
+_CLASS_SOURCE = """
+def __new__(cls{params}):
+    if ({kind}, ({given})) not in forms:
+        raise ValueError("not the fields of one form of " + repr({kind}))
+    return new(cls, ({kind}, {values}))
 
-    p: int
-    kind = "trivial_factor"
-
-    def verify(self, n: int) -> bool:
-        return 1 < self.p < n and n % self.p == 0
-
-    def describe(self) -> str:
-        return f"factor {self.p}"
-
-
-@dataclass(frozen=True)
-class PerfectSquare:
-    """n = s**2 with s > 1."""
-
-    s: int
-    kind = "perfect_square"
-
-    def verify(self, n: int) -> bool:
-        return self.s > 1 and self.s * self.s == n
-
-    def describe(self) -> str:
-        return f"perfect square of {self.s}"
+def _form(self):
+    return forms[self[0], ({held})]
+"""
 
 
-@dataclass(frozen=True)
-class JacobiZeroFactor(TrivialFactor):
-    """A probe shared a factor with n (vanishing Jacobi symbol)."""
+def _claim_class(name: str, doc: str) -> type:
+    """The class of the kinds that _CLAIMS gives to name.
 
-    kind = "jacobi_zero_factor"
+    Its fields are those of the kinds' forms, in table order, after the
+    kind. Its constructor takes them by position or name, after the kind
+    where the class has several kinds, and each defaults to None. Like
+    namedtuple, it compiles that constructor, and _form, from the field
+    names (_CLASS_SOURCE).
+    """
+    kinds = [kind for kind, (cls, *_) in _CLAIMS.items() if cls == name]
+    pairs = [(kind, form) for kind in kinds for form in _CLAIMS[kind][2:]]
+    fields = tuple(dict.fromkeys(f for _, form in pairs for f in form.fields))
+    forms = {(k, tuple(f in form.fields for f in fields)): form for k, form in pairs}
+    several = len(kinds) > 1
+    namespace = {"forms": forms, "new": tuple.__new__}
+    exec(_CLASS_SOURCE.format(
+        params="".join([", kind"] * several + [f", {f}=None" for f in fields]),
+        kind="kind" if several else repr(kinds[0]),
+        given="".join(f"{f} is not None, " for f in fields),
+        values="".join(f"{f}, " for f in fields),
+        held="".join(f"self[{i}] is not None, " for i in range(1, len(fields) + 1)),
+    ), namespace)
+    return type(name, (_Claim, namedtuple(name, ("kind", *fields))), {
+        "__doc__": doc, "__module__": __name__, "__slots__": (),
+        "__new__": namespace["__new__"], "_form": namespace["_form"],
+        "_kinds": kinds, "_forms": forms,
+    })
 
-    def describe(self) -> str:
-        return f"shared factor {self.p}"
 
-
-@dataclass(frozen=True)
-class EulerWitness:
-    """Nonzero Euler-criterion defect at a non-residue q (made by _pbpc_tail)."""
-
-    q: int
-    ecc_value: int
-    kind = "euler_witness"
-
-    def verify(self, n: int) -> bool:
-        return _tail_makes(self, n)
-
-    def describe(self) -> str:
-        return f"euler defect {self.ecc_value} at q={self.q}"
-
-
-@dataclass(frozen=True)
-class BinomialWitness:
-    """Nonzero binomial-congruence defect.
+Even = _claim_class("Even", "n is even and greater than 2.")
+TrivialFactor = _claim_class(
+    "TrivialFactor", "A proper divisor p found by direct residue screening.")
+PerfectSquare = _claim_class("PerfectSquare", "n = s**2 with s > 1.")
+JacobiZeroFactor = _claim_class(
+    "JacobiZeroFactor", "A probe shared a factor p with n (vanishing Jacobi symbol).")
+EulerWitness = _claim_class(
+    "EulerWitness", "Nonzero Euler-criterion defect at a non-residue q (made by _pbpc_tail).")
+BinomialWitness = _claim_class("BinomialWitness", """Nonzero binomial-congruence defect.
 
     Scalar form (made by _pbpc_tail): (q, a, b) is the defect pair in
     Z_n[sqrt(q)]. Polynomial form (made by _battery in mode 'fgpc'):
     `divisor`, Psi_m mod n in ascending coefficients, leaves the nonzero
     `remainder`; `divisor_kind` names the canonical polynomial, always
-    "psi", and `m` its parameter. A witness holds exactly the fields of one
-    form.
-    """
-
-    q: int | None = None
-    a: int | None = None
-    b: int | None = None
-    divisor_kind: str | None = None
-    divisor: tuple[int, ...] | None = None
-    remainder: tuple[int, ...] | None = None
-    m: int | None = None
-    kind = "binomial_witness"
-
-    def __post_init__(self) -> None:
-        scalar, poly = (self.q, self.a, self.b), (self.divisor, self.remainder, self.m)
-        if not (None not in scalar and poly == (None,) * 3 and self.divisor_kind is None
-                or scalar == (None,) * 3 and None not in poly and self.divisor_kind == "psi"):
-            raise ValueError("a binomial witness holds the fields of one form")
-
-    def verify(self, n: int) -> bool:
-        if self.q is not None:
-            return _tail_makes(self, n)
-        return _battery_makes(self, n, "fgpc")
-
-    def describe(self) -> str:
-        if self.q is not None:
-            return f"binomial defect ({self.a}, {self.b}) at q={self.q}"
-        return f"binomial defect mod {self.divisor_kind} (m={self.m})"
-
-
-@dataclass(frozen=True)
-class MrNontrivialRoot:
-    """A square root of 1 other than +-1, found while squaring base**odd."""
-
-    base: int
-    b: int
-    kind = "mr_nontrivial_root"
-
-    def verify(self, n: int) -> bool:
-        r = self.b % n
-        return r not in (1, n - 1) and r * r % n == 1
-
-    def describe(self) -> str:
-        return f"nontrivial root of unity {self.b} (base {self.base})"
-
-
-@dataclass(frozen=True)
-class FermatWitness:
-    """a**(n-1) != 1 mod n, for a not divisible by n."""
-
-    a: int
-    kind = "fermat_witness"
-
-    def verify(self, n: int) -> bool:
-        return n >= 3 and self.a % n != 0 and pow(self.a, n - 1, n) != 1
-
-    def describe(self) -> str:
-        return f"fermat witness {self.a}"
-
-
-@dataclass(frozen=True)
-class PgpcViolation:
-    """First failing condition of the four-condition polynomial battery.
+    "psi", and `m` its parameter.
+    """)
+MrNontrivialRoot = _claim_class(
+    "MrNontrivialRoot", "A square root b of 1 other than +-1, found while squaring base**odd.")
+FermatWitness = _claim_class("FermatWitness", "a**(n-1) != 1 mod n, for a not divisible by n.")
+PgpcViolation = _claim_class(
+    "PgpcViolation", """First failing condition of the four-condition polynomial battery.
 
     Made by _battery in mode 'pgpc'. `remainder` holds the offending
     residue (ascending coefficients mod n) and `expected` what a prime
     would have produced there: the empty tuple for the two binomial
     conditions, (1,) or the Jacobi constant for the power conditions.
-    """
+    """)
+PrimeBasis = _claim_class("PrimeBasis", """What certified a prime verdict.
 
-    m: int
-    failed: str
-    remainder: tuple[int, ...]
-    expected: tuple[int, ...]
-    kind = "pgpc_violation"
+    kind 'pbpc': explicit non-residue q passed both scalar checks (made by
+    _pbpc_tail). kind 'pgpc' or 'fgpc': parameter m passed the battery in
+    that mode, four conditions or the single one (made by _battery).
+    """)
 
-    def verify(self, n: int) -> bool:
-        return _battery_makes(self, n, "pgpc")
-
-    def describe(self) -> str:
-        return f"polynomial battery failed {self.failed} at m={self.m}"
-
-
-Mechanism = (
-    Even | TrivialFactor | PerfectSquare | JacobiZeroFactor | EulerWitness
-    | BinomialWitness | MrNontrivialRoot | FermatWitness | PgpcViolation
-)
-
-_MECHANISMS = {cls.kind: cls for cls in get_args(Mechanism)}
+# (kind, the keys of a certificate entry in one of its forms) -> (slot, class, form)
+_DECODE = {(kind, frozenset(("kind", *form.fields))): (slot, globals()[name], form)
+           for kind, (name, slot, *forms) in _CLAIMS.items() for form in forms}
 
 
 # ------------------------------------------------------------ verdict model
 
 
-@dataclass(frozen=True)
-class QnrSearch:
+class QnrSearch(NamedTuple):
     """Search bookkeeping: whether a scan ran, how long, and the q used.
 
     q is the non-residue the verdict relied on (also set on the
@@ -269,52 +274,27 @@ class QnrSearch:
     q: int
 
 
-@dataclass(frozen=True)
-class PrimeBasis:
-    """What certified a prime verdict.
+class Verdict(NamedTuple):
+    """What decided n, and how long it took; == and hash ignore timings."""
 
-    kind 'pbpc': explicit non-residue q passed both scalar checks.
-    kind 'pgpc': parameter m passed the four-condition battery.
-    kind 'fgpc': parameter m passed the single-condition battery.
-    A basis holds its own parameter alone. Like a mechanism, it re-verifies
-    by re-running the route that made it: _pbpc_tail, or _battery with the
-    kind as its mode.
-    """
-
-    kind: str
-    q: int | None = None
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        own, other = (self.q, self.m) if self.kind == "pbpc" else (self.m, self.q)
-        if self.kind not in _BASES or own is None or other is not None:
-            raise ValueError(f"a {self.kind} basis: unknown kind, or not its parameter alone")
-
-    def verify(self, n: int) -> bool:
-        if self.kind == "pbpc":
-            return _tail_makes(self, n)
-        return _battery_makes(self, n, self.kind)
-
-    def describe(self) -> str:
-        if self.kind == "pbpc":
-            return f"explicit non-residue q={self.q}"
-        return f"{self.kind} at m={self.m}"
-
-
-@dataclass(frozen=True)
-class Verdict:
     n: int
     outcome: Outcome
-    mechanism: Mechanism | None
-    prime_basis: PrimeBasis | None
+    mechanism: _Claim | None
+    prime_basis: _Claim | None
     qnr_search: QnrSearch
-    timings: dict = field(compare=False, hash=False, default_factory=dict)
+    timings: dict
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Verdict) and self[:5] == other[:5]
+
+    def __ne__(self, other: object) -> bool:  # tuple's own != would compare timings
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
 
-Decision = Mechanism | PrimeBasis | Outcome
-
-
-def _verdict(n: int, t0: float, what: Decision, iters: int | None = None) -> Verdict:
+def _verdict(n: int, t0: float, what: _Claim | Outcome, iters: int | None = None) -> Verdict:
     """The one place a Verdict is built, from what decided n.
 
     A mechanism makes n composite and a PrimeBasis prime; an Outcome stands
@@ -333,7 +313,7 @@ def _verdict(n: int, t0: float, what: Decision, iters: int | None = None) -> Ver
     return Verdict(n, outcome, mech, basis, search, timings)
 
 
-def _degenerate(n: int, *, prime_three: bool) -> Decision | None:
+def _degenerate(n: int, *, prime_three: bool) -> _Claim | Outcome | None:
     """What decides n = 1, n = 2, optionally n = 3, and even n; else None."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -360,8 +340,7 @@ def _probe_prime(i: int) -> int:
 _QNR_PROBE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class QnrProbe:
+class QnrProbe(NamedTuple):
     """find_qnr outcome: whether probe p divides n, p, and the probe count."""
 
     found_factor: bool
@@ -393,7 +372,7 @@ def find_qnr(n: int) -> QnrProbe:
 # ----------------------------------------------------------- shared closing
 
 
-def _pbpc_tail(n: int, q: int) -> Mechanism | PrimeBasis:
+def _pbpc_tail(n: int, q: int) -> _Claim:
     """Euler criterion then binomial congruence at q, where (q | n) = -1 is
     known: n's class fixes it, or the caller has just evaluated it."""
     q %= n
@@ -405,7 +384,7 @@ def _pbpc_tail(n: int, q: int) -> Mechanism | PrimeBasis:
     return PrimeBasis("pbpc", q=q)
 
 
-def _battery(n: int, m: int, mode: str) -> Mechanism | PrimeBasis:
+def _battery(n: int, m: int, mode: str) -> _Claim:
     """The battery at parameter m: four conditions (mode 'pgpc') or cond2 alone."""
     params = canonical_params(m)
     if mode == "pgpc":
@@ -428,7 +407,7 @@ def _class_qnr(n: int) -> int | None:
     return n - 2 if r8 == 7 else None
 
 
-def _no_search(n: int) -> Mechanism | PrimeBasis:
+def _no_search(n: int) -> _Claim:
     """Odd n > 3 with n != 1 mod 24: 3 divides n, or a non-residue is known.
 
     Beyond the classes of _class_qnr, n = 17 mod 24 leaves q = 3, since
@@ -535,74 +514,45 @@ def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdic
 # ------------------------------------------------------------- certificates
 
 
-def _claim_to_json(claim: Mechanism | PrimeBasis) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": claim.kind}
-    for name in claim.__dataclass_fields__:
-        value = getattr(claim, name)
-        if isinstance(value, tuple):
-            value = list(value)
+def _claim_to_json(claim: _Claim) -> dict[str, Any]:
+    out: dict[str, Any] = {}
+    for name, value in zip(claim._fields, claim):
         if value is not None:
-            out[name] = value
+            out[name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
-# Prime-basis kind -> claim class, as _MECHANISMS is for the mechanism slot
-_BASES = dict.fromkeys(("pbpc", "pgpc", "fgpc"), PrimeBasis)
+def _claim_from_json(data: Any, slot: str) -> _Claim:
+    """Rebuild the claim in certificate slot `slot` from its entry there.
 
-# class -> (name, annotation, required) for each field of that claim
-_FIELDS = {
-    cls: [(f.name, f.type, f.default is MISSING) for f in fields(cls)]
-    for cls in (*_MECHANISMS.values(), PrimeBasis)
-}
-# class -> the keys its certificate entry may hold
-_KEYS = {cls: {"kind", *(name for name, _, _ in spec)} for cls, spec in _FIELDS.items()}
-
-
-def _fits(value: Any, annotation: str) -> bool:
-    """Whether a JSON value fits a field annotated int, str, or tuple of ints."""
-    if type(value) is int:
-        return annotation.startswith("int")
-    if value is None:
-        return "None" in annotation
-    if isinstance(value, (list, tuple)):
-        return annotation.startswith("tuple") and all(type(c) is int for c in value)
-    return isinstance(value, str) and annotation.startswith("str")
-
-
-def _claim_from_json(data: Any, table: dict[str, type]) -> Any:
-    """Rebuild the claim of class table[data["kind"]] from its certificate entry.
-
-    Raises ValueError unless data is a dictionary whose kind is in table,
-    every field is present (or has a default) with its annotated type (int,
-    str or list of ints), no other key is present, and the claim's own
-    checks pass.
+    Raises ValueError unless data is a dictionary whose kind _CLAIMS gives
+    to slot, and whose other keys are exactly the fields of one form of
+    that kind, each of its JSON type: int, str, or list of ints (null fits
+    none of them).
     """
     kind = data.get("kind") if isinstance(data, dict) else None
-    cls = table.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError("not a claim dictionary of a known kind")
-    if not data.keys() <= _KEYS[cls]:
-        raise ValueError(f"{kind} holds a field it does not define")
-    kwargs = {}
-    for name, annotation, required in _FIELDS[cls]:
-        if name in data:
-            value = data[name]
-            if not _fits(value, annotation):
-                raise ValueError(f"{kind}.{name} must be {annotation}")
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
-        elif required:
-            raise ValueError(f"{kind}.{name} is missing")
-    return cls(**kwargs)
+    found = _DECODE.get((kind, frozenset(data))) if isinstance(kind, str) else None
+    if found is None or found[0] != slot:
+        raise ValueError(f"not a {slot} holding the fields of one form of a known kind")
+    _, cls, form = found
+    values = dict(data)
+    for name, json_type in form.fields.items():
+        value = values[name]
+        if json_type is list and isinstance(value, (list, tuple)) and all(
+                type(c) is int for c in value):
+            values[name] = tuple(value)
+        elif json_type is list or type(value) is not json_type:
+            raise ValueError(f"{kind}.{name} must be {json_type.__name__}")
+    return cls._make(map(values.get, cls._fields))
 
 
-def mechanism_from_json(data: dict[str, Any]) -> Mechanism:
-    """Rebuild a mechanism object from its certificate dictionary.
+def mechanism_from_json(data: dict[str, Any]) -> _Claim:
+    """Rebuild a mechanism from its certificate dictionary.
 
-    Raises ValueError unless the kind is known, every field is present
-    (or has a default) with its annotated type (int, str or list of ints),
-    and the fields make one form of the claim.
+    Raises ValueError unless its kind is a mechanism's and it holds exactly
+    the fields of one form of that kind, each of its JSON type.
     """
-    return _claim_from_json(data, _MECHANISMS)
+    return _claim_from_json(data, "mechanism")
 
 
 def certificate(verdict: Verdict) -> dict[str, Any]:
@@ -673,7 +623,7 @@ def verify_certificate(cert: Any) -> bool:
         elif outcome == "prime":
             if mech is not None:
                 return False
-            claim = None if basis is None else _claim_from_json(basis, _BASES)
+            claim = None if basis is None else _claim_from_json(basis, "prime_basis")
         elif outcome in ("not_applicable", "inconclusive"):
             if mech is not None or basis is not None:
                 return False

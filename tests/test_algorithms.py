@@ -1,6 +1,7 @@
 """Unit tests for the end-to-end deciders, mechanisms, and certificates."""
 
 import json
+import pickle
 import random
 
 import pytest
@@ -10,10 +11,16 @@ from ppt.algorithms import (
     ALGORITHMS,
     BinomialWitness,
     EulerWitness,
+    JacobiZeroFactor,
     Outcome,
+    PerfectSquare,
     PrimeBasis,
     QnrSearch,
+    TrivialFactor,
     Verdict,
+    _CLAIMS,
+    _claim_from_json,
+    _claim_to_json,
     certificate,
     enhanced_mr,
     find_qnr,
@@ -383,6 +390,12 @@ class TestVerdictModel:
         v = ppta_eqnr(341)
         with pytest.raises(AttributeError):
             v.outcome = Outcome.PRIME
+        with pytest.raises(AttributeError):
+            v.qnr_search.q = 3
+        probe = find_qnr(569)
+        for name in ("found_factor", "p", "iterations", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(probe, name, 5)
 
 
 class TestCertificates:
@@ -574,6 +587,13 @@ class TestCertificates:
             forged.append({**poly, "mechanism": {**mech, **extra}})
         no_kind = {k: v for k, v in mech.items() if k != "divisor_kind"}
         forged.append({**poly, "mechanism": no_kind})
+        # The fields of the other form, or the other parameter, as null.
+        unused = dict.fromkeys(("m", "divisor", "divisor_kind", "remainder"))
+        forged += [
+            {**scalar, "mechanism": {**scalar["mechanism"], **unused}},
+            {**pgpc, "prime_basis": {**pgpc["prime_basis"], "q": None}},
+            {**pbpc, "prime_basis": {**pbpc["prime_basis"], "m": None}},
+        ]
         for cert in forged:
             assert verify_certificate(cert) is False, cert
 
@@ -725,6 +745,40 @@ class TestCertificates:
         # No route makes a basis of another kind.
         with pytest.raises(ValueError):
             PrimeBasis("xyz", m=5)
+
+
+# One JSON value per field type, the same for every kind, so that claims of
+# two kinds whose fields hold equal values meet in the comparison below.
+_SAMPLE = {int: 5, str: "psi", list: [1, 2]}
+
+
+def _samples(kind):
+    """A claim of each form of kind, decoded from its certificate entry."""
+    return [_claim_from_json({"kind": kind, **{f: _SAMPLE[t] for f, t in form.fields.items()}},
+                             _CLAIMS[kind][1])
+            for form in _CLAIMS[kind][2:]]
+
+
+@pytest.mark.parametrize("kind", sorted(_CLAIMS))
+def test_claim_kind_round_trips_and_equals_only_itself(kind):
+    slot = _CLAIMS[kind][1]
+    others = [c for k in _CLAIMS if k != kind for c in _samples(k)]
+    for claim in _samples(kind):
+        assert claim.kind == kind and claim.describe()
+        data = json.loads(json.dumps(_claim_to_json(claim)))
+        assert _claim_from_json(data, slot) == claim
+        if slot == "mechanism":
+            assert mechanism_from_json(data) == claim
+        assert pickle.loads(pickle.dumps(claim)) == claim
+        assert hash(claim) == hash(_claim_from_json(data, slot))
+        for name in (*claim._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(claim, name, 7)
+        assert all(claim != other for other in others), claim
+    # Each pair holds equal values, and would compare equal as bare tuples.
+    assert PerfectSquare(5) != TrivialFactor(5)
+    assert JacobiZeroFactor(3) != TrivialFactor(3)
+    assert PrimeBasis("pgpc", m=5) != PrimeBasis("fgpc", m=5)
 
 
 class TestRandomisedCrossCheck:
