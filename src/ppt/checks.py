@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .canonical import CanonicalParams, canonical_params
 from .ntcore import jacobi
-from .polyring import Poly, mbec_remainder, poly_powmod, quotient_ring
+from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 from .quadext import _pow
 
 __all__ = [
@@ -157,9 +157,9 @@ def _condition(
         raise ValueError(f"pgpc_condition: unknown condition {name!r}")
     upsilon_side = name in ("cond1", "cond3")
     div = params.upsilon if upsilon_side else params.psi
-    ring, x = quotient_ring(div, n), Poly([0, 1], n)
+    x = Poly([0, 1], n)
     if upsilon_side not in xn:
-        xn[upsilon_side] = poly_powmod(ring, x, n)
+        xn[upsilon_side] = poly_powmod(QuotientRing(div, n), x, n)
     if name in ("cond1", "cond2"):
         return mbec_remainder(n, div, xn[upsilon_side]), ()
     m, p_m = params.m, params.p_m
@@ -168,7 +168,7 @@ def _condition(
     if m >= 5 and n % p_m:
         if xn[upsilon_side].coeffs == Poly(_galois_image(m, n % m, upsilon_side), n).coeffs:
             return Poly(want, n), want
-    return poly_powmod(ring, x, n**params.d - 1), want
+    return poly_powmod(QuotientRing(div, n), x, n**params.d - 1), want
 
 
 def pgpc_condition(

@@ -5,15 +5,16 @@ nonzero; the zero polynomial has an empty coefficient tuple. A modulus of 0
 denotes signed integer coefficients (used by the canonical constructions
 before reduction at a concrete modulus).
 
-Products and reductions go through one kernel: a fold table of x**j mod
-the divisor (j = k..2k-1, k = deg divisor). A divisor given over Z whose
-table over Z has no entry wider than 64 bits, as for the canonical divisors
-(at most 31 bits up to m = 17, 44 bits at m = 23), keeps that one table,
-built on its first ring and shared with its fold patterns and ladders by
-its rings at every n; its entries are congruent to the reduced ones, so
-every residue is the same. Any other divisor gets a table of least-absolute
-residues mod n with each ring. A ladder step squares on raw integers, each
-cross product once, and folds back to k coefficients with one % n each.
+A ring is its divisor's table plus n: the fold table of x**j mod the
+divisor (j = k..2k-1, k = deg divisor), the ladders its rings have used
+and, for an even divisor P(x**2), the table of P(w). A divisor over Z with
+leading coefficient 1 whose fold table has no entry wider than 64 bits, as
+for the canonical divisors (at most 31 bits up to m = 17, 44 at m = 23),
+keeps one table over Z for its rings at every n; its entries are congruent
+to the reduced ones, so every residue is the same. Any other divisor gets
+a table of least-absolute residues mod n with each ring. A ladder step
+squares on raw integers, each cross product once, and folds back to k
+coefficients with one % n each.
 
 Powers run on the smallest ring that gives the same residue exactly:
 
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 __all__ = [
     "Poly",
     "QuotientRing",
     "mbec_remainder",
     "poly_powmod",
-    "quotient_ring",
 ]
 
 
@@ -119,10 +120,19 @@ class Poly:
         return " ".join(parts)
 
 
-class QuotientRing:
-    """Z_n[x] / <divisor(x)> for a monic divisor of degree >= 1."""
+class _Table(NamedTuple):
+    """A monic divisor's state, shared by its rings."""
 
-    __slots__ = ("divisor", "n", "_cols", "_half", "_ladders")
+    div: tuple[int, ...]
+    cols: list[tuple]  # the fold table, read by columns (_fold_columns)
+    ladders: dict  # base kind -> (ladder, fold)
+    half: _Table | None  # P(w)'s, for an even divisor P(x**2) of degree >= 4
+
+
+class QuotientRing:
+    """Z_n[x] / <divisor(x)> for a monic divisor of degree >= 1: its table plus n."""
+
+    __slots__ = ("n", "_table")
 
     def __init__(self, divisor: Poly, n: int | None = None):
         if n is None:
@@ -131,31 +141,26 @@ class QuotientRing:
             raise ValueError("QuotientRing: modulus must be >= 2")
         if divisor.n not in (0, n):
             raise ValueError("QuotientRing: modulus mismatch")
-        d = divisor if divisor.n == n else Poly(divisor.coeffs, n)
-        if d.degree < 1:
-            raise ValueError("QuotientRing: divisor degree must be >= 1")
-        if d.coeffs[-1] != 1:
-            raise ValueError("QuotientRing: divisor must be monic")
-        object.__setattr__(self, "divisor", d)
+        cs = divisor.coeffs
+        # Leading coefficient 1 over Z: monic of the same degree at every n.
+        table = _shared(cs) if not divisor.n and len(cs) > 1 and cs[-1] == 1 else None
+        if table is None:
+            d = Poly(cs, n)
+            if d.degree < 1:
+                raise ValueError("QuotientRing: divisor degree must be >= 1")
+            if d.coeffs[-1] != 1:
+                raise ValueError("QuotientRing: divisor must be monic")
+            table = _table(d.coeffs, n)
         object.__setattr__(self, "n", n)
-        table = None if divisor.n else _shared(divisor.coeffs)
-        cols, ladders, half = table or _table(d.coeffs, n)
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_ladders", ladders)  # base kind -> (ladder, fold)
-        object.__setattr__(self, "_half", half and QuotientRing(half, n))
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRing is immutable")
 
-    def _reduce(self, p: list[int]) -> list[int]:
-        """p reduced to deg(divisor) coefficients."""
-        k, n = self.divisor.degree, self.n
-        if len(p) <= k:  # nothing to fold
-            return [c % n for c in p] + [0] * (k - len(p))
-        cols = self._cols
-        if len(p) > 2 * k:
-            cols = _fold_columns(self.divisor.coeffs, n, len(p) - 1)
-        return _fold(p, cols, n)
+    @property
+    def divisor(self) -> Poly:
+        """The divisor, reduced mod n when read."""
+        return Poly(self._table.div, self.n)
 
     def __repr__(self) -> str:
         return f"QuotientRing({self.divisor!r})"
@@ -184,24 +189,35 @@ def _fold_columns(div: tuple[int, ...], n: int, top: int) -> list[tuple]:
     return list(zip(*rows))
 
 
-def _table(div: tuple[int, ...], n: int) -> tuple[list[tuple], dict, Poly | None]:
-    """Fold table of div mod n (over Z at n = 0), an empty dict for its
-    ladders by base kind, and P(w) for an even div = P(x**2) of degree >= 4.
-    """
+def _table(div: tuple[int, ...], n: int) -> _Table:
+    """The _Table of div mod n (over Z at n = 0), with no ladders yet."""
     even = len(div) > 4 and not any(div[1::2])
-    return _fold_columns(div, n, 2 * len(div) - 3), {}, Poly(div[::2], n) if even else None
+    cols = _fold_columns(div, n, 2 * len(div) - 3)
+    return _Table(div, cols, {}, _table(div[::2], n) if even else None)
 
 
-# 64 keeps the two or three divisors of a battery for twenty m values.
+# 64 keeps the two divisors of a battery for thirty-two m values.
 @lru_cache(maxsize=64)
-def _shared(div: tuple[int, ...]) -> tuple | None:
+def _shared(div: tuple[int, ...]) -> _Table | None:
     """_table(div, 0), shared by the rings of div at every n: an entry differs
     from the residue mod n it stands for by a multiple of n, so each fold
     gives the same residue. None where an entry is wider than 64 bits (the
     canonical divisors' take at most 44 up to m = 23), so that a divisor
-    with wide coefficients keeps a table reduced mod each n."""
+    with wide coefficients keeps a table reduced mod each n. The half table
+    is covered too: x**(2i) mod P(x**2) is w**i mod P(w)."""
     table = _table(div, 0)
-    return table if max(abs(f) for col in table[0] for f in col).bit_length() <= 64 else None
+    return table if max(abs(f) for col in table.cols for f in col).bit_length() <= 64 else None
+
+
+def _reduce(table: _Table, n: int, p: list[int]) -> list[int]:
+    """p reduced to deg(divisor) coefficients."""
+    cols = table.cols
+    k = len(cols)
+    if len(p) <= k:  # nothing to fold
+        return [c % n for c in p] + [0] * (k - len(p))
+    if len(p) > 2 * k:
+        cols = _fold_columns(table.div, n, len(p) - 1)
+    return _fold(p, cols, n)
 
 
 def _fold(p: list[int], cols: list[tuple], n: int) -> list[int]:
@@ -319,33 +335,28 @@ def _ladder(k: int, nz: tuple, kind: str):
     return scope["ladder"]
 
 
-def _linear_power(ring: QuotientRing, c0: int, c1: int, e: int) -> list[int]:
-    """(c0 + c1*x)**e, e >= 1, on the ring's generated ladder for the base."""
-    kind = {(0, 1): "x", (1, 1): "1+x"}.get((c0, c1), "c0+c1*x")
-    try:
-        ladder, fold = ring._ladders[kind]
-    except KeyError:
-        cols = ring._cols
-        nz = tuple((i, j) for i, col in enumerate(cols) for j, f in enumerate(col) if f)
-        fold = tuple(cols[i][j] for i, j in nz)
-        ladder = _ladder(len(cols), nz, kind)
-        ring._ladders[kind] = ladder, fold
-    return ladder(bin(e)[3:], ring.n, c0, c1, fold)
-
-
-def _ring_power(ring: QuotientRing, base: list[int], e: int) -> list[int]:
-    """base**e in the ring, on the smallest ring that gives it exactly."""
-    b = ring._reduce(base)
-    k, n = len(b), ring.n
+def _ring_power(table: _Table, n: int, base: list[int], e: int) -> list[int]:
+    """base**e mod <divisor, n>, on the smallest ring that gives it exactly."""
+    b = _reduce(table, n, base)
+    k = len(b)
     if e == 0:
         return [1] + [0] * (k - 1)
-    if ring._half is not None and b == [0, 1] + [0] * (k - 2):
+    if table.half is not None and b == [0, 1] + [0] * (k - 2):
         out = [0] * k
-        out[e & 1::2] = _ring_power(ring._half, [0, 1], e >> 1)
+        out[e & 1::2] = _ring_power(table.half, n, [0, 1], e >> 1)
         return out
-    if 2 <= k <= _MAX_UNROLLED and not any(b[2:]):
-        return _linear_power(ring, b[0], b[1], e)
-    return _power(b, e, ring._cols, n)
+    if not 2 <= k <= _MAX_UNROLLED or any(b[2:]):
+        return _power(b, e, table.cols, n)
+    kind = {(0, 1): "x", (1, 1): "1+x"}.get((b[0], b[1]), "c0+c1*x")
+    try:
+        ladder, fold = table.ladders[kind]
+    except KeyError:
+        cols = table.cols
+        nz = tuple((i, j) for i, col in enumerate(cols) for j, f in enumerate(col) if f)
+        fold = tuple(cols[i][j] for i, j in nz)
+        ladder = _ladder(k, nz, kind)
+        table.ladders[kind] = ladder, fold
+    return ladder(bin(e)[3:], n, b[0], b[1], fold)
 
 
 def _coeffs(ring: QuotientRing, p: Poly, what: str) -> list[int]:
@@ -360,17 +371,7 @@ def poly_powmod(ring: QuotientRing, base: Poly, e: int) -> Poly:
     if e < 0:
         raise ValueError("poly_powmod: exponent must be >= 0")
     b = _coeffs(ring, base, "poly_powmod")
-    return Poly(_ring_power(ring, b, e), ring.n)
-
-
-@lru_cache(maxsize=8)
-def quotient_ring(d: Poly, n: int) -> QuotientRing:
-    """QuotientRing(d, n), shared by the calls that use the same divisor.
-
-    A battery takes up to three powers modulo each divisor; the ring and
-    its half ring are built once for them, not per power.
-    """
-    return QuotientRing(d, n)
+    return Poly(_ring_power(ring._table, ring.n, b, e), ring.n)
 
 
 def mbec_remainder(n: int, d: Poly, xn: Poly | None = None) -> Poly:
@@ -379,17 +380,15 @@ def mbec_remainder(n: int, d: Poly, xn: Poly | None = None) -> Poly:
     Zero exactly when the binomial congruence holds modulo d at modulus n.
     d must be monic of degree >= 1; integer-coefficient d is reduced mod n,
     and a d reduced under another modulus is refused. xn, when given, is
-    x**n in that ring as poly_powmod returns it, and is not recomputed.
+    x**n in that ring (any representative), and is not recomputed.
     """
     if n < 3 or not n & 1:
         raise ValueError("mbec_remainder: modulus must be odd and >= 3")
-    ring = quotient_ring(d, n)
-    a = _ring_power(ring, [1, 1], n)
+    ring = QuotientRing(d, n)
     if xn is None:
-        b = _ring_power(ring, [0, 1], n)
-    else:
-        b = _coeffs(ring, xn, "mbec_remainder")
-        b += [0] * (len(a) - len(b))
+        xn = poly_powmod(ring, Poly([0, 1]), n)
+    a = _ring_power(ring._table, n, [1, 1], n)
+    b = _reduce(ring._table, n, _coeffs(ring, xn, "mbec_remainder"))
     out = [u - v for u, v in zip(a, b)]
     out[0] -= 1
     return Poly(out, n)

@@ -243,7 +243,6 @@ class TestSharedChecks:
         real = ppt.polyring._fold_columns
         monkeypatch.setattr(ppt.polyring, "_fold_columns",
                             lambda *a: built.append(a) or real(*a))
-        ppt.polyring.quotient_ring.cache_clear()
         ppt.polyring._shared.cache_clear()
         tables = 4 if m == 16 else 3
         first, second = {5: (1009, 409), 7: (569, 1801), 16: (1153, 7561)}[m]

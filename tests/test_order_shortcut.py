@@ -16,7 +16,7 @@ import ppt.checks
 from ppt.canonical import canonical_params
 from ppt.checks import _galois_image, pgpc_condition
 from ppt.ntcore import jacobi
-from ppt.polyring import Poly, quotient_ring
+from ppt.polyring import Poly, QuotientRing
 
 from conftest import CARMICHAELS_1MOD24_1E8
 
@@ -75,7 +75,7 @@ def test_shortcut_matches_the_full_ladder(monkeypatch):
     # m = 3 and 4, which the shortcut leaves to the ladder (at m = 4 it
     # would be wrong: x is no unit modulo Upsilon_4 = t, and r = 3 sends
     # Psi_4's root u to -u). A residue the shortcut did not settle comes
-    # from one poly_powmod(quotient_ring(D, n), x, n**d - 1) call, which
+    # from one poly_powmod(QuotientRing(D, n), x, n**d - 1) call, which
     # the spy checks and answers with a marker instead of running; every
     # residue the shortcut settled is compared with that ladder.
     ladder = object()
@@ -110,7 +110,7 @@ def test_shortcut_matches_the_full_ladder(monkeypatch):
                     continue
                 assert calls == [n] and n % params.p_m
                 x = Poly([0, 1], n)
-                assert residue == real(quotient_ring(div, n), x, n**d - 1), (n, m, name)
+                assert residue == real(QuotientRing(div, n), x, n**d - 1), (n, m, name)
                 compared += 1
                 composite_shortcuts += not sympy.isprime(n)
     assert compared > 4000

@@ -203,3 +203,9 @@ class TestMbecRemainder:
         with pytest.raises(ValueError):
             mbec_remainder(10, Poly(PSI5))
 
+    def test_given_xn_is_reduced_in_the_ring(self):
+        # x**3 + x**2 is x modulo Upsilon_5 = x**2 + x - 1, and x is
+        # x**1009 there at the prime 1009.
+        xn = Poly([0, 0, 1, 1], 1009)
+        assert mbec_remainder(1009, Poly(UPS5), xn) == mbec_remainder(1009, Poly(UPS5))
+

@@ -164,19 +164,23 @@ def test_element_matches_reference(data):
 
 
 def test_integer_divisor_at_sign_boundary():
-    """A signed divisor and its residues mod n build the same ring."""
+    """A signed divisor and its residues mod n build the same ring, also
+    where its leading coefficient over Z is 1 only mod n: 7x**2 + x + 1 is
+    x + 1 mod 7, and 8x**2 + 3 is x**2 + 3."""
+    cases = [([1, 1, 7], 7), ([3, 0, 8], 7)]
     for n in SMALL_N + (10**30 + 57,):
         h = (n - 1) // 2
         for low in ([h, h + 1], [h + 1, -h], [n - 1, 1], [-1, -h]):
-            div = low + [1]
-            ring_z = QuotientRing(Poly(div), n)
-            ring_n = QuotientRing(Poly(div, n))
-            reduced = [c % n for c in div]
-            for e in (0, 1, 2, n - 1, n**2 - 1):
-                want = ref_pow([0, 1], e, reduced, n)
-                for ring in (ring_z, ring_n):
-                    got = poly_powmod(ring, Poly([0, 1]), e)
-                    assert list(got.coeffs) == want
+            cases.append((low + [1], n))
+    for div, n in cases:
+        ring_z = QuotientRing(Poly(div), n)
+        ring_n = QuotientRing(Poly(div, n))
+        reduced = list(Poly(div, n).coeffs)
+        for e in (0, 1, 2, 5, n - 1, n**2 - 1):
+            want = ref_pow([0, 1], e, reduced, n)
+            for ring in (ring_z, ring_n):
+                got = poly_powmod(ring, Poly([0, 1]), e)
+                assert list(got.coeffs) == want, (div, n, e)
 
 
 @st.composite
@@ -218,7 +222,7 @@ def test_degree_two_at_moduli_sharing_the_discriminant(n, div, monkeypatch):
         for e in (0, 1, 2, n - 1, n, n**2 - 1, 7 * n + 3):
             got = poly_powmod(ring, Poly(base, n), e)
             assert list(got.coeffs) == ref_pow(base, e, reduced, n), (base, e)
-    assert ring._ladders.keys() == {"x", "1+x", "c0+c1*x"}
+    assert ring._table.ladders.keys() == {"x", "1+x", "c0+c1*x"}
 
 
 @pytest.mark.parametrize("m", [5, 7, 9, 11, 13, 16, 17, 23, 32, 64])
@@ -254,7 +258,7 @@ def test_shared_table_at_moduli_dividing_an_entry(m):
     hits = 0
     for n in (3, 5, 7, 9, 11, 13, 25, 49):
         for div in divs:
-            cols = polyring._shared(div.coeffs)[0]
+            cols = polyring._shared(div.coeffs).cols
             hits += any(f and f % n == 0 for col in cols for f in col)
             reduced = list(div.reduced(n).coeffs)
             for e in (0, 1, 2, n, n * n + 1, 12345):
@@ -285,10 +289,27 @@ def test_wide_divisor_over_z_keeps_a_table_per_n():
     div = Poly([2**100 + 3, 2**99 + 1, 0, 1])
     assert polyring._shared(div.coeffs) is None
     ring = QuotientRing(div, n)
-    assert all(abs(f) <= n // 2 for col in ring._cols for f in col)
+    assert all(abs(f) <= n // 2 for col in ring._table.cols for f in col)
     for base in ([0, 1], [1, 1]):
         got = poly_powmod(ring, Poly(base, n), n)
         assert list(got.coeffs) == ref_pow(base, n, list(div.reduced(n).coeffs), n)
+
+
+def test_ring_at_a_new_n_builds_nothing(monkeypatch):
+    """A ring of a canonical divisor is its shared table plus n: at a new n
+    it builds no fold table, no half table and no reduced Poly. Upsilon_16
+    and Psi_16 are both even, so both hold a half table."""
+    params = canonical_params(16)
+    divs = (params.upsilon, params.psi)
+    tables = [QuotientRing(div, 1009)._table for div in divs]
+    assert all(table.half is not None for table in tables)
+    built = []
+    monkeypatch.setattr(polyring, "_fold_columns", lambda *a: built.append(a))
+    monkeypatch.setattr(polyring, "Poly", lambda *a: built.append(a))
+    for n in (1013, 2**127 - 1):
+        for div, table in zip(divs, tables):
+            assert QuotientRing(div, n)._table is table
+    assert not built
 
 
 def test_one_ladder_per_shape():
@@ -301,7 +322,7 @@ def test_one_ladder_per_shape():
         for ring in rings:
             for base in ([0, 1], [1, 1], [2, 3]):
                 poly_powmod(ring, Poly(base, ring.n), ring.n)
-        a, b = (ring._ladders for ring in rings)
+        a, b = (ring._table.ladders for ring in rings)
         assert a.keys() == b.keys() == {"x", "1+x", "c0+c1*x"}, m
         for kind in a:
             assert a[kind][0] is b[kind][0]
@@ -337,4 +358,4 @@ def test_linear_base_above_the_unrolled_degree():
         for e in (2 * k + 1, 1000):
             got = poly_powmod(ring, Poly(base, n), e)
             assert list(got.coeffs) == ref_pow(base, e, div, n)
-    assert not ring._ladders
+    assert not ring._table.ladders
