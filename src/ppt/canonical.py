@@ -14,8 +14,8 @@ minimizes deg Upsilon_m among the admissible prime powers examined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .ntcore import isqrt, jacobi, next_prime
 from .polyring import Poly, _product
@@ -124,8 +124,7 @@ def psi_of(m: int) -> Poly:
     return Poly(psi, 0)
 
 
-@dataclass(frozen=True)
-class CanonicalParams:
+class CanonicalParams(NamedTuple):
     """The divisor polynomials and shape data attached to a prime power m."""
 
     m: int
@@ -146,19 +145,20 @@ def canonical_params(m: int) -> CanonicalParams:
     return CanonicalParams(m=m, p_m=p, k=k, d=d, upsilon=ups, psi=psi)
 
 
-@dataclass(frozen=True)
-class FindResult:
-    """Outcome of the parameter search: exactly one payload field is set."""
+class FindResult(NamedTuple("FindResult", [("iterations", int), ("divisor", int | None),
+                                           ("qnr", int | None), ("m", int | None)])):
+    """Outcome of the parameter search: exactly one payload field is set,
+    checked by every construction (_make and _replace too)."""
 
-    iterations: int
-    divisor: int | None = None
-    qnr: int | None = None
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        payloads = sum(v is not None for v in (self.divisor, self.qnr, self.m))
-        if payloads != 1:
+    def __new__(cls, iterations: int, divisor: int | None = None,
+                qnr: int | None = None, m: int | None = None) -> FindResult:
+        if (divisor is None) + (qnr is None) + (m is None) != 2:
             raise ValueError("FindResult: exactly one of divisor/qnr/m must be set")
+        return tuple.__new__(cls, (iterations, divisor, qnr, m))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def find_qnr_or_m(n: int) -> FindResult:

@@ -8,8 +8,8 @@ polynomials attached to a parameter m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .canonical import CanonicalParams, canonical_params
 from .ntcore import jacobi
@@ -78,8 +78,7 @@ def pbpc(q: int, n: int) -> tuple[int, int, int]:
     return _tail(q, n, _symbol(q, n))
 
 
-@dataclass(frozen=True)
-class PgpcReport:
+class PgpcReport(NamedTuple):
     """Outcome of the four-condition polynomial battery for parameter m.
 
     Conditions are evaluated in order and short-circuit at the first

@@ -29,7 +29,6 @@ from .canonical import (
     factor_prime_power,
     find_qnr_or_m,
 )
-from .harness import CSV_HEADER, load_dataset, run_batch
 
 __all__ = ["main", "parse_int_expr"]
 
@@ -270,6 +269,7 @@ def _cmd_batch(args) -> int:
         raise _UsageError("--print-every must be >= 0")
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
+    from .harness import CSV_HEADER, load_dataset, run_batch
     dataset = load_dataset(args.file)
     algo = _algo_name(args.algo, args.mode)
 
@@ -333,6 +333,7 @@ def _cmd_bench(args) -> int:
             raise _UsageError(f"unknown algorithm {name!r}")
     if not names:
         raise _UsageError("no algorithms selected")
+    from .harness import load_dataset, run_batch
     dataset = load_dataset(args.file)
     print(f"{'algorithm':<12} {'cases':>8} {'seconds':>10}")
     for name in names:

@@ -8,7 +8,7 @@ and a quadratic-residue census for small moduli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "MrOutcome",
@@ -59,8 +59,7 @@ def lof_tpow(z: int) -> tuple[int, int]:
     return z >> t, t
 
 
-@dataclass(frozen=True)
-class MrOutcome:
+class MrOutcome(NamedTuple):
     """Result of one strong-pseudoprime round; value is the root or base."""
 
     witness: bool

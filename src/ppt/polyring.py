@@ -91,6 +91,9 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self.coeffs, self.n))
 
+    def __reduce__(self):
+        return Poly, (self.coeffs, self.n)
+
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r}, n={self.n})"
 

@@ -8,22 +8,23 @@ in Z_n[sqrt(q)]: quad_pow's and the binomial defect's in ppt.checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["QuadCtx", "QuadInt", "conjugate", "quad_mul", "quad_pow"]
 
 
-@dataclass(frozen=True)
-class QuadCtx:
-    """Ring context: odd modulus n >= 3 and the residue q under the radical."""
+class QuadCtx(NamedTuple("QuadCtx", [("n", int), ("q", int)])):
+    """Ring context: odd modulus n >= 3 and the residue q under the radical,
+    checked and reduced by every construction (_make and _replace too)."""
 
-    n: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 3 or not self.n & 1:
+    def __new__(cls, n: int, q: int) -> QuadCtx:
+        if n < 3 or not n & 1:
             raise ValueError("QuadCtx: modulus must be odd and >= 3")
-        object.__setattr__(self, "q", self.q % self.n)
+        return tuple.__new__(cls, (n, q % n))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def element(self, a: int, b: int) -> "QuadInt":
         return QuadInt(a, b, self)
@@ -32,18 +33,16 @@ class QuadCtx:
         return QuadInt(1, 1, self)
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """Element a + b*sqrt(q) of Z_n[sqrt(q)]."""
+class QuadInt(NamedTuple("QuadInt", [("a", int), ("b", int), ("ctx", QuadCtx)])):
+    """Element a + b*sqrt(q) of Z_n[sqrt(q)], both coordinates reduced mod n."""
 
-    a: int
-    b: int
-    ctx: QuadCtx
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.ctx.n
-        object.__setattr__(self, "a", self.a % n)
-        object.__setattr__(self, "b", self.b % n)
+    def __new__(cls, a: int, b: int, ctx: QuadCtx) -> QuadInt:
+        n = ctx.n
+        return tuple.__new__(cls, (a % n, b % n, ctx))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def is_zero(self) -> bool:

@@ -280,3 +280,33 @@ def test_package_loads_the_harness_on_first_use():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split() == ["False", "True", "False"]
+
+
+def _loads(code: str) -> set[str]:
+    """The modules that code adds to sys.modules in a fresh interpreter,
+    counted from after start-up, so that modules a site hook preloads
+    are not among them."""
+    code = "import sys\nbefore = set(sys.modules)\n" + code + (
+        "\nprint(*sorted(set(sys.modules) - before))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ppt.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_deciding_and_verifying_load_no_dataclasses():
+    """import ppt, the four deciders on a scalar n and two battery n, and the
+    verification of each certificate load neither dataclasses nor inspect;
+    ppt test does not load them either, nor ppt.harness."""
+    loaded = _loads(
+        "import json, ppt\n"
+        "for n in (1000003, 1009, 10000000127881):\n"
+        "    for decide in ppt.ALGORITHMS.values():\n"
+        "        cert = json.loads(json.dumps(ppt.certificate(decide(n))))\n"
+        "        assert cert['outcome'] == 'prime' and ppt.verify_certificate(cert)\n"
+    )
+    assert {"ppt.algorithms", "ppt.checks", "ppt.polyring"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    loaded = _loads("from ppt.cli import main\nassert main(['test', '1009']) == 0\n")
+    assert "ppt.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ppt.harness"}
