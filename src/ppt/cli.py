@@ -15,8 +15,6 @@ Exit codes: 0 prime, 1 composite, 2 not applicable or inconclusive,
 from __future__ import annotations
 
 import argparse
-import decimal
-import json
 import math
 import re
 import sys
@@ -43,19 +41,18 @@ class _UsageError(Exception):
     pass
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[()^*+-])")
+# A token, or any other character (group 1 unset); with no trailing space,
+# the matches tile the text.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+|[()^*+-])|\S)")
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
     text = text.rstrip()
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise _UsageError(f"bad character in expression: {text[pos:]!r}")
+    for m in _TOKEN_RE.finditer(text):
+        if m.group(1) is None:
+            raise _UsageError(f"bad character in expression: {text[m.start():]!r}")
         tokens.append(m.group(1))
-        pos = m.end()
     return tokens
 
 
@@ -74,6 +71,7 @@ def _limit_digits() -> str:
     decimal's products are subquadratic: this takes about 0.06 s, where
     int() of a literal that long takes about 3 s.
     """
+    import decimal
     prec = _MAX_LITERAL_DIGITS
     ctx = decimal.Context(prec=prec, Emax=prec, traps=[decimal.Inexact])
     return str(ctx.power(2, _MAX_POWER_BITS))
@@ -81,6 +79,19 @@ def _limit_digits() -> str:
 # Largest m `poly` builds. The divisor polynomials cost about 8-10x more each
 # time m doubles: on one Xeon core about 4 s at the prime 4093, 40 s at 8191.
 _MAX_POLY_M = 4096
+
+
+# Each binary operator: its binding power (^ alone is right associative), the
+# name of its size bound, the bit length that bound checks, and the operation.
+_OPERATORS = {
+    "+": (1, "sum", lambda a, b: max(a.bit_length(), b.bit_length()) + 1, int.__add__),
+    "-": (1, "sum", lambda a, b: max(a.bit_length(), b.bit_length()) + 1, int.__sub__),
+    "*": (2, "product", lambda a, b: a.bit_length() + b.bit_length(), int.__mul__),
+    "^": (3, "power", lambda a, b: a.bit_length() * b, pow),
+}
+# Parentheses plus chained ^ nested deeper than this are a usage error, refused
+# before they can exhaust the interpreter's stack; no honest expression is near.
+_MAX_DEPTH = 100
 
 
 def parse_int_expr(text: str) -> int:
@@ -92,39 +103,29 @@ def parse_int_expr(text: str) -> int:
     product a*b with bits(a) + bits(b) over 2**21 and a sum or difference
     whose wider operand has 2**21 bits are rejected; a literal is refused
     from its digits before it is converted, and the others before they are
-    computed.
+    computed. Each enclosing pair of parentheses and each enclosing ^ is
+    one level of nesting; over 100 levels are rejected.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise _UsageError("empty expression")
+    tokens.append("")  # end marker: no operator and no operand
     pos = 0
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
+    def operand(depth: int) -> int:
         nonlocal pos
+        if depth > _MAX_DEPTH:
+            raise _UsageError(f"nesting too deep: over {_MAX_DEPTH} levels")
         tok = tokens[pos]
         pos += 1
-        return tok
-
-    def bound(bits: int, what: str) -> None:
-        if bits > _MAX_POWER_BITS:
-            raise _UsageError(f"{what} too large: over {_MAX_POWER_BITS} bits")
-
-    def atom() -> int:
-        tok = peek()
-        if tok is None:
-            raise _UsageError("unexpected end of expression")
         if tok == "(":
-            take()
-            v = expr()
-            if peek() != ")":
+            v = climb(1, depth + 1)
+            if tokens[pos] != ")":
                 raise _UsageError("missing ')'")
-            take()
+            pos += 1
             return v
         if tok.isdigit():
-            digits = take().lstrip("0") or "0"
+            digits = tok.lstrip("0") or "0"
             # At or over 2**_MAX_POWER_BITS, compared as digit strings.
             if len(digits) > _MAX_LITERAL_DIGITS or (
                 len(digits) == _MAX_LITERAL_DIGITS
@@ -132,40 +133,33 @@ def parse_int_expr(text: str) -> int:
             ):
                 raise _UsageError(f"literal too large: over {_MAX_POWER_BITS} bits")
             return int(digits, 10)
+        if not tok:
+            raise _UsageError("unexpected end of expression")
         raise _UsageError(f"unexpected token {tok!r}")
 
-    def power() -> int:
-        base = atom()
-        if peek() == "^":
-            take()
-            exponent = power()
-            if exponent < 0 or exponent > 1 << 20:
-                raise _UsageError("exponent out of range")
-            bound(base.bit_length() * exponent, "power")
-            return base**exponent
-        return base
-
-    def term() -> int:
-        v = power()
-        while peek() == "*":
-            take()
-            w = power()
-            bound(v.bit_length() + w.bit_length(), "product")
-            v *= w
+    def climb(min_binding: int, depth: int) -> int:
+        nonlocal pos
+        v = operand(depth)
+        while tokens[pos] in _OPERATORS:
+            op = tokens[pos]
+            binding, what, bits, compute = _OPERATORS[op]
+            if binding < min_binding:
+                break
+            pos += 1
+            if op == "^":
+                w = climb(binding, depth + 1)
+                if w < 0 or w > 1 << 20:
+                    raise _UsageError("exponent out of range")
+            else:
+                w = climb(binding + 1, depth)
+            if bits(v, w) > _MAX_POWER_BITS:
+                raise _UsageError(f"{what} too large: over {_MAX_POWER_BITS} bits")
+            v = compute(v, w)
         return v
 
-    def expr() -> int:
-        v = term()
-        while peek() in ("+", "-"):
-            op = take()
-            w = term()
-            bound(max(v.bit_length(), w.bit_length()) + 1, "sum")
-            v = v + w if op == "+" else v - w
-        return v
-
-    value = expr()
-    if pos != len(tokens):
-        raise _UsageError(f"trailing tokens in expression: {tokens[pos:]!r}")
+    value = climb(1, 0)
+    if tokens[pos]:
+        raise _UsageError(f"trailing tokens in expression: {tokens[pos:-1]!r}")
     return value
 
 
@@ -177,37 +171,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# The decider each --algo names, with --mode filled in.
+_ALGO_NAMES = {"eqnr": "eqnr", "inr": "inr_{mode}", "mr-hybrid": "enhanced_mr"}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ppt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    decider = argparse.ArgumentParser(add_help=False)
+    decider.add_argument("--algo", choices=tuple(_ALGO_NAMES), default="eqnr")
+    decider.add_argument("--mode", choices=("pgpc", "fgpc"), default="pgpc")
 
-    p_test = sub.add_parser("test", help="decide one number")
+    p_test = sub.add_parser("test", help="decide one number", parents=[decider])
+    p_test.set_defaults(run=_cmd_test)
     p_test.add_argument("n", help="integer or expression such as 2^11-1")
-    p_test.add_argument(
-        "--algo", choices=("eqnr", "inr", "mr-hybrid"), default="eqnr"
-    )
-    p_test.add_argument("--mode", choices=("pgpc", "fgpc"), default="pgpc")
     p_test.add_argument("--json", action="store_true", dest="as_json")
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--max-iters", type=int, default=64)
 
-    p_batch = sub.add_parser("batch", help="run a decider over a dataset file")
-    p_batch.add_argument("file")
-    p_batch.add_argument(
-        "--algo", choices=("eqnr", "inr", "mr-hybrid"), default="eqnr"
+    p_batch = sub.add_parser(
+        "batch", help="run a decider over a dataset file", parents=[decider]
     )
-    p_batch.add_argument("--mode", choices=("pgpc", "fgpc"), default="pgpc")
+    p_batch.set_defaults(run=_cmd_batch)
+    p_batch.add_argument("file")
     p_batch.add_argument("--print-every", type=int, default=0)
     p_batch.add_argument("--out", help="also write cumulative stats rows as CSV")
     p_batch.add_argument("--jobs", type=int, default=1)
 
     p_poly = sub.add_parser("poly", help="print divisor polynomials for m")
+    p_poly.set_defaults(run=_cmd_poly)
     p_poly.add_argument("m", type=int)
 
     p_findm = sub.add_parser("find-m", help="parameter search for n = 1 mod 24")
+    p_findm.set_defaults(run=_cmd_find_m)
     p_findm.add_argument("n", help="integer or expression")
 
     p_bench = sub.add_parser("bench", help="time each decider over a dataset")
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument("file")
     p_bench.add_argument(
         "--algos",
@@ -215,14 +215,6 @@ def _build_parser() -> _Parser:
         help="comma-separated subset of " + ",".join(sorted(ALGORITHMS)),
     )
     return parser
-
-
-def _algo_name(algo: str, mode: str) -> str:
-    if algo == "eqnr":
-        return "eqnr"
-    if algo == "inr":
-        return f"inr_{mode}"
-    return "enhanced_mr"
 
 
 def _describe(verdict: Verdict) -> str:
@@ -238,12 +230,7 @@ def _describe(verdict: Verdict) -> str:
     return f"{verdict.n}: Inconclusive after {its} random draws"
 
 
-def _exit_code(verdict: Verdict) -> int:
-    if verdict.outcome is Outcome.PRIME:
-        return EXIT_PRIME
-    if verdict.outcome is Outcome.COMPOSITE:
-        return EXIT_COMPOSITE
-    return EXIT_UNDECIDED
+_EXIT_CODES = {Outcome.PRIME: EXIT_PRIME, Outcome.COMPOSITE: EXIT_COMPOSITE}
 
 
 def _cmd_test(args) -> int:
@@ -252,16 +239,17 @@ def _cmd_test(args) -> int:
     n = parse_int_expr(args.n)
     if n < 1:
         raise _UsageError("n must be >= 1")
-    algo = _algo_name(args.algo, args.mode)
+    algo = _ALGO_NAMES[args.algo].format(mode=args.mode)
     if algo == "enhanced_mr":
         verdict = enhanced_mr(n, max_random_iters=args.max_iters, rng_seed=args.seed)
     else:
         verdict = ALGORITHMS[algo](n)
     if args.as_json:
+        import json
         print(json.dumps(certificate(verdict), indent=2))
     else:
         print(_describe(verdict))
-    return _exit_code(verdict)
+    return _EXIT_CODES.get(verdict.outcome, EXIT_UNDECIDED)
 
 
 def _cmd_batch(args) -> int:
@@ -271,7 +259,7 @@ def _cmd_batch(args) -> int:
         raise _UsageError("--jobs must be >= 1")
     from .harness import CSV_HEADER, load_dataset, run_batch
     dataset = load_dataset(args.file)
-    algo = _algo_name(args.algo, args.mode)
+    algo = _ALGO_NAMES[args.algo].format(mode=args.mode)
 
     def emit(line: str) -> None:
         print(line, flush=True)
@@ -345,27 +333,24 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Lift Python's int-to-str limit (4300 digits) so every accepted n prints.
+    # Lift Python's int-to-str limit (4300 digits) so every accepted n prints;
+    # restore it on return, as it guards the caller against quadratic int/str.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if 0 < limit < _MAX_DIGITS:
+    lifted = 0 < limit < _MAX_DIGITS
+    if lifted:
         sys.set_int_max_str_digits(_MAX_DIGITS)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "test": _cmd_test,
-        "batch": _cmd_batch,
-        "poly": _cmd_poly,
-        "find-m": _cmd_find_m,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except _UsageError as exc:
         print(f"ppt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"ppt: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if lifted:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

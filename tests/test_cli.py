@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import contextlib
 import json
 import os
 import shutil
@@ -55,6 +56,33 @@ class TestExpressionParser:
             with pytest.raises(_UsageError):
                 parse_int_expr(bad)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty expression"),
+        ("   ", "empty expression"),
+        ("abc", "bad character in expression: 'abc'"),
+        ("2 $3 ", "bad character in expression: ' $3'"),
+        ("2^^3", "unexpected token '^'"),
+        ("-5", "unexpected token '-'"),
+        (")", "unexpected token ')'"),
+        ("2*", "unexpected end of expression"),
+        ("2^", "unexpected end of expression"),
+        ("(2+3", "missing ')'"),
+        ("((7)", "missing ')'"),
+        ("2 3", "trailing tokens in expression: ['3']"),
+        ("(2)(3)", "trailing tokens in expression: ['(', '3', ')']"),
+        ("2^10000000", "exponent out of range"),
+        ("2^(1-2)", "exponent out of range"),
+        ("(2^1000)^1000000", "power too large: over 2097152 bits"),
+        ("10^500000*10^500000", "product too large: over 2097152 bits"),
+        # (2^32 - 1)^65536 has exactly 2^21 bits, so adding to it is refused.
+        ("(2^32-1)^65536+1", "sum too large: over 2097152 bits"),
+        ("7" * 650_000, "literal too large: over 2097152 bits"),
+    ])
+    def test_rejection_messages(self, text, message):
+        with pytest.raises(cli._UsageError) as exc:
+            parse_int_expr(text)
+        assert str(exc.value) == message
+
     def test_result_size_cap(self):
         from ppt.cli import _UsageError
         assert parse_int_expr("2^1048576").bit_length() == 1048577
@@ -100,6 +128,22 @@ class TestExpressionParser:
         for lit in ("18446744073709551616", "18446744073709551617", "2" + "0" * 19):
             with pytest.raises(cli._UsageError, match="literal too large"):
                 parse_int_expr(lit)
+
+
+    @pytest.mark.parametrize("nest, value", [
+        (lambda k: "(" * k + "7" + ")" * k, 7),
+        (lambda k: "^".join(["1"] * (k + 1)), 1),
+    ], ids=["parentheses", "powers"])
+    def test_nesting_depth_bound(self, nest, value, capsys):
+        # 100 levels evaluate; one more is a usage error, refused before the
+        # nesting can exhaust the interpreter's stack, however deep it goes.
+        assert parse_int_expr(nest(100)) == value
+        with pytest.raises(cli._UsageError, match="^nesting too deep: over 100 levels$"):
+            parse_int_expr(nest(101))
+        t0 = time.perf_counter()
+        assert main(["test", nest(10_000)]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 0.5
+        assert capsys.readouterr().err == "ppt: error: nesting too deep: over 100 levels\n"
 
 
 class TestTestCommand:
@@ -187,7 +231,32 @@ class TestTestCommand:
         assert main(["test", "2^20000"]) == EXIT_COMPOSITE
         assert capsys.readouterr().out.endswith(": Composite (even)\n")
         assert main(["test", "2^20000", "--json"]) == EXIT_COMPOSITE
-        assert json.loads(capsys.readouterr().out)["n"] == 2**20000
+        # main restores the int-to-str limit on return, so reading the JSON
+        # of a 6021-digit n back lifts it here.
+        with _int_str_digits_lifted():
+            assert json.loads(capsys.readouterr().out)["n"] == 2**20000
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python 3.10 has no int-to-str limit")
+    def test_int_str_limit_is_restored(self, capsys, monkeypatch):
+        import ppt.algorithms
+
+        def exhausted(n):
+            raise RuntimeError("no quadratic non-residue")
+
+        before = sys.get_int_max_str_digits()
+        assert before < cli._MAX_DIGITS
+        assert main(["test", "1009"]) == EXIT_PRIME
+        assert sys.get_int_max_str_digits() == before
+        assert main(["test", "0"]) == EXIT_USAGE
+        assert sys.get_int_max_str_digits() == before
+        with pytest.raises(SystemExit):
+            main(["test", "7", "--algo", "zzz"])
+        assert sys.get_int_max_str_digits() == before
+        monkeypatch.setattr(ppt.algorithms, "find_qnr", exhausted)
+        assert main(["test", str(N22)]) == EXIT_ERROR
+        assert sys.get_int_max_str_digits() == before
+        capsys.readouterr()
 
 
 class TestBatchCommand:
@@ -333,6 +402,19 @@ class TestIterationLimits:
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@contextlib.contextmanager
+def _int_str_digits_lifted():
+    """Lift Python's int-to-str limit (none on 3.10) inside the block."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _child_env():

@@ -297,7 +297,8 @@ def _loads(code: str) -> set[str]:
 def test_deciding_and_verifying_load_no_dataclasses():
     """import ppt, the four deciders on a scalar n and two battery n, and the
     verification of each certificate load neither dataclasses nor inspect;
-    ppt test does not load them either, nor ppt.harness."""
+    ppt test, find-m and poly do not load them either, nor ppt.harness, json
+    or decimal."""
     loaded = _loads(
         "import json, ppt\n"
         "for n in (1000003, 1009, 10000000127881):\n"
@@ -307,6 +308,12 @@ def test_deciding_and_verifying_load_no_dataclasses():
     )
     assert {"ppt.algorithms", "ppt.checks", "ppt.polyring"} <= loaded
     assert not loaded & {"dataclasses", "inspect"}
-    loaded = _loads("from ppt.cli import main\nassert main(['test', '1009']) == 0\n")
+    loaded = _loads(
+        "from ppt.cli import main\n"
+        "assert main(['test', '1009']) == 0\n"
+        "assert main(['find-m', '6368689']) == 0\n"
+        "assert main(['poly', '13']) == 0\n"
+    )
     assert "ppt.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ppt.harness"}
+    assert not loaded & {"dataclasses", "inspect", "ppt.harness",
+                         "json", "decimal", "_decimal"}
