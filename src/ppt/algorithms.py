@@ -563,16 +563,12 @@ def certificate(verdict: Verdict) -> dict[str, Any]:
         "outcome": verdict.outcome.value,
         "mechanism": None if mech is None else _claim_to_json(mech),
         "prime_basis": None if basis is None else _claim_to_json(basis),
-        "qnr_search": {
-            "needed": verdict.qnr_search.needed,
-            "iterations": verdict.qnr_search.iterations,
-            "q": verdict.qnr_search.q,
-        },
+        "qnr_search": verdict.qnr_search._asdict(),
         "timings": dict(verdict.timings),
     }
 
 
-_SEARCH_KEYS = frozenset(("needed", "iterations", "q"))
+_SEARCH_KEYS = frozenset(QnrSearch._fields)
 
 
 def _records_fit(cert: dict, q: int) -> bool:

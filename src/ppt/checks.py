@@ -21,7 +21,6 @@ __all__ = [
     "bcc",
     "ecc",
     "fgpc_check",
-    "pbpc",
     "pgpc_check",
     "pgpc_condition",
 ]
@@ -41,20 +40,15 @@ def _tail(q: int, n: int, j: int, pair: bool = True) -> tuple[int, int, int]:
     return 0, (a - 1) % n, (b - h) % n
 
 
-def _symbol(q: int, n: int) -> int:
-    """(q | n), refused when it is zero."""
-    if j := jacobi(q, n):
-        return j
-    raise ValueError("jacobi symbol is zero; gcd(q, n) is a factor")
-
-
 def ecc(q: int, n: int) -> int:
     """Euler-criterion defect q**((n-1)/2) - (q | n) mod n, at odd n >= 3.
 
     Zero exactly when q**((n-1)/2) = (q | n) mod n. Raises when the Jacobi
     symbol vanishes, since gcd(q, n) > 1 already exposes a factor.
     """
-    return _tail(q, n, _symbol(q, n), pair=False)[0]
+    if j := jacobi(q, n):
+        return _tail(q, n, j, pair=False)[0]
+    raise ValueError("jacobi symbol is zero; gcd(q, n) is a factor")
 
 
 def bcc(q: int, n: int) -> tuple[int, int]:
@@ -67,15 +61,6 @@ def bcc(q: int, n: int) -> tuple[int, int]:
     if n < 3 or not n & 1:
         raise ValueError("bcc: modulus must be odd and >= 3")
     return _tail(q, n, 0)[1:]
-
-
-def pbpc(q: int, n: int) -> tuple[int, int, int]:
-    """(euler, a, b): ecc's defect, then bcc's pair only if that is zero.
-
-    Both share q**((n-1)/2); the pair reads (0, 0) when it is not
-    computed. Raises as ecc does.
-    """
-    return _tail(q, n, _symbol(q, n))
 
 
 class PgpcReport(NamedTuple):

@@ -19,6 +19,7 @@ import math
 import re
 import sys
 import time
+from contextlib import contextmanager
 
 from .algorithms import ALGORITHMS, Outcome, Verdict, certificate, enhanced_mr
 from .canonical import (
@@ -41,6 +42,12 @@ class _UsageError(Exception):
     pass
 
 
+def _echo(value) -> str:
+    """repr(value) cut to 60 characters, so a usage error is one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 # A token, or any other character (group 1 unset); with no trailing space,
 # the matches tile the text.
 _TOKEN_RE = re.compile(r"\s*(?:(\d+|[()^*+-])|\S)")
@@ -51,7 +58,7 @@ def _tokenize(text: str) -> list[str]:
     text = text.rstrip()
     for m in _TOKEN_RE.finditer(text):
         if m.group(1) is None:
-            raise _UsageError(f"bad character in expression: {text[m.start():]!r}")
+            raise _UsageError(f"bad character in expression: {_echo(text[m.start():])}")
         tokens.append(m.group(1))
     return tokens
 
@@ -75,6 +82,23 @@ def _limit_digits() -> str:
     prec = _MAX_LITERAL_DIGITS
     ctx = decimal.Context(prec=prec, Emax=prec, traps=[decimal.Inexact])
     return str(ctx.power(2, _MAX_POWER_BITS))
+
+
+@contextmanager
+def _int_limit_lifted():
+    """Lift Python's int-to-str limit (4300 digits) inside the block, so every
+    accepted n converts and prints; restore it after, as it guards the caller
+    against quadratic int/str."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lifted = 0 < limit < _MAX_DIGITS
+    if lifted:
+        sys.set_int_max_str_digits(_MAX_DIGITS)
+    try:
+        yield
+    finally:
+        if lifted:
+            sys.set_int_max_str_digits(limit)
+
 
 # Largest m `poly` builds. The divisor polynomials cost about 8-10x more each
 # time m doubles: on one Xeon core about 4 s at the prime 4093, 40 s at 8191.
@@ -132,7 +156,8 @@ def parse_int_expr(text: str) -> int:
                 and digits >= _limit_digits()
             ):
                 raise _UsageError(f"literal too large: over {_MAX_POWER_BITS} bits")
-            return int(digits, 10)
+            with _int_limit_lifted():
+                return int(digits, 10)
         if not tok:
             raise _UsageError("unexpected end of expression")
         raise _UsageError(f"unexpected token {tok!r}")
@@ -159,7 +184,7 @@ def parse_int_expr(text: str) -> int:
 
     value = climb(1, 0)
     if tokens[pos]:
-        raise _UsageError(f"trailing tokens in expression: {tokens[pos:-1]!r}")
+        raise _UsageError(f"trailing tokens in expression: {_echo(tokens[pos:-1])}")
     return value
 
 
@@ -211,7 +236,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("file")
     p_bench.add_argument(
         "--algos",
-        default="eqnr,inr_pgpc,inr_fgpc,enhanced_mr",
+        default=",".join(ALGORITHMS),
         help="comma-separated subset of " + ",".join(sorted(ALGORITHMS)),
     )
     return parser
@@ -333,24 +358,16 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Lift Python's int-to-str limit (4300 digits) so every accepted n prints;
-    # restore it on return, as it guards the caller against quadratic int/str.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    lifted = 0 < limit < _MAX_DIGITS
-    if lifted:
-        sys.set_int_max_str_digits(_MAX_DIGITS)
     try:
-        args = _build_parser().parse_args(argv)
-        return args.run(args)
+        with _int_limit_lifted():
+            args = _build_parser().parse_args(argv)
+            return args.run(args)
     except _UsageError as exc:
         print(f"ppt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"ppt: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    finally:
-        if lifted:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

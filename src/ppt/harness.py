@@ -33,27 +33,19 @@ __all__ = [
     "trial_division",
 ]
 
-RESOLUTION_BUCKETS = (
-    "perfect_square",
-    "js_zero_factor",
-    "euler",
-    "bcc",
-    "trivial_factor",
-    "pgpc",
-    "mr_witness",
-)
-
 _BUCKET_BY_KIND = {
-    "even": "trivial_factor",
-    "trivial_factor": "trivial_factor",
     "perfect_square": "perfect_square",
     "jacobi_zero_factor": "js_zero_factor",
     "euler_witness": "euler",
     "binomial_witness": "bcc",
+    "even": "trivial_factor",
+    "trivial_factor": "trivial_factor",
     "pgpc_violation": "pgpc",
     "mr_nontrivial_root": "mr_witness",
     "fermat_witness": "mr_witness",
 }
+
+RESOLUTION_BUCKETS = tuple(dict.fromkeys(_BUCKET_BY_KIND.values()))
 
 CSV_HEADER = (
     "index,js0,js0_frac,ecc,ecc_frac,bcc,bcc_frac,"

@@ -48,12 +48,13 @@ __all__ = [
 ]
 
 
-class Poly:
-    """Immutable dense polynomial; `coeffs` ascending, trailing term nonzero."""
+class Poly(NamedTuple("Poly", [("coeffs", tuple), ("n", int)])):
+    """Immutable dense polynomial; `coeffs` ascending, trailing term nonzero,
+    reduced and stripped by every construction (_make and _replace too)."""
 
-    __slots__ = ("coeffs", "n")
+    __slots__ = ()
 
-    def __init__(self, coeffs, n: int = 0):
+    def __new__(cls, coeffs, n: int = 0) -> Poly:
         if n < 0:
             raise ValueError("Poly: modulus must be >= 0")
         if n:
@@ -62,11 +63,9 @@ class Poly:
             cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "n", n)
+        return tuple.__new__(cls, (tuple(cs), n))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def degree(self) -> int:
@@ -82,17 +81,6 @@ class Poly:
         if n < 2:
             raise ValueError("Poly.reduced: modulus must be >= 2")
         return Poly(self.coeffs, n)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.n))
-
-    def __reduce__(self):
-        return Poly, (self.coeffs, self.n)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r}, n={self.n})"

@@ -7,7 +7,7 @@ import pytest
 import ppt.checks
 import ppt.polyring
 from ppt.canonical import canonical_params
-from ppt.checks import bcc, ecc, fgpc_check, pbpc, pgpc_check, pgpc_condition
+from ppt.checks import bcc, ecc, fgpc_check, pgpc_check, pgpc_condition
 from ppt.ntcore import jacobi
 from ppt.quadext import QuadCtx, quad_pow
 
@@ -178,21 +178,6 @@ class TestFgpc:
 
 
 class TestSharedChecks:
-    def test_pbpc_matches_ecc_then_bcc(self):
-        rng = random.Random(5)
-        cases = [(2, NHC), (2, ARN), (2, CAR), (3, 569), (5, 1009)]
-        cases += [(q, n) for q, _, _ in QUAD_589 for n in (589,)]
-        cases += [(rng.randrange(2, n), n)
-                  for n in (rng.randrange(5, 10**9) | 1 for _ in range(200))]
-        for q, n in cases:
-            if jacobi(q, n) == 0:
-                with pytest.raises(ValueError):
-                    pbpc(q, n)
-                continue
-            euler = ecc(q, n)
-            pair = (0, 0) if euler else bcc(q, n)
-            assert pbpc(q, n) == (euler, *pair), (q, n)
-
     @pytest.mark.parametrize("n, m", [(1729, 5), (NC, 5), (1009, 5), (N22, 7),
                                       (CAR, 7), (97, 3), (1153, 16)])
     def test_pgpc_check_is_the_conditions_in_order(self, n, m):

@@ -83,6 +83,20 @@ class TestExpressionParser:
             parse_int_expr(text)
         assert str(exc.value) == message
 
+    def test_usage_errors_echo_a_bounded_piece(self, capsys):
+        # Both inputs are 400,001 characters; each message quotes 60 of them.
+        for text in ("1 " + "2 " * 200_000, "1$" + "2 " * 200_000):
+            assert main(["test", text]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and len(err) < 200, len(err)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python 3.10 has no int-to-str limit")
+    def test_long_literal_parses_outside_main(self):
+        before = sys.get_int_max_str_digits()
+        assert parse_int_expr("7" * 5000) == 7 * (10**5000 - 1) // 9
+        assert sys.get_int_max_str_digits() == before
+
     def test_result_size_cap(self):
         from ppt.cli import _UsageError
         assert parse_int_expr("2^1048576").bit_length() == 1048577

@@ -1,9 +1,10 @@
-"""The NamedTuple records QuadCtx, QuadInt, MrOutcome, CanonicalParams,
-FindResult and PgpcReport keep the surface they had as frozen dataclasses:
-their repr, their constructor with positional and keyword arguments and
-defaults, AttributeError on assignment, pickling, equal hashes for equal
-values, and every check and reduction on each path that builds one: the
-constructor, _make, _replace and unpickling.
+"""The NamedTuple records Poly, QuadCtx, QuadInt, MrOutcome,
+CanonicalParams, FindResult and PgpcReport keep the surface they had as
+hand-written or frozen dataclass types: their repr, their constructor with
+positional and keyword arguments and defaults, AttributeError on
+assignment, pickling, equal hashes for equal values, and every check and
+reduction on each path that builds one: the constructor, _make, _replace
+and unpickling.
 """
 
 import pickle
@@ -18,10 +19,15 @@ from ppt.quadext import QuadCtx, QuadInt
 
 _CTX = "QuadCtx: modulus must be odd and >= 3"
 _FIND = "FindResult: exactly one of divisor/qnr/m must be set"
+_POLY = "Poly: modulus must be >= 0"
 
-# name -> (class, args, kwargs, the repr the frozen dataclass gave, and the
+# name -> (class, args, kwargs, the repr the earlier type gave, and the
 # constructions the record refuses, each with its ValueError message).
 RECORDS = {
+    "Poly": (Poly, ([8, 9, 0],), {"n": 7}, "Poly([1, 2], n=7)", [
+        (lambda: Poly([1, 2], -7), _POLY),
+        (lambda: Poly._make(((1, 2), -7)), _POLY),
+    ]),
     "QuadCtx": (QuadCtx, (2047, 4092), {}, "QuadCtx(n=2047, q=2045)", [
         (lambda: QuadCtx(10, 3), _CTX),
         (lambda: QuadCtx(1, 3), _CTX),
@@ -67,6 +73,13 @@ def test_record_keeps_its_surface(name):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+
+def test_poly_reduces_and_strips_on_every_path():
+    want = Poly([1, 2], n=7)
+    assert Poly([1, 2], 7)._replace(coeffs=(8, 9, 0)) == want
+    assert pickle.loads(pickle.dumps(tuple.__new__(Poly, ((8, 9, 0), 7)))) == want
+    assert Poly._make(([8, 9, 0], 7)) == want and want.coeffs == (1, 2)
 
 
 def test_quad_records_reduce_on_every_path():

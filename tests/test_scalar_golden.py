@@ -3,12 +3,13 @@
 tests/test_golden.py pins certificates for n below 20000, where every
 coordinate is narrow. This file pins the raw scalar results on seeded
 prime and composite moduli of 64 to 2048 bits. For each n and each q in
-{2, 3, n-2, n-1, (n-1)/2, (n+1)/2, random} one line holds pbpc(q, n),
+{2, 3, n-2, n-1, (n-1)/2, (n+1)/2, random} one line holds the scalar
+tail (ecc(q, n), then bcc's pair only if that is zero, else (0, 0)),
 bcc(q, n), the Euler power q**((n-1)/2) mod n and two quad_pow values in QuadCtx(n, q):
 (1 + sqrt(q))**n and a seeded element to a seeded exponent. The halves
 (n-1)/2 and (n+1)/2 sit on either side of the point where q's
 least-absolute residue changes sign. A vanishing Jacobi symbol, which makes
-pbpc raise, is recorded as the marker "jacobi0". Each digest is the sha256
+ecc raise, is recorded as the marker "jacobi0". Each digest is the sha256
 of one size's lines; a change to any coordinate moves it.
 """
 
@@ -18,7 +19,7 @@ import random
 import pytest
 import sympy
 
-from ppt.checks import bcc, pbpc
+from ppt.checks import bcc, ecc
 from ppt.quadext import QuadCtx, quad_pow
 
 
@@ -60,13 +61,6 @@ GOLDEN = {
 }
 
 
-def _pbpc_or_marker(q: int, n: int):
-    try:
-        return pbpc(q, n)
-    except ValueError:
-        return "jacobi0"
-
-
 def scalar_digest(moduli, full: bool) -> str:
     h = hashlib.sha256()
     for n in moduli:
@@ -78,7 +72,12 @@ def scalar_digest(moduli, full: bool) -> str:
             y = quad_pow(ctx.one_plus_root(), n)
             z = quad_pow(x, e)
             b = bcc(q, n)
-            row = [n, q, _pbpc_or_marker(q, n), b,
+            try:
+                euler = ecc(q, n)
+                tail = (euler, *((0, 0) if euler else b))
+            except ValueError:
+                tail = "jacobi0"
+            row = [n, q, tail, b,
                    pow(q, (n - 1) >> 1, n), (y.a, y.b), (z.a, z.b)]
             h.update(repr(row).encode())
             h.update(b"\n")
