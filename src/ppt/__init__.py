@@ -44,7 +44,6 @@ from .canonical import (
 from .checks import PgpcReport, bcc, ecc, fgpc_check, pgpc_check
 from .ntcore import MrOutcome, count_qnr, isqrt, jacobi, lof_tpow, next_prime
 from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
-from .quadext import QuadCtx, QuadInt, conjugate, quad_mul, quad_pow
 
 __version__ = "0.1.0"
 

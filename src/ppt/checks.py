@@ -36,7 +36,7 @@ def _tail(q: int, n: int, j: int, pair: bool = True) -> tuple[int, int, int]:
     euler = (h - j) % n if j else 0
     if euler or not pair:
         return euler, 0, 0
-    a, b = _pow(1, 1, q, n, n)
+    a, b = _pow(q, n, n)
     return 0, (a - 1) % n, (b - h) % n
 
 

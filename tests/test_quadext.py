@@ -1,21 +1,12 @@
-"""Unit tests for quadratic-extension ring arithmetic."""
+"""Unit tests for quadratic-extension ring arithmetic: the ladder
+ppt.quadext._pow and the reference pair arithmetic it is checked against."""
 
 import random
 
 import pytest
 
-from ppt.quadext import QuadCtx, conjugate, quad_mul, quad_pow
-
-
-def square_and_multiply(x, e):
-    """x**e by right-to-left square and multiply, built from quad_mul alone."""
-    acc = x.ctx.element(1, 0)
-    while e:
-        if e & 1:
-            acc = quad_mul(acc, x)
-        x = quad_mul(x, x)
-        e >>= 1
-    return acc
+from ppt.quadext import _pow
+from reference import QuadCtx, conjugate, quad_mul, quad_pow
 
 
 class TestContext:
@@ -69,7 +60,7 @@ class TestPow:
         # (1 + sqrt(2045))^2047 = 1523 + 1067*sqrt(2045) mod 2047
         ctx = QuadCtx(2047, 2045)
         y = quad_pow(ctx.one_plus_root(), 2047)
-        assert (y.a, y.b) == (1523, 1067)
+        assert (y.a, y.b) == (1523, 1067) == _pow(2045, 2047, 2047)
 
     def test_zero_exponent_is_identity(self):
         ctx = QuadCtx(11, 2)
@@ -94,20 +85,26 @@ class TestPow:
             assert quad_pow(x, e) == acc
 
     def test_matches_square_and_multiply_on_wide_moduli(self):
-        # q at the sign boundary of its least-absolute residue ((n-1)/2 and
-        # (n+1)/2), at -2 and -1, small and random; n from 3 up to 2^512.
+        # _pow against the reference's square and multiply of 1 + sqrt(q).
+        # n runs from 3 up to 2^512, with q at the sign boundary of its
+        # least-absolute residue ((n-1)/2 and (n+1)/2), at -2 and -1, small
+        # and random, and e at 0, 1, 2, n-1, n and random below n^2. One
+        # 2048-bit n then takes the decision's e = n at q = 2, n-2 and
+        # random (the reference's full-width products make more slow).
         rng = random.Random(29)
+        cases = []
         for bits, count in ((2, 1), (4, 4), (8, 4), (32, 3), (64, 3),
                             (128, 2), (256, 2), (512, 1)):
             for _ in range(count):
                 n = rng.randrange(3, 1 << bits) | 1
                 h = n >> 1
                 for q in (2, 3, n - 2, n - 1, h, h + 1, rng.randrange(n)):
-                    ctx = QuadCtx(n, q)
-                    rand = ctx.element(rng.randrange(n), rng.randrange(n))
-                    for x in (ctx.one_plus_root(), rand):
-                        for e in (0, 1, 2, n - 1, n, rng.randrange(n * n)):
-                            assert quad_pow(x, e) == square_and_multiply(x, e)
+                    cases += [(q, n, e) for e in (0, 1, 2, n - 1, n, rng.randrange(n * n))]
+        n = rng.getrandbits(2048) | 1 << 2047 | 1
+        cases += [(q, n, n) for q in (2, n - 2, rng.randrange(n))]
+        for q, n, e in cases:
+            y = quad_pow(QuadCtx(n, q).one_plus_root(), e)
+            assert _pow(q, n, e) == (y.a, y.b), (q, n, e)
 
 
 class TestConjugateAndNorm:

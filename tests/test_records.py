@@ -1,10 +1,9 @@
-"""The NamedTuple records Poly, QuadCtx, QuadInt, MrOutcome,
-CanonicalParams, FindResult and PgpcReport keep the surface they had as
-hand-written or frozen dataclass types: their repr, their constructor with
-positional and keyword arguments and defaults, AttributeError on
-assignment, pickling, equal hashes for equal values, and every check and
-reduction on each path that builds one: the constructor, _make, _replace
-and unpickling.
+"""The NamedTuple records Poly, MrOutcome, CanonicalParams, FindResult and
+PgpcReport keep the surface they had as hand-written or frozen dataclass
+types: their repr, their constructor with positional and keyword
+arguments and defaults, AttributeError on assignment, pickling, equal
+hashes for equal values, and every check and reduction on each path that
+builds one: the constructor, _make, _replace and unpickling.
 """
 
 import pickle
@@ -15,9 +14,7 @@ from ppt.canonical import CanonicalParams, FindResult
 from ppt.checks import PgpcReport
 from ppt.ntcore import MrOutcome
 from ppt.polyring import Poly
-from ppt.quadext import QuadCtx, QuadInt
 
-_CTX = "QuadCtx: modulus must be odd and >= 3"
 _FIND = "FindResult: exactly one of divisor/qnr/m must be set"
 _POLY = "Poly: modulus must be >= 0"
 
@@ -28,15 +25,6 @@ RECORDS = {
         (lambda: Poly([1, 2], -7), _POLY),
         (lambda: Poly._make(((1, 2), -7)), _POLY),
     ]),
-    "QuadCtx": (QuadCtx, (2047, 4092), {}, "QuadCtx(n=2047, q=2045)", [
-        (lambda: QuadCtx(10, 3), _CTX),
-        (lambda: QuadCtx(1, 3), _CTX),
-        (lambda: QuadCtx._make((10, 3)), _CTX),
-        (lambda: QuadCtx(7, 3)._replace(n=8), _CTX),
-        (lambda: pickle.loads(pickle.dumps(tuple.__new__(QuadCtx, (8, 3)))), _CTX),
-    ]),
-    "QuadInt": (QuadInt, (-1, 9, QuadCtx(7, 3)), {},
-                "QuadInt(a=6, b=2, ctx=QuadCtx(n=7, q=3))", []),
     "MrOutcome": (MrOutcome, (False,), {},
                   "MrOutcome(witness=False, witness_kind=None, value=0)", []),
     "CanonicalParams": (
@@ -81,10 +69,3 @@ def test_poly_reduces_and_strips_on_every_path():
     assert pickle.loads(pickle.dumps(tuple.__new__(Poly, ((8, 9, 0), 7)))) == want
     assert Poly._make(([8, 9, 0], 7)) == want and want.coeffs == (1, 2)
 
-
-def test_quad_records_reduce_on_every_path():
-    ctx = QuadCtx(7, 3)
-    x = ctx.element(-1, 9)
-    assert (x.a, x.b) == (6, 2) and QuadCtx(2047, 4092).q == 2045
-    assert ctx._replace(q=10).q == 3 and QuadCtx._make((7, -4)).q == 3
-    assert x._replace(a=-1) == QuadInt._make((-1, 2, ctx)) == QuadInt(6, 2, ctx)

@@ -5,8 +5,9 @@ coordinate is narrow. This file pins the raw scalar results on seeded
 prime and composite moduli of 64 to 2048 bits. For each n and each q in
 {2, 3, n-2, n-1, (n-1)/2, (n+1)/2, random} one line holds the scalar
 tail (ecc(q, n), then bcc's pair only if that is zero, else (0, 0)),
-bcc(q, n), the Euler power q**((n-1)/2) mod n and two quad_pow values in QuadCtx(n, q):
-(1 + sqrt(q))**n and a seeded element to a seeded exponent. The halves
+bcc(q, n), the Euler power q**((n-1)/2) mod n and two powers in
+QuadCtx(n, q) by the reference quad_pow (tests/reference.py): (1 +
+sqrt(q))**n and a seeded element to a seeded exponent. The halves
 (n-1)/2 and (n+1)/2 sit on either side of the point where q's
 least-absolute residue changes sign. A vanishing Jacobi symbol, which makes
 ecc raise, is recorded as the marker "jacobi0". Each digest is the sha256
@@ -20,7 +21,8 @@ import pytest
 import sympy
 
 from ppt.checks import bcc, ecc
-from ppt.quadext import QuadCtx, quad_pow
+
+from reference import QuadCtx, quad_pow
 
 
 def _prime(bits: int, rng: random.Random) -> int:
