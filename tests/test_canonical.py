@@ -34,6 +34,19 @@ class TestFactorPrimePower:
             with pytest.raises(ValueError):
                 factor_prime_power(m)
 
+    def test_matches_sympy(self):
+        """(p, k) for each prime power, and ValueError for every other m."""
+        for m in range(3, 20000):
+            factors = sympy.factorint(m)
+            try:
+                got = factor_prime_power(m)
+            except ValueError as exc:
+                got = str(exc)
+            if len(factors) == 1:
+                assert got == next(iter(factors.items())), m
+            else:
+                assert got == f"factor_prime_power: {m} is not a prime power"
+
 
 SCOPE = (3, 4, 5, 7, 8, 9, 11, 13, 16, 23, 25, 27, 32, 49, 81, 128)
 

@@ -1,6 +1,7 @@
 """Unit tests for dataset loading, batch runs, and composite generators."""
 
 import concurrent.futures
+import hashlib
 import os
 import subprocess
 import sys
@@ -79,6 +80,12 @@ class TestGenerateCarmichaels:
 
     def test_frozen_list_below_1e5(self):
         assert generate_carmichaels(10**5) == CARMICHAELS_1E5
+
+    def test_list_below_1e6_matches_golden_digest(self):
+        found = generate_carmichaels(10**6)
+        assert len(found) == 43
+        digest = hashlib.sha256(" ".join(map(str, found)).encode()).hexdigest()
+        assert digest == "bb7a913276f05987e288ac0596d55054e9252f17c1d7dae9dcef9bb8b8077a3c"
 
     def test_members_are_fermat_liars(self):
         for n in generate_carmichaels(10**4):
