@@ -6,44 +6,12 @@ polynomials, and a randomized Miller-Rabin hybrid), each producing a
 verdict whose compositeness mechanism re-verifies from its own fields.
 """
 
-from .algorithms import (
-    ALGORITHMS,
-    BinomialWitness,
-    Even,
-    EulerWitness,
-    FermatWitness,
-    JacobiZeroFactor,
-    MrNontrivialRoot,
-    Outcome,
-    PerfectSquare,
-    PgpcViolation,
-    PrimeBasis,
-    QnrProbe,
-    QnrSearch,
-    TrivialFactor,
-    Verdict,
-    certificate,
-    enhanced_mr,
-    find_qnr,
-    mechanism_from_json,
-    miller_rabin_base,
-    ppta_eqnr,
-    ppta_inr,
-    verify_certificate,
-)
-from .canonical import (
-    CanonicalParams,
-    FindResult,
-    canonical_params,
-    cyclotomic_prime_power,
-    factor_prime_power,
-    find_qnr_or_m,
-    psi_of,
-    upsilon_of,
-)
-from .checks import PgpcReport, bcc, ecc, fgpc_check, pgpc_check
-from .ntcore import MrOutcome, count_qnr, isqrt, jacobi, lof_tpow, next_prime
-from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
+# The public names of ppt are each of these modules' __all__, and _HARNESS.
+from .algorithms import *
+from .canonical import *
+from .checks import *
+from .ntcore import *
+from .polyring import *
 
 __version__ = "0.1.0"
 

@@ -41,6 +41,7 @@ from .checks import bcc, ecc  # noqa: F401
 from .polyring import mbec_remainder, poly_powmod  # noqa: F401
 
 __all__ = [
+    "ALGORITHMS",
     "BinomialWitness",
     "Even",
     "EulerWitness",
@@ -326,16 +327,6 @@ def _degenerate(n: int, *, prime_three: bool) -> _Claim | Outcome | None:
 
 # ---------------------------------------------------------------- qnr scans
 
-_probe_primes: list[int] = [3]
-
-
-def _probe_prime(i: int) -> int:
-    """The i-th odd prime (1-based): 3, 5, 7, 11, ..."""
-    while len(_probe_primes) < i:
-        _probe_primes.append(nt.next_prime(_probe_primes[-1]))
-    return _probe_primes[i - 1]
-
-
 # The most odd primes find_qnr probes; below it, isqrt(n) bounds the scan.
 _QNR_PROBE_CAP = 10**6
 
@@ -360,7 +351,7 @@ def find_qnr(n: int) -> QnrProbe:
         raise ValueError("find_qnr: n must be odd and >= 3")
     limit = min(math.isqrt(n), _QNR_PROBE_CAP)
     for i in range(1, limit + 1):
-        p = _probe_prime(i)
+        p = nt._prime(i)
         j = jacobi(p, n)
         if j != 1:
             return QnrProbe(j == 0, p, i)

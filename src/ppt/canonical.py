@@ -15,9 +15,10 @@ minimizes deg Upsilon_m among the admissible prime powers examined.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
-from .ntcore import isqrt, jacobi, next_prime
+from .ntcore import _prime, isqrt, jacobi
 from .polyring import Poly, _product
 
 __all__ = [
@@ -36,20 +37,10 @@ def factor_prime_power(m: int) -> tuple[int, int]:
     """(p, k) with m = p**k, requiring m >= 3 and exactly one prime factor."""
     if m < 3:
         raise ValueError("factor_prime_power: m must be >= 3")
-    v = m
-    p = 0
-    if v % 2 == 0:
-        p = 2
-    else:
-        d = 3
-        while d * d <= v:
-            if v % d == 0:
-                p = d
-                break
-            d += 2
-        else:
-            p = v
-    k = 0
+    p = next(p for p in map(_prime, count()) if m % p == 0 or p * p > m)
+    if m % p:  # no prime up to sqrt(m) divides m
+        p = m
+    v, k = m, 0
     while v % p == 0:
         v //= p
         k += 1
@@ -178,11 +169,11 @@ def find_qnr_or_m(n: int) -> FindResult:
     if exact:
         return FindResult(iterations=0, divisor=s)
     myprod = 1
-    p = 2
     deg: int | None = None
     m: int | None = None
     i = 0
     while myprod <= n - 1:
+        p = _prime(i)
         i += 1
         r = n % p
         if r == 0:
@@ -200,9 +191,6 @@ def find_qnr_or_m(n: int) -> FindResult:
                     deg = tdeg
                     m = p**k
             myprod *= p ** (k - 1)
-            if myprod > n - 1:
-                break
-            p = next_prime(p)
         else:
             if jacobi(r, p) == -1:
                 return FindResult(iterations=i, qnr=p)

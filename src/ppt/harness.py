@@ -13,14 +13,15 @@ are deliberately naive reference oracles for cross-checking the deciders.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import count, takewhile
 from typing import Callable, Iterable, Sequence
 
 from .algorithms import ALGORITHMS, Outcome, Verdict
+from .ntcore import _prime
 
 __all__ = [
     "BatchStats",
@@ -263,8 +264,8 @@ def trial_division(n: int) -> TrialResult:
 def generate_carmichaels(limit: int) -> list[int]:
     """All Carmichael numbers below limit (limit <= 10**8).
 
-    Segmented factor sieve: each odd n is divided by the primes up to
-    sqrt(limit); survivors must be squarefree composites with p - 1
+    Segmented factor sieve: each odd n is divided by the odd primes below
+    sqrt(limit), read from ntcore's prime list; survivors must be squarefree composites with p - 1
     dividing n - 1 for every prime factor p.
     """
     if limit > 10**8:
@@ -272,14 +273,7 @@ def generate_carmichaels(limit: int) -> list[int]:
     out: list[int] = []
     if limit <= 9:
         return out
-    root = math.isqrt(limit - 1)
-    sieve = bytearray([1]) * (root + 1)
-    base_primes = []
-    for p in range(3, root + 1, 2):
-        if sieve[p]:
-            base_primes.append(p)
-            for mult in range(p * p, root + 1, p):
-                sieve[mult] = 0
+    base_primes = list(takewhile(lambda p: p * p < limit, map(_prime, count(1))))
     seg = 1 << 20
     for lo in range(9, limit, seg):
         hi = min(lo + seg, limit)
@@ -314,11 +308,11 @@ def generate_carmichaels(limit: int) -> list[int]:
             r = rem[i]
             if r == n:
                 continue
-            count = nfac[i]
+            factors = nfac[i]
             if r > 1:
                 if (n - 1) % (r - 1):
                     continue
-                count += 1
-            if count >= 2:
+                factors += 1
+            if factors >= 2:
                 out.append(n)
     return out

@@ -2,6 +2,7 @@
 
 Pure functions over Python ints: Jacobi symbol, exact integer square root,
 odd-part decomposition, one strong-probable-prime round, prime stepping,
+the one list of primes that every walk over small primes reads (_prime),
 and a quadratic-residue census for small moduli.
 """
 
@@ -116,6 +117,17 @@ def next_prime(p: int) -> int:
     while not _is_prime_det(c):
         c += 2
     return c
+
+
+# The primes 2, 3, 5, ... in order; _prime extends it with next_prime.
+_primes: list[int] = [2]
+
+
+def _prime(i: int) -> int:
+    """The i-th prime, 0-based: _prime(0) == 2, _prime(1) == 3."""
+    while len(_primes) <= i:
+        _primes.append(next_prime(_primes[-1]))
+    return _primes[i]
 
 
 def count_qnr(n: int) -> tuple[int, int]:

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -287,6 +288,18 @@ def test_package_loads_the_harness_on_first_use():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split() == ["False", "True", "False"]
+
+
+def test_package_surface_is_the_modules_all():
+    """ppt's public names are its eager modules' __all__ and _HARNESS, which
+    is the harness's __all__ but for CSV_HEADER."""
+    from ppt import algorithms, canonical, checks, harness, ntcore, polyring
+
+    eager = {name for name, value in vars(ppt).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    modules = (algorithms, canonical, checks, ntcore, polyring)
+    assert eager == set().union(*(module.__all__ for module in modules))
+    assert ppt._HARNESS == set(harness.__all__) - {"CSV_HEADER"}
 
 
 def _loads(code: str) -> set[str]:

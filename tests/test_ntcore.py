@@ -6,7 +6,7 @@ import random
 import pytest
 import sympy
 
-from ppt.ntcore import count_qnr, isqrt, jacobi, lof_tpow, next_prime
+from ppt.ntcore import _prime, count_qnr, isqrt, jacobi, lof_tpow, next_prime
 
 from conftest import CAR, HC1, NHC
 
@@ -120,6 +120,12 @@ class TestNextPrime:
 
     def test_large_value(self):
         assert next_prime(10**12) == sympy.nextprime(10**12)
+
+
+def test_prime_list_matches_sympy():
+    primes = list(sympy.primerange(2, 10**5))
+    assert len(primes) == 9592
+    assert [_prime(i) for i in range(len(primes))] == primes
 
 
 class TestCountQnr:
