@@ -265,8 +265,9 @@ def generate_carmichaels(limit: int) -> list[int]:
     """All Carmichael numbers below limit (limit <= 10**8).
 
     Segmented factor sieve: each odd n is divided by the odd primes below
-    sqrt(limit), read from ntcore's prime list; survivors must be squarefree composites with p - 1
-    dividing n - 1 for every prime factor p.
+    sqrt(limit), read from ntcore's prime list; survivors must be
+    squarefree composites with p - 1 dividing n - 1 for every prime
+    factor p.
     """
     if limit > 10**8:
         raise ValueError("generate_carmichaels: limit must be <= 10**8")

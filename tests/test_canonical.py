@@ -45,7 +45,7 @@ class TestFactorPrimePower:
             if len(factors) == 1:
                 assert got == next(iter(factors.items())), m
             else:
-                assert got == f"factor_prime_power: {m} is not a prime power"
+                assert got == f"factor_prime_power: {m} is not a prime power", m
 
 
 SCOPE = (3, 4, 5, 7, 8, 9, 11, 13, 16, 23, 25, 27, 32, 49, 81, 128)
