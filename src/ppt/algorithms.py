@@ -59,7 +59,6 @@ __all__ = [
     "certificate",
     "enhanced_mr",
     "find_qnr",
-    "mechanism_from_json",
     "miller_rabin_base",
     "ppta_eqnr",
     "ppta_inr",
@@ -295,23 +294,24 @@ class Verdict(NamedTuple):
         return hash(self[:5])
 
 
+# The outcome a claim makes, by the certificate slot _CLAIMS gives its kind.
+_SLOT_OUTCOME = {"mechanism": Outcome.COMPOSITE, "prime_basis": Outcome.PRIME}
+
+
 def _verdict(n: int, t0: float, what: _Claim | Outcome, iters: int | None = None) -> Verdict:
     """The one place a Verdict is built, from what decided n.
 
-    A mechanism makes n composite and a PrimeBasis prime; an Outcome stands
-    alone. iters counts a search's probes, None where n's class fixed the
-    route. The recorded q is the scalar non-residue `what` relied on, or 0;
-    total_s is the time since t0.
+    A claim fills its slot and makes that slot's outcome (_SLOT_OUTCOME);
+    an Outcome stands alone. iters counts a search's probes, None where n's
+    class fixed the route. The recorded q is the scalar non-residue `what`
+    relied on, or 0; total_s is the time since t0.
     """
-    if isinstance(what, Outcome):
-        outcome, mech, basis = what, None, None
-    elif isinstance(what, PrimeBasis):
-        outcome, mech, basis = Outcome.PRIME, None, what
-    else:
-        outcome, mech, basis = Outcome.COMPOSITE, what, None
+    slot = None if isinstance(what, Outcome) else _CLAIMS[what.kind][1]
+    outcome = _SLOT_OUTCOME.get(slot, what)
     search = QnrSearch(iters is not None, iters or 0, getattr(what, "q", None) or 0)
     timings = {"total_s": time.perf_counter() - t0}
-    return Verdict(n, outcome, mech, basis, search, timings)
+    return Verdict(n, outcome, what if slot == "mechanism" else None,
+                   what if slot == "prime_basis" else None, search, timings)
 
 
 def _degenerate(n: int, *, prime_three: bool) -> _Claim | Outcome | None:
@@ -537,15 +537,6 @@ def _claim_from_json(data: Any, slot: str) -> _Claim:
     return cls._make(map(values.get, cls._fields))
 
 
-def mechanism_from_json(data: dict[str, Any]) -> _Claim:
-    """Rebuild a mechanism from its certificate dictionary.
-
-    Raises ValueError unless its kind is a mechanism's and it holds exactly
-    the fields of one form of that kind, each of its JSON type.
-    """
-    return _claim_from_json(data, "mechanism")
-
-
 def certificate(verdict: Verdict) -> dict[str, Any]:
     """JSON-ready dictionary carrying every field a re-check needs."""
     mech, basis = verdict.mechanism, verdict.prime_basis
@@ -563,25 +554,21 @@ _SEARCH_KEYS = frozenset(QnrSearch._fields)
 
 
 def _records_fit(cert: dict, q: int) -> bool:
-    """Whether the certificate's qnr_search and timings, where present, fit.
+    """Whether the certificate's qnr_search and timings fit; either may be absent.
 
     qnr_search must hold exactly `needed` (bool), `iterations` (int >= 0)
     and `q`, the claim's scalar non-residue or 0 where it has none, as
     _verdict records it; timings must map str to finite numbers >= 0.
     """
-    if "qnr_search" in cert:
-        search = cert["qnr_search"]
-        if not (
-            isinstance(search, dict) and search.keys() == _SEARCH_KEYS
-            and type(search["needed"]) is bool
-            and type(search["iterations"]) is int and search["iterations"] >= 0
-            and type(search["q"]) is int and search["q"] == q
-        ):
-            return False
-    timings = cert.get("timings", {})
-    if not isinstance(timings, dict):
+    search, timings = cert.get("qnr_search"), cert.get("timings", {})
+    if not (isinstance(timings, dict) and ("qnr_search" not in cert or (
+        isinstance(search, dict) and search.keys() == _SEARCH_KEYS
+        and type(search["needed"]) is bool
+        and type(search["iterations"]) is int and search["iterations"] >= 0
+        and type(search["q"]) is int and search["q"] == q
+    ))):
         return False
-    for key, value in timings.items():
+    for key, value in timings.items():  # a loop: all() over a generator costs more here
         if not (isinstance(key, str) and type(value) in (int, float) and 0 <= value < math.inf):
             return False
     return True
@@ -590,42 +577,30 @@ def _records_fit(cert: dict, q: int) -> bool:
 def verify_certificate(cert: Any) -> bool:
     """Re-check a certificate from its own fields; never raises.
 
-    Composite: the mechanism must re-verify against n. Prime: the recorded
-    basis must re-verify (a degenerate small prime passes with no basis).
-    Not-applicable requires n = 1; inconclusive makes no claim beyond
-    consistency. The slot an outcome does not use must be None, and
-    qnr_search and timings must fit (_records_fit). A malformed
-    certificate, a non-int where an int belongs, or an n outside a
-    check's domain reads False.
+    At most one slot may hold a claim. A claim must have its slot's outcome
+    (_SLOT_OUTCOME) and re-verify against n. With no claim, the outcome must
+    be inconclusive, which claims nothing, or the Outcome _degenerate gives
+    n: not_applicable at 1, prime at 2 and 3. qnr_search and timings must
+    fit (_records_fit). A malformed certificate, a non-int where an int
+    belongs, or an n outside a check's domain reads False.
     """
     if not isinstance(cert, dict) or type(cert.get("n")) is not int or cert["n"] < 1:
         return False
     n, outcome = cert["n"], cert.get("outcome")
     mech, basis = cert.get("mechanism"), cert.get("prime_basis")
+    # An Outcome's _value_ is its .value, read without the property's cost.
+    if mech is None and basis is None:
+        made = _degenerate(n, prime_three=True)
+        fits = outcome == "inconclusive" or isinstance(made, Outcome) and outcome == made._value_
+        return fits and _records_fit(cert, 0)
+    slot = "mechanism" if basis is None else "prime_basis"
+    if (mech is not None and basis is not None) or outcome != _SLOT_OUTCOME[slot]._value_:
+        return False
     try:
-        if outcome == "composite":
-            if basis is not None or mech is None:
-                return False
-            claim = mechanism_from_json(mech)
-        elif outcome == "prime":
-            if mech is not None:
-                return False
-            claim = None if basis is None else _claim_from_json(basis, "prime_basis")
-        elif outcome in ("not_applicable", "inconclusive"):
-            if mech is not None or basis is not None:
-                return False
-            claim = None
-        else:
-            return False
-        if not _records_fit(cert, getattr(claim, "q", None) or 0):
-            return False
-        if claim is not None:
-            return claim.verify(n)
+        claim = _claim_from_json(cert[slot], slot)
+        return _records_fit(cert, getattr(claim, "q", None) or 0) and claim.verify(n)
     except (ValueError, RuntimeError):
         return False
-    if outcome == "prime":
-        return n in (2, 3)
-    return outcome == "inconclusive" or n == 1
 
 
 ALGORITHMS: dict[str, Callable[[int], Verdict]] = {

@@ -24,7 +24,6 @@ from ppt.algorithms import (
     certificate,
     enhanced_mr,
     find_qnr,
-    mechanism_from_json,
     miller_rabin_base,
     ppta_eqnr,
     ppta_inr,
@@ -440,7 +439,7 @@ class TestCertificates:
     def test_mechanism_json_round_trip(self):
         for n in (341, 561, 2047, NC):
             mech = ppta_inr(n).mechanism
-            back = mechanism_from_json(certificate(ppta_inr(n))["mechanism"])
+            back = _claim_from_json(certificate(ppta_inr(n))["mechanism"], "mechanism")
             assert back == mech
 
     def test_tampered_certificates_fail(self):
@@ -483,7 +482,7 @@ class TestCertificates:
     def test_each_mechanism_kind_verifies(self, decide, n, kind):
         cert = json.loads(json.dumps(certificate(decide(n))))
         assert cert["mechanism"]["kind"] == kind
-        assert mechanism_from_json(cert["mechanism"]).verify(n)
+        assert _claim_from_json(cert["mechanism"], "mechanism").verify(n)
         assert verify_certificate(cert)
 
     def test_nontrivial_root_forgeries_fail(self):
@@ -647,9 +646,33 @@ class TestCertificates:
         {"n": 3, "outcome": "prime", "mechanism": {"kind": "even"}},
         {"n": 10, "outcome": "composite", "mechanism": {"kind": "even"},
          "prime_basis": {"kind": "pgpc", "m": 5}},
+        # No claim, and an outcome other than inconclusive and the one
+        # _degenerate gives n; n = 5 has none, so a missing outcome is not it.
+        {"n": 5},
+        {"n": 5, "outcome": None, "mechanism": None, "prime_basis": None},
+        {"n": 5, "outcome": "prime"},
+        {"n": 4, "outcome": "composite"},
+        {"n": 2, "outcome": "not_applicable"},
+        {"n": 1, "outcome": "prime"},
+        {"n": 3, "outcome": "composite"},
+        # A claim, even a true one, is not an inconclusive verdict.
+        {"n": 561, "outcome": "inconclusive", "mechanism": {"kind": "trivial_factor", "p": 3}},
+        {"n": 1009, "outcome": "inconclusive", "prime_basis": {"kind": "pgpc", "m": 5}},
     ])
     def test_verify_certificate_is_total(self, cert):
         assert verify_certificate(cert) is False
+
+    @pytest.mark.parametrize("cert", [
+        # With no claim, only inconclusive and the Outcome _degenerate gives n.
+        {"n": 2, "outcome": "prime"},
+        {"n": 3, "outcome": "prime", "mechanism": None, "prime_basis": None},
+        {"n": 1, "outcome": "not_applicable"},
+        {"n": 561, "outcome": "inconclusive"},
+        {"n": 4, "outcome": "inconclusive", "mechanism": None,
+         "qnr_search": {"needed": True, "iterations": 1, "q": 0}},
+    ])
+    def test_claimless_certificate_verifies(self, cert):
+        assert verify_certificate(cert) is True
 
     def test_search_and_timing_records_must_fit(self):
         # The two forged prime certificates for 1009 (an ill-typed search
@@ -767,8 +790,8 @@ def test_claim_kind_round_trips_and_equals_only_itself(kind):
         assert claim.kind == kind and claim.describe()
         data = json.loads(json.dumps(_claim_to_json(claim)))
         assert _claim_from_json(data, slot) == claim
-        if slot == "mechanism":
-            assert mechanism_from_json(data) == claim
+        with pytest.raises(ValueError):  # the other slot holds no claim of this kind
+            _claim_from_json(data, "prime_basis" if slot == "mechanism" else "mechanism")
         assert pickle.loads(pickle.dumps(claim)) == claim
         assert hash(claim) == hash(_claim_from_json(data, slot))
         for name in (*claim._fields, "extra"):
