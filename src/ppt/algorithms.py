@@ -21,6 +21,11 @@ codec are built from that table. A claim re-verifies from n and its own
 fields: a factor, square or root by arithmetic, and a claim made at a q or
 an m by re-running the route that made it there (_pbpc_tail or _battery)
 and comparing the result with the claim.
+
+The scalar routes need ppt.ntcore and ppt.quadext only. The polynomial
+battery, ppt.checks with ppt.canonical and ppt.polyring, is imported the
+first time ppta_inr meets n = 1 mod 24, a certificate's claim is checked
+at an m, or one of its names is read from this module (_load_battery).
 """
 
 from __future__ import annotations
@@ -33,12 +38,8 @@ from enum import Enum
 from typing import Any, Callable, NamedTuple
 
 from . import ntcore as nt
-from .canonical import canonical_params, find_qnr_or_m
-from .checks import _tail, fgpc_check, pgpc_check
 from .ntcore import jacobi, miller_rabin_base
-# Not called here; bound so that tracing tools can wrap them on this module.
-from .checks import bcc, ecc  # noqa: F401
-from .polyring import mbec_remainder, poly_powmod  # noqa: F401
+from .quadext import _tail
 
 __all__ = [
     "ALGORITHMS",
@@ -66,6 +67,41 @@ __all__ = [
 ]
 
 
+# The names this module takes from the polynomial battery, by module. They
+# are bound on first use (_load_battery), so that importing ppt, and every
+# scalar decision or certificate, does not compile the battery. bcc, ecc,
+# mbec_remainder and poly_powmod are not called here; they are bound so that
+# tracing tools can wrap them on this module, as they wrap the others.
+_BATTERY = {
+    "canonical": ("canonical_params", "find_qnr_or_m"),
+    "checks": ("bcc", "ecc", "fgpc_check", "pgpc_check"),
+    "polyring": ("mbec_remainder", "poly_powmod"),
+}
+_battery_loaded = False
+
+
+def _load_battery() -> None:
+    """Import ppt.checks, which imports ppt.canonical and ppt.polyring, and
+    bind each name of _BATTERY that is not bound here yet, so that a name a
+    tracing tool has rebound keeps its binding."""
+    global _battery_loaded
+    from . import canonical, checks, polyring
+
+    modules = {"canonical": canonical, "checks": checks, "polyring": polyring}
+    for module, names in _BATTERY.items():
+        for name in names:
+            globals().setdefault(name, getattr(modules[module], name))
+    _battery_loaded = True
+
+
+def __getattr__(name: str) -> Any:
+    """A battery name read from this module loads the battery (PEP 562)."""
+    if any(name in names for names in _BATTERY.values()):
+        _load_battery()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class Outcome(Enum):
     PRIME = "prime"
     COMPOSITE = "composite"
@@ -86,6 +122,8 @@ def _battery_makes(claim: _Claim, n: int, mode: str) -> bool:
 
     The searched m fixes the divisors, and bounds the verifier's cost.
     """
+    if not _battery_loaded:
+        _load_battery()
     m = claim.m
     searched = n >= 25 and n % 24 == 1 and find_qnr_or_m(n).m == m
     return searched and _battery(n, m, mode) == claim
@@ -455,6 +493,8 @@ def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
         what = _no_search(n)
     if what is not None:
         return _verdict(n, t0, what)
+    if not _battery_loaded:
+        _load_battery()
     fr = find_qnr_or_m(n)
     if fr.divisor is not None:
         d = fr.divisor
@@ -556,15 +596,17 @@ _SEARCH_KEYS = frozenset(QnrSearch._fields)
 def _records_fit(cert: dict, q: int) -> bool:
     """Whether the certificate's qnr_search and timings fit; either may be absent.
 
-    qnr_search must hold exactly `needed` (bool), `iterations` (int >= 0)
-    and `q`, the claim's scalar non-residue or 0 where it has none, as
-    _verdict records it; timings must map str to finite numbers >= 0.
+    qnr_search must hold exactly `needed` (bool), `iterations` (int >= 0,
+    and 0 where needed is false) and `q`, the claim's scalar non-residue or
+    0 where it has none, as _verdict records it; timings must map str to
+    finite numbers >= 0.
     """
     search, timings = cert.get("qnr_search"), cert.get("timings", {})
     if not (isinstance(timings, dict) and ("qnr_search" not in cert or (
         isinstance(search, dict) and search.keys() == _SEARCH_KEYS
         and type(search["needed"]) is bool
         and type(search["iterations"]) is int and search["iterations"] >= 0
+        and (search["needed"] or search["iterations"] == 0)
         and type(search["q"]) is int and search["q"] == q
     ))):
         return False

@@ -1,9 +1,15 @@
 """Compositeness checks: Euler-criterion and binomial-congruence defects.
 
 Each check returns the full defect rather than a boolean, so a nonzero
-result doubles as a verifiable witness of compositeness. The polynomial
-variants test the same binomial congruence modulo the canonical divisor
-polynomials attached to a parameter m.
+result doubles as a verifiable witness of compositeness. ecc and bcc read
+the scalar defects from quadext._tail, the tail the deciders run. The
+polynomial variants test the same binomial congruence modulo the
+canonical divisor polynomials attached to a parameter m.
+
+This module, with the ppt.canonical and ppt.polyring it imports, is the
+polynomial battery, which import ppt does not load: it is imported the
+first time a decision or a verification needs it, or one of its names is
+read from ppt or ppt.algorithms.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import NamedTuple
 from .canonical import CanonicalParams, canonical_params
 from .ntcore import jacobi
 from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
-from .quadext import _pow
+from .quadext import _tail
 
 __all__ = [
     "PgpcReport",
@@ -24,20 +30,6 @@ __all__ = [
     "pgpc_check",
     "pgpc_condition",
 ]
-
-
-def _tail(q: int, n: int, j: int, pair: bool = True) -> tuple[int, int, int]:
-    """(euler, a, b) at q and odd n >= 3, in one pass: euler = q**((n-1)/2)
-    - j mod n for j = (q | n), or 0 where j = 0 skips the criterion; then,
-    if pair is set and euler is zero, the binomial defect (1 + sqrt(q))**n
-    - 1 - q**((n-1)/2)*sqrt(q) = a + b*sqrt(q), else (a, b) = (0, 0).
-    """
-    h = pow(q, (n - 1) >> 1, n)
-    euler = (h - j) % n if j else 0
-    if euler or not pair:
-        return euler, 0, 0
-    a, b = _pow(q, n, n)
-    return 0, (a - 1) % n, (b - h) % n
 
 
 def ecc(q: int, n: int) -> int:

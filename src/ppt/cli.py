@@ -22,12 +22,6 @@ import time
 from contextlib import contextmanager
 
 from .algorithms import ALGORITHMS, Outcome, Verdict, certificate, enhanced_mr
-from .canonical import (
-    canonical_params,
-    cyclotomic_prime_power,
-    factor_prime_power,
-    find_qnr_or_m,
-)
 
 __all__ = ["main", "parse_int_expr"]
 
@@ -310,6 +304,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    # From the package, which loads the battery as one unit on first use.
+    from . import canonical_params, cyclotomic_prime_power, factor_prime_power
     m = args.m
     if m > _MAX_POLY_M:
         raise _UsageError(f"m too large: over {_MAX_POLY_M}")
@@ -325,6 +321,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_find_m(args) -> int:
+    from . import find_qnr_or_m
     n = parse_int_expr(args.n)
     if n < 2 or n % 24 != 1:
         raise _UsageError("find-m requires n > 1 with n mod 24 == 1")

@@ -676,7 +676,8 @@ class TestCertificates:
 
     def test_search_and_timing_records_must_fit(self):
         # The two forged prime certificates for 1009 (an ill-typed search
-        # record, a string for timings) verified True before these checks.
+        # record, a string for timings) verified True before these checks,
+        # and so did a search record with iterations but no search.
         for cert in (certificate(ppta_inr(1009)), certificate(ppta_eqnr(1009)),
                      certificate(ppta_eqnr(NC)), certificate(ppta_inr(2))):
             assert verify_certificate(cert)
@@ -688,6 +689,7 @@ class TestCertificates:
                         {**search, "q": str(search["q"])},
                         {**search, "iterations": -1},
                         {**search, "needed": int(search["needed"])},
+                        {**search, "needed": False, "iterations": 7},
                         {**search, "extra": 0}):
                 assert not verify_certificate({**cert, "qnr_search": bad}), bad
             for bad in ("x", None, [], {"total_s": -1.0}, {"total_s": "1"},

@@ -291,15 +291,32 @@ def test_package_loads_the_harness_on_first_use():
 
 
 def test_package_surface_is_the_modules_all():
-    """ppt's public names are its eager modules' __all__ and _HARNESS, which
-    is the harness's __all__ but for CSV_HEADER."""
+    """ppt's public names are its eager modules' __all__, the battery's names
+    in _BATTERY, each module's __all__, and _HARNESS, which is the harness's
+    __all__ but for CSV_HEADER. Each resolves from ppt, and from ppt import *
+    binds the names it bound when ppt imported the battery eagerly: every
+    name but the harness's, and the six modules."""
     from ppt import algorithms, canonical, checks, harness, ntcore, polyring
 
     eager = {name for name, value in vars(ppt).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    battery = set().union(*ppt._BATTERY.values())
     modules = (algorithms, canonical, checks, ntcore, polyring)
-    assert eager == set().union(*(module.__all__ for module in modules))
+    assert eager == set(algorithms.__all__) | set(ntcore.__all__)
+    assert not eager & battery
+    assert eager | battery == set().union(*(module.__all__ for module in modules))
+    for module in (canonical, checks, polyring):
+        name = module.__name__.rpartition(".")[2]
+        assert ppt._BATTERY[name] == set(module.__all__)
+        assert all(getattr(ppt, k) is getattr(module, k) for k in module.__all__)
     assert ppt._HARNESS == set(harness.__all__) - {"CSV_HEADER"}
+    assert eager | battery <= set(dir(ppt))
+    code = "from ppt import *\nprint(*sorted(k for k in dir() if not k.startswith('_')))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ppt.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert set(out.stdout.split()) == eager | battery | {
+        "algorithms", "canonical", "checks", "ntcore", "polyring", "quadext"}
 
 
 def _loads(code: str) -> set[str]:
@@ -312,6 +329,62 @@ def _loads(code: str) -> set[str]:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     return set(out.stdout.splitlines()[-1].split())
+
+
+BATTERY_MODULES = {"ppt.canonical", "ppt.checks", "ppt.polyring"}
+
+
+def test_scalar_work_loads_no_battery():
+    """import ppt, the four deciders on n != 1 mod 24, the verification of
+    each certificate, and ppt test on a scalar n load none of the battery's
+    modules."""
+    loaded = _loads(
+        "import json, ppt\n"
+        "from ppt.cli import main\n"
+        "for n in (1000003, 569, 2047, 2**127 - 1):\n"
+        "    for decide in ppt.ALGORITHMS.values():\n"
+        "        cert = json.loads(json.dumps(ppt.certificate(decide(n))))\n"
+        "        assert ppt.verify_certificate(cert)\n"
+        "assert main(['test', '1009']) == 0\n"
+        "assert main(['test', '--algo', 'inr', '1000003']) == 0\n"
+    )
+    assert {"ppt", "ppt.algorithms", "ppt.cli", "ppt.ntcore", "ppt.quadext"} <= loaded
+    assert not loaded & BATTERY_MODULES
+
+
+@pytest.mark.parametrize("code", [
+    "from ppt import ppta_inr\nppta_inr(10000000127881)",
+    "from ppt.cli import main\nassert main(['find-m', '6368689']) == 0",
+    "from ppt.cli import main\nassert main(['poly', '13']) == 0",
+])
+def test_battery_work_loads_the_whole_battery(code):
+    assert BATTERY_MODULES <= _loads(code)
+
+
+def test_battery_names_rebound_on_algorithms_intercept_the_decider():
+    """Rebinding a battery name on ppt.algorithms before the battery loads,
+    as perfbench's Tracer.installed() does, intercepts ppta_inr's calls;
+    binding the original back restores it."""
+    code = (
+        "import sys\n"
+        "import ppt.algorithms as alg\n"
+        "assert 'ppt.checks' not in sys.modules\n"
+        "calls, saved = [], {}\n"
+        "for name in ('pgpc_check', 'find_qnr_or_m'):\n"
+        "    saved[name] = orig = getattr(alg, name)\n"
+        "    def spy(*args, name=name, orig=orig):\n"
+        "        calls.append(name)\n"
+        "        return orig(*args)\n"
+        "    setattr(alg, name, spy)\n"
+        "traced = alg.ppta_inr(10000000127881)\n"
+        "assert calls == ['find_qnr_or_m', 'pgpc_check'], calls\n"
+        "for name, orig in saved.items():\n"
+        "    setattr(alg, name, orig)\n"
+        "assert alg.ppta_inr(10000000127881) == traced and len(calls) == 2\n"
+        "assert alg.pgpc_check is sys.modules['ppt.checks'].pgpc_check\n"
+        "assert alg.find_qnr_or_m is sys.modules['ppt.canonical'].find_qnr_or_m\n"
+    )
+    assert BATTERY_MODULES <= _loads(code)
 
 
 def test_deciding_and_verifying_load_no_dataclasses():

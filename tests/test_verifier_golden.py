@@ -175,7 +175,7 @@ def run(count: int, seed: int = 2023) -> dict:
     return {"digest": h.hexdigest(), "counts": counts, "wrong": wrong}
 
 
-GOLDEN = "9caa05f6fd5020de915ca2d25ca1d886a27150833d6935d7aed77c596c109dab"
+GOLDEN = "07a94cfee92941c099b5715765aca857b0503fb1aee002dcdf2d1b2aa5d3def7"
 
 
 def test_mutants_match_golden_digest():
