@@ -291,11 +291,11 @@ def test_package_loads_the_harness_on_first_use():
 
 
 def test_package_surface_is_the_modules_all():
-    """ppt's public names are its eager modules' __all__, the battery's names
-    in _BATTERY, each module's __all__, and _HARNESS, which is the harness's
-    __all__ but for CSV_HEADER. Each resolves from ppt, and from ppt import *
-    binds the names it bound when ppt imported the battery eagerly: every
-    name but the harness's, and the six modules."""
+    """ppt's public names are its eager modules' __all__, the battery
+    modules' __all__ in _BATTERY (resolved on first use), and _HARNESS, which
+    is the harness's __all__ but for CSV_HEADER. Each resolves from ppt, and
+    from ppt import * binds what it bound when ppt imported the battery
+    eagerly: every name but the harness's, and the six modules."""
     from ppt import algorithms, canonical, checks, harness, ntcore, polyring
 
     eager = {name for name, value in vars(ppt).items()
