@@ -214,7 +214,7 @@ def _build_parser() -> _Parser:
     p_batch.set_defaults(run=_cmd_batch)
     p_batch.add_argument("file")
     p_batch.add_argument("--print-every", type=int, default=0)
-    p_batch.add_argument("--out", help="also write cumulative stats rows as CSV")
+    p_batch.add_argument("--out", help="also write the final cumulative row as CSV")
     p_batch.add_argument("--jobs", type=int, default=1)
 
     p_poly = sub.add_parser("poly", help="print divisor polynomials for m")

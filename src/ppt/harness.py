@@ -8,7 +8,8 @@ non-residue searches worked, and renders run-log rows of the form
 
 where the first three fractions are over composites seen so far and the
 search fraction is over all cases. trial_division and generate_carmichaels
-are deliberately naive reference oracles for cross-checking the deciders.
+are reference oracles for cross-checking the deciders: the first divides,
+the second sieves Korselt's progressions, and neither calls a decider.
 """
 
 from __future__ import annotations
@@ -264,56 +265,25 @@ def trial_division(n: int) -> TrialResult:
 def generate_carmichaels(limit: int) -> list[int]:
     """All Carmichael numbers below limit (limit <= 10**8).
 
-    Segmented factor sieve: each odd n is divided by the odd primes below
-    sqrt(limit), read from ntcore's prime list; survivors must be
-    squarefree composites with p - 1 dividing n - 1 for every prime
-    factor p.
+    Korselt's criterion as progressions: every prime p of a Carmichael n
+    has p < sqrt(n) and n = p (mod p(p - 1)). So, in segments of odd n,
+    each odd prime p below sqrt(limit), read from ntcore's prime list,
+    multiplies the slot of every such n from p*p on by p. A slot ends as
+    the product of n's primes p with p*p <= n and p - 1 | n - 1, which is
+    n exactly when n is a squarefree product of two or more such primes:
+    a Carmichael number.
     """
     if limit > 10**8:
         raise ValueError("generate_carmichaels: limit must be <= 10**8")
+    primes = list(takewhile(lambda p: p * p < limit, map(_prime, count(1))))
     out: list[int] = []
-    if limit <= 9:
-        return out
-    base_primes = list(takewhile(lambda p: p * p < limit, map(_prime, count(1))))
     seg = 1 << 20
-    for lo in range(9, limit, seg):
-        hi = min(lo + seg, limit)
-        start = lo | 1
-        if start >= hi:
-            continue
-        size = (hi - start + 1) // 2
-        rem = list(range(start, hi, 2))
-        alive = bytearray([1]) * size
-        nfac = bytearray(size)
-        for p in base_primes:
-            m0 = ((start + p - 1) // p) * p
-            if not m0 & 1:
-                m0 += p
-            for m in range(m0, hi, 2 * p):
-                i = (m - start) >> 1
-                if not alive[i]:
-                    continue
-                r = rem[i] // p
-                if r % p == 0:
-                    alive[i] = 0
-                    continue
-                if (m - 1) % (p - 1):
-                    alive[i] = 0
-                    continue
-                rem[i] = r
-                nfac[i] += 1
-        for i in range(size):
-            if not alive[i]:
-                continue
-            n = start + 2 * i
-            r = rem[i]
-            if r == n:
-                continue
-            factors = nfac[i]
-            if r > 1:
-                if (n - 1) % (r - 1):
-                    continue
-                factors += 1
-            if factors >= 2:
-                out.append(n)
+    for lo in range(3, limit, seg):
+        odd = range(lo, min(lo + seg, limit), 2)
+        slot = [1] * len(odd)
+        for p in primes:
+            step = p * (p - 1)
+            i = (max(p * p, lo + (p - lo) % step) - lo) >> 1
+            slot[i::step >> 1] = [s * p for s in slot[i::step >> 1]]
+        out += [n for n, s in zip(odd, slot) if s == n]
     return out

@@ -8,6 +8,7 @@ import sys
 import types
 
 import pytest
+import sympy
 
 import ppt
 from ppt.algorithms import ppta_eqnr, ppta_inr
@@ -21,7 +22,7 @@ from ppt.harness import (
     trial_division,
 )
 
-from conftest import CARMICHAELS_1E5, NC
+from conftest import CARMICHAELS_1E5, CARMICHAELS_1MOD24_1E8, NC
 
 
 class TestLoadDataset:
@@ -98,6 +99,16 @@ class TestGenerateCarmichaels:
     def test_rejects_excessive_limit(self):
         with pytest.raises(ValueError):
             generate_carmichaels(10**8 + 1)
+
+    def test_list_below_1e8_passes_korselt(self):
+        # The only call that crosses segment boundaries: about 3 s.
+        found = generate_carmichaels(10**8)
+        assert len(found) == 255  # Pinch's count below 10^8
+        for n in found:
+            factors = sympy.factorint(n)
+            assert len(factors) >= 2 and set(factors.values()) == {1}, n
+            assert all((n - 1) % (p - 1) == 0 for p in factors), n
+        assert [n for n in found if n % 24 == 1] == CARMICHAELS_1MOD24_1E8
 
 
 class TestBatchStats:
