@@ -1,4 +1,4 @@
-"""Batch evaluation: datasets, fold statistics, and reference oracles.
+"""Batch evaluation: datasets, fold statistics, and Carmichael numbers.
 
 run_batch folds verdicts from one of the registered deciders over a
 dataset, accumulating how each composite was resolved and how hard the
@@ -7,9 +7,9 @@ non-residue searches worked, and renders run-log rows of the form
     total | js0 (frac), euler (frac), bcc (frac) | searched (frac), avg, max
 
 where the first three fractions are over composites seen so far and the
-search fraction is over all cases. trial_division and generate_carmichaels
-are reference oracles for cross-checking the deciders: the first divides,
-the second sieves Korselt's progressions, and neither calls a decider.
+search fraction is over all cases. generate_carmichaels is a reference
+list for cross-checking the deciders: it sieves Korselt's progressions
+and calls no decider.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ __all__ = [
     "BatchStats",
     "CSV_HEADER",
     "Dataset",
-    "TrialResult",
     "generate_carmichaels",
     "load_dataset",
     "run_batch",
-    "trial_division",
 ]
 
 _BUCKET_BY_KIND = {
@@ -223,43 +221,6 @@ def run_batch(
     if stats.total + stats.errors != last_emitted_at:
         emit_row()
     return stats, rows
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """kind is 'prime', 'composite' (with smallest factor), or 'unit'."""
-
-    kind: str
-    factor: int | None = None
-
-
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
-
-
-def trial_division(n: int) -> TrialResult:
-    """Ground-truth classification by division up to floor(sqrt(n)).
-
-    Divides by 2, 3, 5 and then by the numbers coprime to 30. Intended as
-    an oracle for moderate n; inputs at or above 2**64 are rejected since
-    the scan is unbounded there in practice.
-    """
-    if n < 1:
-        raise ValueError("trial_division: n must be >= 1")
-    if n >= 1 << 64:
-        raise ValueError("trial_division: oracle limited to n < 2**64")
-    if n == 1:
-        return TrialResult("unit")
-    for p in (2, 3, 5):
-        if n % p == 0:
-            return TrialResult("prime") if n == p else TrialResult("composite", p)
-    d = 7
-    idx = 0
-    while d * d <= n:
-        if n % d == 0:
-            return TrialResult("composite", d)
-        d += _WHEEL[idx]
-        idx = (idx + 1) & 7
-    return TrialResult("prime")
 
 
 def generate_carmichaels(limit: int) -> list[int]:

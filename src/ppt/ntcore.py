@@ -2,8 +2,8 @@
 
 Pure functions over Python ints: Jacobi symbol, exact integer square root,
 odd-part decomposition, one strong-probable-prime round, prime stepping,
-the one list of primes that every walk over small primes reads (_prime),
-and a quadratic-residue census for small moduli.
+and the one list of primes that every walk over small primes reads
+(_prime).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 __all__ = [
     "MrOutcome",
-    "count_qnr",
     "isqrt",
     "jacobi",
     "lof_tpow",
@@ -128,24 +127,3 @@ def _prime(i: int) -> int:
     while len(_primes) <= i:
         _primes.append(next_prime(_primes[-1]))
     return _primes[i]
-
-
-def count_qnr(n: int) -> tuple[int, int]:
-    """Census of [1, n) by Jacobi symbol: (count of -1, count of +1).
-
-    Requires n odd, >= 3, and not a perfect square; for such n both counts
-    equal phi(n)/2. Exhaustive scan, intended for small n only.
-    """
-    if n < 3 or not n & 1:
-        raise ValueError("count_qnr: modulus must be odd and >= 3")
-    s = math.isqrt(n)
-    if s * s == n:
-        raise ValueError("count_qnr: modulus must not be a perfect square")
-    neg = pos = 0
-    for a in range(1, n):
-        j = jacobi(a, n)
-        if j < 0:
-            neg += 1
-        elif j > 0:
-            pos += 1
-    return neg, pos

@@ -3,12 +3,14 @@
 Pairs a + b*sqrt(q) in Z_n[sqrt(q)], odd n >= 3, with sqrt(q)**2 = q:
 a context, elements reduced mod n on construction, the schoolbook
 product, right-to-left square-and-multiply built from that product alone,
-and conjugation. It imports nothing from ppt, so ppt's ladders can be
-checked against it.
+and conjugation. Then the primality oracle: a sieve of Eratosthenes. It
+imports nothing from ppt, so ppt's ladders and deciders can be checked
+against it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 
@@ -66,3 +68,13 @@ def quad_pow(x: QuadInt, e: int) -> QuadInt:
 def conjugate(x: QuadInt) -> QuadInt:
     """a + b*sqrt(q) -> a - b*sqrt(q)."""
     return QuadInt(x.a, -x.b, x.ctx)
+
+
+def prime_flags(limit: int) -> bytearray:
+    """Sieve of Eratosthenes for limit >= 2: a bytearray whose byte k is 1
+    if k is prime and 0 otherwise, for 0 <= k < limit."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return flags

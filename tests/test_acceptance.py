@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+from itertools import repeat
 
 import pytest
 
@@ -30,8 +31,8 @@ from ppt.canonical import (
     upsilon_of,
 )
 from ppt.checks import bcc, ecc, pgpc_check
-from ppt.harness import load_dataset, run_batch, trial_division
-from ppt.ntcore import count_qnr, isqrt, jacobi, next_prime
+from ppt.harness import load_dataset, run_batch
+from ppt.ntcore import isqrt, jacobi, next_prime
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
 from conftest import (
@@ -56,16 +57,20 @@ from conftest import (
     UPS5,
     UPS23,
 )
-from reference import QuadCtx, conjugate, quad_mul, quad_pow
+from reference import QuadCtx, conjugate, prime_flags, quad_mul, quad_pow
 
 
 def test_criterion_1_exhaustive_agreement_below_one_million():
-    """Every odd n in [3, 1e6): all deciders match trial division."""
+    """Every odd n in [3, 1e6): all deciders match a sieve of
+    Eratosthenes, whose primes are sympy's 78,498 below 1e6."""
+    import sympy
     limit = 10**6
+    is_prime = prime_flags(limit)
+    assert [k for k in range(limit) if is_prime[k]] == list(sympy.sieve.primerange(2, limit))
     decided = (Outcome.PRIME, Outcome.COMPOSITE)
     mismatches = []
     for n in range(3, limit, 2):
-        want_prime = trial_division(n).kind == "prime"
+        want_prime = bool(is_prime[n])
         for label, verdict in (
             ("eqnr", ppta_eqnr(n)),
             ("inr_pgpc", ppta_inr(n, "pgpc")),
@@ -175,11 +180,7 @@ def test_criterion_6_property_suites():
     # (a) For odd composites below 1e5 and prime non-residues below 50:
     # a Miller-Rabin witness forces a nonzero Euler defect.
     limit = 10**5
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    sieve = prime_flags(limit)
     small_primes = [q for q in range(2, 50) if sieve[q]]
     for n in range(9, limit, 2):
         if sieve[n]:
@@ -238,8 +239,8 @@ def test_criterion_6_property_suites():
         _, exact = isqrt(n)
         if exact:
             continue
-        neg, pos = count_qnr(n)
-        assert neg == pos == sympy.totient(n) // 2, n
+        symbols = list(map(jacobi, range(1, n), repeat(n)))
+        assert symbols.count(-1) == symbols.count(1) == sympy.totient(n) // 2, n
 
     # (f) The parameter search stays below max(2 lg n, 30) whenever it
     # settles on a prime power, for all n = 1 mod 24 in [1e3, 1e6].

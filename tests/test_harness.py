@@ -19,10 +19,10 @@ from ppt.harness import (
     generate_carmichaels,
     load_dataset,
     run_batch,
-    trial_division,
 )
 
 from conftest import CARMICHAELS_1E5, CARMICHAELS_1MOD24_1E8, NC
+from reference import prime_flags
 
 
 class TestLoadDataset:
@@ -46,34 +46,6 @@ class TestLoadDataset:
             load_dataset(str(tmp_path / "nope.txt"))
 
 
-class TestTrialDivision:
-    def test_classification(self):
-        assert trial_division(1).kind == "unit"
-        assert trial_division(2).kind == "prime"
-        assert trial_division(97).kind == "prime"
-        assert trial_division(1000003).kind == "prime"
-        out = trial_division(2047)
-        assert out.kind == "composite" and out.factor == 23
-        out = trial_division(561)
-        assert out.kind == "composite" and out.factor == 3
-        out = trial_division(49)
-        assert out.kind == "composite" and out.factor == 7
-
-    def test_factor_is_smallest_prime(self):
-        for n in (15, 77, 91, 221, 437, 899):
-            out = trial_division(n)
-            assert out.kind == "composite"
-            assert n % out.factor == 0
-            for d in range(2, out.factor):
-                assert n % d != 0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            trial_division(0)
-        with pytest.raises(ValueError):
-            trial_division(1 << 64)
-
-
 class TestGenerateCarmichaels:
     def test_frozen_small_lists(self):
         assert generate_carmichaels(2000) == [561, 1105, 1729]
@@ -90,8 +62,9 @@ class TestGenerateCarmichaels:
         assert digest == "bb7a913276f05987e288ac0596d55054e9252f17c1d7dae9dcef9bb8b8077a3c"
 
     def test_members_are_fermat_liars(self):
+        is_prime = prime_flags(10**4)
         for n in generate_carmichaels(10**4):
-            assert trial_division(n).kind == "composite"
+            assert not is_prime[n]
             for a in (2, 3, 5, 7):
                 if n % a:
                     assert pow(a, n - 1, n) == 1, (n, a)
@@ -275,8 +248,9 @@ class TestRunBatch:
 class TestAlgorithmsAgreeWithTrialDivision:
     def test_carmichaels_to_1e5(self):
         from ppt.algorithms import enhanced_mr
+        is_prime = prime_flags(10**5)
         for n in CARMICHAELS_1E5:
-            assert trial_division(n).kind == "composite"
+            assert not is_prime[n]
             assert ppta_eqnr(n).outcome.value == "composite"
             assert ppta_inr(n).outcome.value == "composite"
             assert enhanced_mr(n).outcome.value == "composite"
@@ -287,12 +261,10 @@ def test_package_loads_the_harness_on_first_use():
     package offers still imports from it."""
     code = (
         "import sys, ppt; print('ppt.harness' in sys.modules)\n"
-        "from ppt import BatchStats, Dataset, TrialResult, generate_carmichaels\n"
-        "from ppt import load_dataset, run_batch, trial_division\n"
+        "from ppt import BatchStats, Dataset, generate_carmichaels, load_dataset, run_batch\n"
         "import ppt.harness as h\n"
         "print(all(getattr(ppt, k) is getattr(h, k) for k in (\n"
-        "    'BatchStats', 'Dataset', 'TrialResult', 'generate_carmichaels',\n"
-        "    'load_dataset', 'run_batch', 'trial_division')))\n"
+        "    'BatchStats', 'Dataset', 'generate_carmichaels', 'load_dataset', 'run_batch')))\n"
         "print(hasattr(ppt, 'CSV_HEADER'))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ppt.__file__))}
@@ -304,7 +276,8 @@ def test_package_loads_the_harness_on_first_use():
 def test_package_surface_is_the_modules_all():
     """ppt's public names are its eager modules' __all__, the battery
     modules' __all__ in _BATTERY (resolved on first use), and _HARNESS, which
-    is the harness's __all__ but for CSV_HEADER. Each resolves from ppt, and
+    is the harness's __all__ but for CSV_HEADER: its five batch names. Each
+    resolves from ppt, and
     from ppt import * binds what it bound when ppt imported the battery
     eagerly: every name but the harness's, and the six modules."""
     from ppt import algorithms, canonical, checks, harness, ntcore, polyring
@@ -320,7 +293,8 @@ def test_package_surface_is_the_modules_all():
         name = module.__name__.rpartition(".")[2]
         assert ppt._BATTERY[name] == set(module.__all__)
         assert all(getattr(ppt, k) is getattr(module, k) for k in module.__all__)
-    assert ppt._HARNESS == set(harness.__all__) - {"CSV_HEADER"}
+    assert ppt._HARNESS == set(harness.__all__) - {"CSV_HEADER"} == {
+        "BatchStats", "Dataset", "generate_carmichaels", "load_dataset", "run_batch"}
     assert eager | battery <= set(dir(ppt))
     code = "from ppt import *\nprint(*sorted(k for k in dir() if not k.startswith('_')))"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ppt.__file__))}

@@ -6,7 +6,7 @@ import random
 import pytest
 import sympy
 
-from ppt.ntcore import _prime, count_qnr, isqrt, jacobi, lof_tpow, next_prime
+from ppt.ntcore import _prime, isqrt, jacobi, lof_tpow, next_prime
 
 from conftest import CAR, HC1, NHC
 
@@ -126,23 +126,3 @@ def test_prime_list_matches_sympy():
     primes = list(sympy.primerange(2, 10**5))
     assert len(primes) == 9592
     assert [_prime(i) for i in range(len(primes))] == primes
-
-
-class TestCountQnr:
-    def test_split_is_even(self):
-        assert count_qnr(7) == (3, 3)
-        assert count_qnr(15) == (4, 4)
-        assert count_qnr(21) == (6, 6)
-
-    def test_counts_match_totient(self):
-        for n in (15, 21, 33, 35, 105, 561):
-            neg, pos = count_qnr(n)
-            assert neg == pos == sympy.totient(n) // 2
-
-    def test_rejects_even_and_square(self):
-        with pytest.raises(ValueError):
-            count_qnr(10)
-        with pytest.raises(ValueError):
-            count_qnr(9)
-        with pytest.raises(ValueError):
-            count_qnr(1)

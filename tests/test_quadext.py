@@ -1,10 +1,13 @@
 """Unit tests for quadratic-extension ring arithmetic: the ladder
-ppt.quadext._pow and the reference pair arithmetic it is checked against."""
+ppt.quadext._pow, the scalar tail's signed Euler power through ecc and
+bcc, and the reference pair arithmetic they are checked against."""
 
 import random
 
 import pytest
+import sympy
 
+from ppt.checks import bcc, ecc
 from ppt.quadext import _pow
 from reference import QuadCtx, conjugate, quad_mul, quad_pow
 
@@ -85,12 +88,13 @@ class TestPow:
             assert quad_pow(x, e) == acc
 
     def test_matches_square_and_multiply_on_wide_moduli(self):
-        # _pow against the reference's square and multiply of 1 + sqrt(q).
-        # n runs from 3 up to 2^512, with q at the sign boundary of its
-        # least-absolute residue ((n-1)/2 and (n+1)/2), at -2 and -1, small
-        # and random, and e at 0, 1, 2, n-1, n and random below n^2. One
-        # 2048-bit n then takes the decision's e = n at q = 2, n-2 and
-        # random (the reference's full-width products make more slow).
+        # _pow against the reference's square and multiply of 1 + sqrt(q),
+        # at q's least-absolute residue, the one _tail passes. n runs from
+        # 3 up to 2^512, with q at the sign boundary of that residue ((n-1)/2
+        # and (n+1)/2), at -2 and -1, small and random, and e at 0, 1, 2,
+        # n-1, n and random below n^2. One 2048-bit n then takes the
+        # decision's e = n at q = 2, n-2 and random (the reference's
+        # full-width products make more slow).
         rng = random.Random(29)
         cases = []
         for bits, count in ((2, 1), (4, 4), (8, 4), (32, 3), (64, 3),
@@ -104,7 +108,31 @@ class TestPow:
         cases += [(q, n, n) for q in (2, n - 2, rng.randrange(n))]
         for q, n, e in cases:
             y = quad_pow(QuadCtx(n, q).one_plus_root(), e)
-            assert _pow(q, n, e) == (y.a, y.b), (q, n, e)
+            assert _pow((q + n // 2) % n - n // 2, n, e) == (y.a, y.b), (q, n, e)
+
+
+def test_tail_takes_the_euler_power_at_either_sign():
+    """ecc and bcc equal the defects computed from h = pow(q % n, (n-1)/2,
+    n), for q = 2, n - 2, 3, a random q above and one below n/2, and each
+    of those plus and minus n. n is in each odd class mod 8, so a negative
+    least-absolute residue meets both parities of (n-1)/2."""
+    rng = random.Random(47)
+    moduli = list(range(3, 26, 2))
+    for bits in (64, 256):
+        moduli += [(rng.getrandbits(bits) | 1 << bits - 1) & ~7 | r for r in (1, 3, 5, 7)]
+    assert [n % 8 for n in moduli[-8:]] == [1, 3, 5, 7] * 2
+    for n in moduli:
+        e = n >> 1
+        qs = [2, n - 2, 3, rng.randrange(e + 1, n), rng.randrange(1, e + 1)]
+        for q in qs + [q + n for q in qs] + [q - n for q in qs]:
+            h = pow(q % n, e, n)
+            if j := sympy.jacobi_symbol(q % n, n):
+                assert ecc(q, n) == (h - j) % n, (q, n)
+            else:
+                with pytest.raises(ValueError):
+                    ecc(q, n)
+            y = quad_pow(QuadCtx(n, q).one_plus_root(), n)
+            assert bcc(q, n) == ((y.a - 1) % n, (y.b - h) % n), (q, n)
 
 
 class TestConjugateAndNorm:
