@@ -30,7 +30,7 @@ _BATTERY = {
 
 # Resolved from ppt.harness on first use (PEP 562), so that importing ppt
 # does not load the batch harness.
-_HARNESS = {"BatchStats", "Dataset", "generate_carmichaels", "load_dataset", "run_batch"}
+_HARNESS = {"BatchStats", "generate_carmichaels", "load_dataset", "run_batch"}
 
 # from ppt import * binds every eager and battery name, and the modules.
 __all__ = [*algorithms.__all__, *ntcore.__all__, *sorted(set().union(*_BATTERY.values())),

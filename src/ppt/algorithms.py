@@ -365,7 +365,7 @@ def _degenerate(n: int, *, prime_three: bool) -> _Claim | Outcome | None:
 
 # ---------------------------------------------------------------- qnr scans
 
-# The most odd primes find_qnr probes; below it, isqrt(n) bounds the scan.
+# The most odd primes find_qnr probes; below it, math.isqrt(n) bounds the scan.
 _QNR_PROBE_CAP = 10**6
 
 
@@ -466,8 +466,8 @@ def ppta_eqnr(n: int) -> Verdict:
     if what is None and q is not None:
         what = _pbpc_tail(n, q)
     if what is None:
-        s, exact = nt.isqrt(n)
-        what = PerfectSquare(s) if exact else None
+        s = math.isqrt(n)
+        what = PerfectSquare(s) if s * s == n else None
     if what is not None:
         return _verdict(n, t0, what)
     probe = find_qnr(n)
@@ -522,8 +522,8 @@ def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdic
     if what is None and n % 24 != 1:
         what = _no_search(n)
     if what is None:
-        s, exact = nt.isqrt(n)
-        what = PerfectSquare(s) if exact else None
+        s = math.isqrt(n)
+        what = PerfectSquare(s) if s * s == n else None
     if what is not None:
         return _verdict(n, t0, what)
     rng = random.Random(rng_seed)

@@ -14,11 +14,12 @@ minimizes deg Upsilon_m among the admissible prime powers examined.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import count
 from typing import NamedTuple
 
-from .ntcore import _prime, isqrt, jacobi
+from .ntcore import _prime, jacobi
 from .polyring import Poly, _product
 
 __all__ = [
@@ -165,8 +166,8 @@ def find_qnr_or_m(n: int) -> FindResult:
     """
     if n < 25 or n % 24 != 1:
         raise ValueError("find_qnr_or_m: requires n > 1 with n mod 24 == 1")
-    s, exact = isqrt(n)
-    if exact:
+    s = math.isqrt(n)
+    if s * s == n:
         return FindResult(iterations=0, divisor=s)
     myprod = 1
     deg: int | None = None

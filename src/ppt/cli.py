@@ -44,7 +44,7 @@ def _echo(value) -> str:
 
 # A token, or any other character (group 1 unset); with no trailing space,
 # the matches tile the text.
-_TOKEN_RE = re.compile(r"\s*(?:(\d+|[()^*+-])|\S)")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+|[()^*+-])|\S)")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -277,19 +277,10 @@ def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
     from .harness import CSV_HEADER, load_dataset, run_batch
-    dataset = load_dataset(args.file)
+    numbers = load_dataset(args.file)
     algo = _ALGO_NAMES[args.algo].format(mode=args.mode)
-
-    def emit(line: str) -> None:
-        print(line, flush=True)
-
-    stats, _rows = run_batch(
-        dataset,
-        algo=algo,
-        print_every=args.print_every,
-        emit=emit,
-        jobs=args.jobs,
-    )
+    stats = run_batch(numbers, algo=algo, print_every=args.print_every,
+                      emit=lambda row: print(row, flush=True), jobs=args.jobs)
     print(
         f"# total={stats.total} primes={stats.primes_found} "
         f"composites={stats.composites_found} inconclusive={stats.inconclusive} "
@@ -344,11 +335,11 @@ def _cmd_bench(args) -> int:
     if not names:
         raise _UsageError("no algorithms selected")
     from .harness import load_dataset, run_batch
-    dataset = load_dataset(args.file)
+    numbers = load_dataset(args.file)
     print(f"{'algorithm':<12} {'cases':>8} {'seconds':>10}")
     for name in names:
         t0 = time.perf_counter()
-        stats, _ = run_batch(dataset, algo=name)
+        stats = run_batch(numbers, algo=name)
         dt = time.perf_counter() - t0
         print(f"{name:<12} {stats.total:>8} {dt:>10.3f}")
     return 0

@@ -1,15 +1,15 @@
-"""Batch evaluation: datasets, fold statistics, and Carmichael numbers.
+"""Batch evaluation: dataset files, fold statistics, and Carmichael numbers.
 
-run_batch folds verdicts from one of the registered deciders over a
-dataset, accumulating how each composite was resolved and how hard the
-non-residue searches worked, and renders run-log rows of the form
+run_batch folds verdicts from one of the registered deciders over a list
+of integers, accumulating how each composite was resolved and how hard the
+non-residue searches worked, and hands run-log rows of the form
 
     total | js0 (frac), euler (frac), bcc (frac) | searched (frac), avg, max
 
-where the first three fractions are over composites seen so far and the
-search fraction is over all cases. generate_carmichaels is a reference
-list for cross-checking the deciders: it sieves Korselt's progressions
-and calls no decider.
+to a caller's emit as they are produced, where the first three fractions
+are over composites seen so far and the search fraction is over all cases.
+generate_carmichaels is a reference list for cross-checking the deciders:
+it sieves Korselt's progressions and calls no decider.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .ntcore import _prime
 __all__ = [
     "BatchStats",
     "CSV_HEADER",
-    "Dataset",
     "generate_carmichaels",
     "load_dataset",
     "run_batch",
@@ -55,8 +54,8 @@ CSV_HEADER = (
 
 @dataclass
 class BatchStats:
-    """Fold state for a batch run; update() is order-dependent only in
-    argmax_n, which records the smallest n attaining max_search_iters."""
+    """Fold state for a batch run; argmax_n is the smallest n attaining
+    max_search_iters, so no field depends on the order of updates."""
 
     total: int = 0
     primes_found: int = 0
@@ -91,13 +90,8 @@ class BatchStats:
             self.needing_search += 1
             self.sum_search_iters += search.iterations
             it = search.iterations
-            if it > self.max_search_iters:
-                self.max_search_iters = it
-                self.argmax_n = n
-            elif it and it == self.max_search_iters and (
-                self.argmax_n == 0 or n < self.argmax_n
-            ):
-                self.argmax_n = n
+            if (it, -n) > (self.max_search_iters, -self.argmax_n):
+                self.max_search_iters, self.argmax_n = it, n
         if search.q:
             self.q_cases += 1
             self.sum_of_q += search.q
@@ -130,14 +124,8 @@ class BatchStats:
         return ",".join(self._cells())
 
 
-@dataclass
-class Dataset:
-    numbers: list[int]
-    source: str
-
-
-def load_dataset(path: str) -> Dataset:
-    """Whitespace-separated decimal integers; '#' lines are comments."""
+def load_dataset(path: str) -> list[int]:
+    """Whitespace-separated integers in ASCII decimal; '#' lines are comments."""
     numbers: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -146,12 +134,14 @@ def load_dataset(path: str) -> Dataset:
                 continue
             for tok in stripped.split():
                 try:
+                    if "_" in tok or not tok.isascii():
+                        raise ValueError
                     numbers.append(int(tok, 10))
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: malformed integer token {tok!r}"
                     ) from None
-    return Dataset(numbers=numbers, source=str(path))
+    return numbers
 
 
 def _worker(args: tuple[str, int]) -> "Verdict | Exception":
@@ -164,7 +154,7 @@ def _worker(args: tuple[str, int]) -> "Verdict | Exception":
 
 def _verdicts(
     numbers: Sequence[int], algo: str, jobs: int
-) -> Iterable[tuple[int, Verdict | None, Exception | None]]:
+) -> Iterable[tuple[int, Verdict | Exception]]:
     tasks = [(algo, n) for n in numbers]
     # A fork pool starts every worker on the first submit: cap them.
     workers = min(jobs, len(numbers), os.cpu_count() or 1)
@@ -176,51 +166,42 @@ def _verdicts(
     else:
         pool, results = nullcontext(), map(_worker, tasks)
     with pool:
-        for n, res in zip(numbers, results):
-            yield (n, None, res) if isinstance(res, Exception) else (n, res, None)
+        yield from zip(numbers, results)
 
 
 def run_batch(
-    dataset: Dataset,
+    numbers: Sequence[int],
     algo: str = "eqnr",
     print_every: int = 0,
     emit: Callable[[str], None] | None = None,
     jobs: int = 1,
-) -> tuple[BatchStats, list[str]]:
-    """Fold a decider over a dataset.
+) -> BatchStats:
+    """Fold a decider over numbers and return the final state.
 
-    Emits a stats row every print_every cases (0 disables interval rows)
-    and a terminal row for the final state; rows go to `emit` as they are
-    produced and are also returned. Per-number failures are counted and
-    reported to stderr without aborting the batch.
+    Hands `emit` a stats row every print_every cases (0 disables interval
+    rows) and a terminal row for the final state, as they are produced.
+    Per-number failures are counted and reported to stderr without
+    aborting the batch.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"run_batch: unknown algorithm {algo!r}")
     if print_every < 0:
         raise ValueError("run_batch: print_every must be >= 0")
     stats = BatchStats()
-    rows: list[str] = []
-
-    def emit_row() -> None:
-        line = stats.row()
-        rows.append(line)
-        if emit is not None:
-            emit(line)
-
-    last_emitted_at = -1
-    for n, verdict, exc in _verdicts(dataset.numbers, algo, jobs):
-        if exc is not None:
+    emitted_at = -1
+    for n, res in _verdicts(numbers, algo, jobs):
+        if isinstance(res, Exception):
             stats.errors += 1
-            print(f"warning: {n}: {exc}", file=sys.stderr)
+            print(f"warning: {n}: {res}", file=sys.stderr)
         else:
-            stats.update(n, verdict)
+            stats.update(n, res)
         seen = stats.total + stats.errors
-        if print_every and seen % print_every == 0:
-            emit_row()
-            last_emitted_at = seen
-    if stats.total + stats.errors != last_emitted_at:
-        emit_row()
-    return stats, rows
+        if emit is not None and print_every and seen % print_every == 0:
+            emit(stats.row())
+            emitted_at = seen
+    if emit is not None and stats.total + stats.errors != emitted_at:
+        emit(stats.row())
+    return stats
 
 
 def generate_carmichaels(limit: int) -> list[int]:

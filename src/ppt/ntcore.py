@@ -1,21 +1,17 @@
 """Arbitrary-precision integer number theory primitives.
 
-Pure functions over Python ints: Jacobi symbol, exact integer square root,
-odd-part decomposition, one strong-probable-prime round, prime stepping,
-and the one list of primes that every walk over small primes reads
-(_prime).
+Pure functions over Python ints: Jacobi symbol, one strong-probable-prime
+round, prime stepping, and the one list of primes that every walk over
+small primes reads (_prime).
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 __all__ = [
     "MrOutcome",
-    "isqrt",
     "jacobi",
-    "lof_tpow",
     "miller_rabin_base",
     "next_prime",
 ]
@@ -43,22 +39,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def isqrt(n: int) -> tuple[int, bool]:
-    """(floor(sqrt(n)), exact) with exactness verified by multiplication."""
-    if n < 0:
-        raise ValueError("isqrt: negative input")
-    s = math.isqrt(n)
-    return s, s * s == n
-
-
-def lof_tpow(z: int) -> tuple[int, int]:
-    """Split z >= 1 into (delta, t) with z = delta * 2**t and delta odd."""
-    if z < 1:
-        raise ValueError("lof_tpow: input must be >= 1")
-    t = (z & -z).bit_length() - 1
-    return z >> t, t
-
-
 class MrOutcome(NamedTuple):
     """Result of one strong-pseudoprime round; value is the root or base."""
 
@@ -71,11 +51,13 @@ def miller_rabin_base(n: int, a: int) -> MrOutcome:
     """One strong-pseudoprime round at base a for odd n >= 3.
 
     Reports how compositeness surfaced: either a nontrivial square root of
-    unity met while squaring a**delta, or a failed Fermat test.
+    unity met while squaring a**delta (n - 1 = delta * 2**t, delta odd), or
+    a failed Fermat test.
     """
     if n < 3 or not n & 1:
         raise ValueError("miller_rabin_base: modulus must be odd and >= 3")
-    delta, t = lof_tpow(n - 1)
+    t = ((n - 1) & (1 - n)).bit_length() - 1
+    delta = (n - 1) >> t
     b = pow(a, delta, n)
     s = b
     for _ in range(t):

@@ -32,7 +32,7 @@ from ppt.canonical import (
 )
 from ppt.checks import bcc, ecc, pgpc_check
 from ppt.harness import load_dataset, run_batch
-from ppt.ntcore import isqrt, jacobi, next_prime
+from ppt.ntcore import jacobi, next_prime
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
 from conftest import (
@@ -236,8 +236,7 @@ def test_criterion_6_property_suites():
     # non-square modulus below 1e4.
     import sympy
     for n in range(3, 10**4, 2):
-        _, exact = isqrt(n)
-        if exact:
+        if math.isqrt(n) ** 2 == n:
             continue
         symbols = list(map(jacobi, range(1, n), repeat(n)))
         assert symbols.count(-1) == symbols.count(1) == sympy.totient(n) // 2, n
@@ -274,8 +273,8 @@ def test_criterion_7_external_dataset_row():
         pytest.skip(
             "external dataset not supplied: place it at data/"
             "pinch_set1.txt or point PPT_PINCH_SET1 at it")
-    ds = load_dataset(path)
-    _, rows = run_batch(ds, "eqnr", print_every=24668)
+    rows = []
+    run_batch(load_dataset(path), "eqnr", print_every=24668, emit=rows.append)
     assert rows[0] == ("24668 | 8905 (0.3610), 15575 (0.6314), "
                        "188 (0.0076) | 21726 (0.8807), 4.0622, 17")
 

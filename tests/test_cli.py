@@ -83,6 +83,17 @@ class TestExpressionParser:
             parse_int_expr(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text", ["\u0663\u0667", "\uff12^\uff15 - 1", "2^1\u0661"])
+    def test_digits_are_ascii_only(self, text, capsys):
+        """Arabic-Indic and full-width digits are Unicode decimals, which int()
+        reads as 37 and 2^5 - 1; the CLI refuses them as usage errors."""
+        with pytest.raises(cli._UsageError, match="^bad character in expression: "):
+            parse_int_expr(text)
+        assert main(["test", text]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ppt: error: bad character in expression: ")
+
     def test_usage_errors_echo_a_bounded_piece(self, capsys):
         # Both inputs are 400,001 characters; each message quotes 60 of them.
         for text in ("1 " + "2 " * 200_000, "1$" + "2 " * 200_000):
@@ -305,6 +316,14 @@ class TestBatchCommand:
         data.write_text("12 potato\n")
         assert main(["batch", str(data)]) == EXIT_ERROR
         capsys.readouterr()
+
+    def test_non_ascii_digits_in_file_are_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "nums.txt"
+        data.write_text("37\n\u0663\u0667\n", encoding="utf-8")
+        assert main(["batch", str(data)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ppt: error: {data}:2: malformed integer token '\u0663\u0667'\n"
 
     def test_bad_flags_are_usage_errors(self, tmp_path, capsys):
         data = tmp_path / "nums.txt"

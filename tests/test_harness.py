@@ -15,7 +15,6 @@ from ppt.algorithms import ppta_eqnr, ppta_inr
 from ppt.harness import (
     CSV_HEADER,
     BatchStats,
-    Dataset,
     generate_carmichaels,
     load_dataset,
     run_batch,
@@ -29,9 +28,7 @@ class TestLoadDataset:
     def test_mixed_layout(self, tmp_path):
         f = tmp_path / "nums.txt"
         f.write_text("# header comment\n561 1105\n\n  1729\n# tail\n2047\n")
-        ds = load_dataset(str(f))
-        assert ds.numbers == [561, 1105, 1729, 2047]
-        assert ds.source == str(f)
+        assert load_dataset(str(f)) == [561, 1105, 1729, 2047]
 
     def test_malformed_token_reports_position(self, tmp_path):
         f = tmp_path / "bad.txt"
@@ -40,6 +37,16 @@ class TestLoadDataset:
             load_dataset(str(f))
         assert "bad.txt:2" in str(err.value)
         assert "xyz" in str(err.value)
+
+    @pytest.mark.parametrize("tok", ["1_105", "\u0663\u0667", "\uff12", "5\u00b2"])
+    def test_underscores_and_non_ascii_digits_refused(self, tmp_path, tok):
+        """int() takes 1_105 and Arabic-Indic or full-width digits; a
+        dataset token is ASCII decimal only."""
+        f = tmp_path / "odd.txt"
+        f.write_text(f"561\n{tok}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_dataset(str(f))
+        assert str(err.value) == f"{f}:2: malformed integer token {tok!r}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -98,16 +105,13 @@ class TestBatchStats:
         assert stats.argmax_n == 1729
 
     def test_argmax_prefers_smallest_attaining_n(self):
-        stats = BatchStats()
-        stats.update(1729, ppta_eqnr(1729))  # 3 iterations
-        stats.update(2465, ppta_eqnr(2465))
-        first = stats.argmax_n
-        stats2 = BatchStats()
-        stats2.update(2465, ppta_eqnr(2465))
-        stats2.update(1729, ppta_eqnr(1729))
-        assert stats.max_search_iters == stats2.max_search_iters
-        if stats.max_search_iters == 3:
-            assert first == stats2.argmax_n
+        depth = {n: ppta_eqnr(n).qnr_search.iterations for n in (561, 1729, 6601)}
+        assert depth == {561: 1, 1729: 3, 6601: 3}
+        for order in ((1729, 6601), (6601, 1729), (561, 6601, 1729), (6601, 561, 1729)):
+            stats = BatchStats()
+            for n in order:
+                stats.update(n, ppta_eqnr(n))
+            assert (stats.max_search_iters, stats.argmax_n) == (3, 1729), order
 
     def test_q_statistics(self):
         stats = BatchStats()
@@ -152,27 +156,32 @@ class TestBatchStats:
 
 class TestRunBatch:
     def test_carmichael_triple_under_eqnr(self):
-        ds = Dataset([561, 1105, 1729], "inline")
-        stats, rows = run_batch(ds, "eqnr")
+        rows = []
+        stats = run_batch([561, 1105, 1729], "eqnr", emit=rows.append)
+        assert isinstance(stats, BatchStats)
         assert stats.total == 3
         assert stats.composites_found == 3
         assert stats.primes_found == 0
-        assert rows[-1].endswith("3 (1.0000), 2, 3")
+        assert rows == [stats.row()]
+        assert rows[0].endswith("3 (1.0000), 2, 3")
 
     def test_interval_rows_and_terminal_dedup(self):
-        ds = Dataset([561, 1105, 1729, 2047, 2465, 2821], "inline")
-        emitted = []
-        stats, rows = run_batch(ds, "eqnr", print_every=2,
-                                emit=emitted.append)
+        nums = [561, 1105, 1729, 2047, 2465, 2821]
+        rows = []
+        run_batch(nums, "eqnr", print_every=2, emit=rows.append)
         assert len(rows) == 3  # 2, 4, 6; final row not repeated
-        assert emitted == rows
-        stats2, rows2 = run_batch(ds, "eqnr", print_every=4)
-        assert len(rows2) == 2  # 4, then terminal 6
-        assert stats2.total == 6
+        rows2 = []
+        stats2 = run_batch(nums, "eqnr", print_every=4, emit=rows2.append)
+        assert rows2 == [rows[1], rows[2]]  # 4, then terminal 6
+        assert rows2[-1] == stats2.row() and stats2.total == 6
+
+    def test_empty_batch_emits_one_terminal_row(self):
+        rows = []
+        assert run_batch([], "eqnr", print_every=2, emit=rows.append) == BatchStats()
+        assert rows == [BatchStats().row()]
 
     def test_mixed_outcomes_with_inr(self):
-        ds = Dataset([25, 97, 569, 1105, NC], "inline")
-        stats, _ = run_batch(ds, "inr_pgpc")
+        stats = run_batch([25, 97, 569, 1105, NC], "inr_pgpc")
         assert stats.primes_found == 2
         assert stats.composites_found == 3
         assert stats.resolved_by["perfect_square"] == 1
@@ -180,21 +189,20 @@ class TestRunBatch:
         assert stats.resolved_by["pgpc"] == 1
 
     def test_unit_counted_not_applicable(self):
-        stats, _ = run_batch(Dataset([1, 561, 569], "inline"), "eqnr")
+        stats = run_batch([1, 561, 569], "eqnr")
         assert stats.total == 3
         assert stats.not_applicable == 1
         assert (stats.primes_found, stats.composites_found) == (1, 1)
 
     def test_errors_counted_without_aborting(self):
-        ds = Dataset([561, 0, 569], "inline")
-        stats, _ = run_batch(ds, "eqnr")
+        stats = run_batch([561, 0, 569], "eqnr")
         assert stats.errors == 1
         assert stats.total == 2
 
     def test_parallel_jobs_match_serial(self):
         nums = list(range(3, 400, 2))
-        serial, _ = run_batch(Dataset(nums, "s"), "eqnr")
-        parallel, _ = run_batch(Dataset(nums, "p"), "eqnr", jobs=2)
+        serial = run_batch(nums, "eqnr")
+        parallel = run_batch(nums, "eqnr", jobs=2)
         assert serial.total == parallel.total
         assert serial.primes_found == parallel.primes_found
         assert serial.composites_found == parallel.composites_found
@@ -234,18 +242,19 @@ class TestRunBatch:
             (4, 6, 1, []),
         ):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            data = Dataset(nums[:k], "inline")
             asked.clear()
-            got = run_batch(data, "eqnr", print_every=2, jobs=jobs)
+            rows, serial_rows = [], []
+            got = run_batch(nums[:k], "eqnr", print_every=2, emit=rows.append, jobs=jobs)
             assert asked == want
-            assert got == run_batch(data, "eqnr", print_every=2)
+            assert got == run_batch(nums[:k], "eqnr", print_every=2, emit=serial_rows.append)
+            assert rows == serial_rows
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
-            run_batch(Dataset([9], "x"), "nope")
+            run_batch([9], "nope")
 
 
-class TestAlgorithmsAgreeWithTrialDivision:
+class TestAlgorithmsAgreeWithEratosthenes:
     def test_carmichaels_to_1e5(self):
         from ppt.algorithms import enhanced_mr
         is_prime = prime_flags(10**5)
@@ -261,10 +270,10 @@ def test_package_loads_the_harness_on_first_use():
     package offers still imports from it."""
     code = (
         "import sys, ppt; print('ppt.harness' in sys.modules)\n"
-        "from ppt import BatchStats, Dataset, generate_carmichaels, load_dataset, run_batch\n"
+        "from ppt import BatchStats, generate_carmichaels, load_dataset, run_batch\n"
         "import ppt.harness as h\n"
         "print(all(getattr(ppt, k) is getattr(h, k) for k in (\n"
-        "    'BatchStats', 'Dataset', 'generate_carmichaels', 'load_dataset', 'run_batch')))\n"
+        "    'BatchStats', 'generate_carmichaels', 'load_dataset', 'run_batch')))\n"
         "print(hasattr(ppt, 'CSV_HEADER'))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ppt.__file__))}
@@ -276,7 +285,7 @@ def test_package_loads_the_harness_on_first_use():
 def test_package_surface_is_the_modules_all():
     """ppt's public names are its eager modules' __all__, the battery
     modules' __all__ in _BATTERY (resolved on first use), and _HARNESS, which
-    is the harness's __all__ but for CSV_HEADER: its five batch names. Each
+    is the harness's __all__ but for CSV_HEADER: its four batch names. Each
     resolves from ppt, and
     from ppt import * binds what it bound when ppt imported the battery
     eagerly: every name but the harness's, and the six modules."""
@@ -294,7 +303,7 @@ def test_package_surface_is_the_modules_all():
         assert ppt._BATTERY[name] == set(module.__all__)
         assert all(getattr(ppt, k) is getattr(module, k) for k in module.__all__)
     assert ppt._HARNESS == set(harness.__all__) - {"CSV_HEADER"} == {
-        "BatchStats", "Dataset", "generate_carmichaels", "load_dataset", "run_batch"}
+        "BatchStats", "generate_carmichaels", "load_dataset", "run_batch"}
     assert eager | battery <= set(dir(ppt))
     code = "from ppt import *\nprint(*sorted(k for k in dir() if not k.startswith('_')))"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ppt.__file__))}

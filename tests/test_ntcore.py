@@ -1,12 +1,11 @@
 """Unit tests for the elementary number-theory helpers."""
 
-import math
 import random
 
 import pytest
 import sympy
 
-from ppt.ntcore import _prime, isqrt, jacobi, lof_tpow, next_prime
+from ppt.ntcore import _prime, jacobi, next_prime
 
 from conftest import CAR, HC1, NHC
 
@@ -57,47 +56,6 @@ class TestJacobi:
             jacobi(3, 1)
         with pytest.raises(ValueError):
             jacobi(3, -7)
-
-
-class TestIsqrt:
-    def test_basic(self):
-        assert isqrt(0) == (0, True)
-        assert isqrt(1) == (1, True)
-        assert isqrt(2) == (1, False)
-        assert isqrt(25) == (5, True)
-        assert isqrt(589) == (24, False)
-
-    def test_matches_math_isqrt(self):
-        rng = random.Random(13)
-        for _ in range(1000):
-            n = rng.randrange(0, 10**18)
-            s, exact = isqrt(n)
-            assert s == math.isqrt(n)
-            assert exact == (s * s == n)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            isqrt(-1)
-
-
-class TestLofTpow:
-    def test_basic(self):
-        assert lof_tpow(340) == (85, 2)
-        assert lof_tpow(1) == (1, 0)
-        assert lof_tpow(1024) == (1, 10)
-        assert lof_tpow(7) == (7, 0)
-
-    def test_reconstruction(self):
-        rng = random.Random(17)
-        for _ in range(1000):
-            n = rng.randrange(1, 10**12)
-            delta, t = lof_tpow(n)
-            assert delta % 2 == 1
-            assert delta << t == n
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lof_tpow(0)
 
 
 class TestNextPrime:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ppt.canonical import canonical_params, find_qnr_or_m
 from ppt.checks import bcc
-from ppt.ntcore import isqrt, jacobi, lof_tpow, next_prime
+from ppt.ntcore import jacobi, next_prime
 from ppt.polyring import Poly, mbec_remainder
 
 from reference import QuadCtx, conjugate, quad_mul, quad_pow
@@ -29,20 +29,6 @@ class TestNtcoreProperties:
     @settings(max_examples=200, deadline=None)
     def test_jacobi_multiplicative(self, a, b, n):
         assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
-
-    @given(st.integers(min_value=0, max_value=10**24))
-    @settings(max_examples=300, deadline=None)
-    def test_isqrt_floor(self, n):
-        s, exact = isqrt(n)
-        assert s * s <= n < (s + 1) * (s + 1)
-        assert exact == (s * s == n)
-
-    @given(st.integers(min_value=1, max_value=10**18))
-    @settings(max_examples=300, deadline=None)
-    def test_lof_tpow_reconstructs(self, n):
-        delta, t = lof_tpow(n)
-        assert delta & 1
-        assert delta << t == n
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=100, deadline=None)
