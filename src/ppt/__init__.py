@@ -5,9 +5,9 @@ non-residue test, a no-search variant backed by canonical divisor
 polynomials, and a randomized Miller-Rabin hybrid), each producing a
 verdict whose compositeness mechanism re-verifies from its own fields.
 
-import ppt loads the scalar core: ppt.algorithms, ppt.ntcore and
-ppt.quadext. The polynomial battery, ppt.checks with ppt.canonical and
-ppt.polyring, loads as one unit the first time anything needs it.
+import ppt loads the scalar core: ppt.algorithms and ppt.ntcore. The
+polynomial battery, ppt.checks with ppt.canonical and ppt.polyring, loads
+as one unit the first time anything needs it.
 """
 
 # The public names of ppt are each of these modules' __all__, _BATTERY and
@@ -34,7 +34,7 @@ _HARNESS = {"BatchStats", "generate_carmichaels", "load_dataset", "run_batch"}
 
 # from ppt import * binds every eager and battery name, and the modules.
 __all__ = [*algorithms.__all__, *ntcore.__all__, *sorted(set().union(*_BATTERY.values())),
-           "algorithms", "canonical", "checks", "ntcore", "polyring", "quadext"]
+           "algorithms", "canonical", "checks", "ntcore", "polyring"]
 
 
 def __dir__() -> list[str]:

@@ -22,10 +22,10 @@ fields: a factor, square or root by arithmetic, and a claim made at a q or
 an m by re-running the route that made it there (_pbpc_tail or _battery)
 and comparing the result with the claim.
 
-The scalar routes need ppt.ntcore and ppt.quadext only. The polynomial
-battery, ppt.checks with ppt.canonical and ppt.polyring, is imported the
-first time ppta_inr meets n = 1 mod 24, a certificate's claim is checked
-at an m, or one of its names is read from this module (_load_battery).
+The scalar routes need ppt.ntcore only. The polynomial battery, ppt.checks
+with ppt.canonical and ppt.polyring, is imported the first time ppta_inr
+meets n = 1 mod 24, a certificate's claim is checked at an m, or one of
+its names is read from this module (_load_battery).
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from enum import Enum
 from typing import Any, Callable, NamedTuple
 
 from . import ntcore as nt
-from .ntcore import jacobi, miller_rabin_base
-from .quadext import _tail
+from .ntcore import _tail, jacobi, miller_rabin_base
 
 __all__ = [
     "ALGORITHMS",
@@ -60,7 +59,6 @@ __all__ = [
     "certificate",
     "enhanced_mr",
     "find_qnr",
-    "miller_rabin_base",
     "ppta_eqnr",
     "ppta_inr",
     "verify_certificate",

@@ -2,7 +2,7 @@
 
 Each check returns the full defect rather than a boolean, so a nonzero
 result doubles as a verifiable witness of compositeness. ecc and bcc read
-the scalar defects from quadext._tail, the tail the deciders run. The
+the scalar defects from ntcore._tail, the tail the deciders run. The
 polynomial variants test the same binomial congruence modulo the
 canonical divisor polynomials attached to a parameter m.
 
@@ -18,9 +18,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .canonical import CanonicalParams, canonical_params
-from .ntcore import jacobi
+from .ntcore import _tail, jacobi
 from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
-from .quadext import _tail
 
 __all__ = [
     "PgpcReport",

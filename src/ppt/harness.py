@@ -1,13 +1,14 @@
 """Batch evaluation: dataset files, fold statistics, and Carmichael numbers.
 
 run_batch folds verdicts from one of the registered deciders over a list
-of integers, accumulating how each composite was resolved and how hard the
+of integers, counting composites by mechanism kind and how hard the
 non-residue searches worked, and hands run-log rows of the form
 
     total | js0 (frac), euler (frac), bcc (frac) | searched (frac), avg, max
 
-to a caller's emit as they are produced, where the first three fractions
-are over composites seen so far and the search fraction is over all cases.
+to a caller's emit as they are produced. js0, euler and bcc count the
+jacobi_zero_factor, euler_witness and binomial_witness composites, each
+a fraction of the composites seen so far; searched, of all cases.
 generate_carmichaels is a reference list for cross-checking the deciders:
 it sieves Korselt's progressions and calls no decider.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import count, takewhile
@@ -31,20 +33,6 @@ __all__ = [
     "load_dataset",
     "run_batch",
 ]
-
-_BUCKET_BY_KIND = {
-    "perfect_square": "perfect_square",
-    "jacobi_zero_factor": "js_zero_factor",
-    "euler_witness": "euler",
-    "binomial_witness": "bcc",
-    "even": "trivial_factor",
-    "trivial_factor": "trivial_factor",
-    "pgpc_violation": "pgpc",
-    "mr_nontrivial_root": "mr_witness",
-    "fermat_witness": "mr_witness",
-}
-
-RESOLUTION_BUCKETS = tuple(dict.fromkeys(_BUCKET_BY_KIND.values()))
 
 CSV_HEADER = (
     "index,js0,js0_frac,ecc,ecc_frac,bcc,bcc_frac,"
@@ -69,9 +57,7 @@ class BatchStats:
     argmax_n: int = 0
     sum_of_q: int = 0
     q_cases: int = 0
-    resolved_by: dict[str, int] = field(
-        default_factory=lambda: {k: 0 for k in RESOLUTION_BUCKETS}
-    )
+    resolved_by: Counter[str] = field(default_factory=Counter)
 
     def update(self, n: int, verdict: Verdict) -> None:
         self.total += 1
@@ -79,8 +65,7 @@ class BatchStats:
             self.primes_found += 1
         elif verdict.outcome is Outcome.COMPOSITE:
             self.composites_found += 1
-            bucket = _BUCKET_BY_KIND[verdict.mechanism.kind]
-            self.resolved_by[bucket] += 1
+            self.resolved_by[verdict.mechanism.kind] += 1
         elif verdict.outcome is Outcome.INCONCLUSIVE:
             self.inconclusive += 1
         else:
@@ -100,8 +85,8 @@ class BatchStats:
         """The run-log values in CSV_HEADER order, formatted as printed."""
         comp, total, searched = self.composites_found, self.total, self.needing_search
         cells = [str(total)]
-        for bucket in ("js_zero_factor", "euler", "bcc"):
-            count = self.resolved_by[bucket]
+        for kind in ("jacobi_zero_factor", "euler_witness", "binomial_witness"):
+            count = self.resolved_by[kind]
             cells += [str(count), f"{count / comp if comp else 0.0:.4f}"]
         avg = self.sum_search_iters / searched if searched else 0.0
         cells += [
@@ -125,7 +110,7 @@ class BatchStats:
 
 
 def load_dataset(path: str) -> list[int]:
-    """Whitespace-separated integers in ASCII decimal; '#' lines are comments."""
+    """Whitespace-separated unsigned ASCII decimal integers; '#' lines are comments."""
     numbers: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -133,14 +118,9 @@ def load_dataset(path: str) -> list[int]:
             if not stripped or stripped.startswith("#"):
                 continue
             for tok in stripped.split():
-                try:
-                    if "_" in tok or not tok.isascii():
-                        raise ValueError
-                    numbers.append(int(tok, 10))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: malformed integer token {tok!r}"
-                    ) from None
+                if not (tok.isascii() and tok.isdigit()):
+                    raise ValueError(f"{path}:{lineno}: malformed integer token {tok!r}")
+                numbers.append(int(tok))
     return numbers
 
 

@@ -325,6 +325,16 @@ class TestBatchCommand:
         assert captured.out == ""
         assert captured.err == f"ppt: error: {data}:2: malformed integer token '\u0663\u0667'\n"
 
+    def test_signed_tokens_in_file_are_runtime_error(self, tmp_path, capsys):
+        """ppt test refuses a sign, and so does a dataset: the first signed
+        token stops the batch before any number is decided."""
+        data = tmp_path / "nums.txt"
+        data.write_text("-5 +7 0 13\n")
+        assert main(["batch", str(data)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ppt: error: {data}:1: malformed integer token '-5'\n"
+
     def test_bad_flags_are_usage_errors(self, tmp_path, capsys):
         data = tmp_path / "nums.txt"
         data.write_text("9\n")

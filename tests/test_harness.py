@@ -11,7 +11,7 @@ import pytest
 import sympy
 
 import ppt
-from ppt.algorithms import ppta_eqnr, ppta_inr
+from ppt.algorithms import _CLAIMS, ALGORITHMS, ppta_eqnr, ppta_inr
 from ppt.harness import (
     CSV_HEADER,
     BatchStats,
@@ -22,6 +22,13 @@ from ppt.harness import (
 
 from conftest import CARMICHAELS_1E5, CARMICHAELS_1MOD24_1E8, NC
 from reference import prime_flags
+
+# Composites that, under the four deciders, reach every mechanism kind:
+# even, perfect square, Jacobi zero factor, Euler and binomial witnesses
+# (scalar and polynomial), trivial factor, pgpc violation, nontrivial root
+# and Fermat witness.
+KIND_INPUTS = [4, 9, 15, 33, 2047, 385, 6409, 6368689, 31119895200241]
+MECHANISM_KINDS = {kind for kind, (_, slot, *_) in _CLAIMS.items() if slot == "mechanism"}
 
 
 class TestLoadDataset:
@@ -38,10 +45,11 @@ class TestLoadDataset:
         assert "bad.txt:2" in str(err.value)
         assert "xyz" in str(err.value)
 
-    @pytest.mark.parametrize("tok", ["1_105", "\u0663\u0667", "\uff12", "5\u00b2"])
+    @pytest.mark.parametrize("tok", ["1_105", "\u0663\u0667", "\uff12", "5\u00b2",
+                                     "-5", "+7", "-0"])
     def test_underscores_and_non_ascii_digits_refused(self, tmp_path, tok):
-        """int() takes 1_105 and Arabic-Indic or full-width digits; a
-        dataset token is ASCII decimal only."""
+        """int() takes 1_105, a sign, and Arabic-Indic or full-width digits;
+        a dataset token is unsigned ASCII decimal only."""
         f = tmp_path / "odd.txt"
         f.write_text(f"561\n{tok}\n", encoding="utf-8")
         with pytest.raises(ValueError) as err:
@@ -98,7 +106,7 @@ class TestBatchStats:
             stats.update(n, ppta_eqnr(n))
         assert stats.total == 3
         assert stats.composites_found == 3
-        assert stats.resolved_by["js_zero_factor"] == 3
+        assert stats.resolved_by["jacobi_zero_factor"] == 3
         assert stats.needing_search == 3
         assert stats.sum_search_iters == 1 + 2 + 3
         assert stats.max_search_iters == 3
@@ -128,9 +136,9 @@ class TestBatchStats:
         stats.needing_search = 21726
         stats.sum_search_iters = 88255
         stats.max_search_iters = 17
-        stats.resolved_by["js_zero_factor"] = 8905
-        stats.resolved_by["euler"] = 15575
-        stats.resolved_by["bcc"] = 188
+        stats.resolved_by["jacobi_zero_factor"] = 8905
+        stats.resolved_by["euler_witness"] = 15575
+        stats.resolved_by["binomial_witness"] = 188
         assert stats.row() == (
             "24668 | 8905 (0.3610), 15575 (0.6314), 188 (0.0076) | "
             "21726 (0.8807), 4.0622, 17")
@@ -149,7 +157,7 @@ class TestBatchStats:
         stats.needing_search = 3
         stats.sum_search_iters = 6
         stats.max_search_iters = 3
-        stats.resolved_by["js_zero_factor"] = 3
+        stats.resolved_by["jacobi_zero_factor"] = 3
         assert stats.row() == (
             "3 | 3 (1.0000), 0 (0.0000), 0 (0.0000) | 3 (1.0000), 2, 3")
 
@@ -186,7 +194,7 @@ class TestRunBatch:
         assert stats.composites_found == 3
         assert stats.resolved_by["perfect_square"] == 1
         assert stats.resolved_by["trivial_factor"] == 1
-        assert stats.resolved_by["pgpc"] == 1
+        assert stats.resolved_by["pgpc_violation"] == 1
 
     def test_unit_counted_not_applicable(self):
         stats = run_batch([1, 561, 569], "eqnr")
@@ -249,6 +257,28 @@ class TestRunBatch:
             assert got == run_batch(nums[:k], "eqnr", print_every=2, emit=serial_rows.append)
             assert rows == serial_rows
 
+    @pytest.mark.parametrize("algo, row", [
+        ("eqnr", "9 | 2 (0.2222), 4 (0.4444), 1 (0.1111) | 5 (0.5556), 3.2, 6"),
+        ("inr_pgpc", "9 | 0 (0.0000), 0 (0.0000), 1 (0.1111) | 4 (0.4444), 3.75, 6"),
+        ("inr_fgpc", "9 | 0 (0.0000), 0 (0.0000), 4 (0.4444) | 4 (0.4444), 3.75, 6"),
+        ("enhanced_mr", "9 | 0 (0.0000), 2 (0.2222), 1 (0.1111) | 4 (0.4444), 1, 1"),
+    ])
+    def test_resolutions_counted_by_mechanism_kind(self, algo, row):
+        """Over inputs that together reach every mechanism kind, each
+        composite is counted once, under its mechanism's kind; the rows
+        are those printed when the counts were kept in named buckets."""
+        stats = run_batch(KIND_INPUTS, algo)
+        assert stats.composites_found == len(KIND_INPUTS)
+        assert sum(stats.resolved_by.values()) == stats.composites_found
+        assert set(stats.resolved_by) <= MECHANISM_KINDS
+        assert stats.row() == row
+
+    def test_kind_inputs_reach_every_mechanism_kind(self):
+        reached = set()
+        for algo in ALGORITHMS:
+            reached |= set(run_batch(KIND_INPUTS, algo).resolved_by)
+        assert reached == MECHANISM_KINDS
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             run_batch([9], "nope")
@@ -310,7 +340,7 @@ def test_package_surface_is_the_modules_all():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert set(out.stdout.split()) == eager | battery | {
-        "algorithms", "canonical", "checks", "ntcore", "polyring", "quadext"}
+        "algorithms", "canonical", "checks", "ntcore", "polyring"}
 
 
 def _loads(code: str) -> set[str]:
@@ -330,8 +360,9 @@ BATTERY_MODULES = {"ppt.canonical", "ppt.checks", "ppt.polyring"}
 
 def test_scalar_work_loads_no_battery():
     """import ppt, the four deciders on n != 1 mod 24, the verification of
-    each certificate, and ppt test on a scalar n load none of the battery's
-    modules."""
+    each certificate, and ppt test on a scalar n load the scalar core and
+    the CLI only, none of the battery's modules; the scalar tail has no
+    module of its own."""
     loaded = _loads(
         "import json, ppt\n"
         "from ppt.cli import main\n"
@@ -342,8 +373,10 @@ def test_scalar_work_loads_no_battery():
         "assert main(['test', '1009']) == 0\n"
         "assert main(['test', '--algo', 'inr', '1000003']) == 0\n"
     )
-    assert {"ppt", "ppt.algorithms", "ppt.cli", "ppt.ntcore", "ppt.quadext"} <= loaded
-    assert not loaded & BATTERY_MODULES
+    assert {m for m in loaded if m.partition(".")[0] == "ppt"} == {
+        "ppt", "ppt.algorithms", "ppt.cli", "ppt.ntcore"}
+    with pytest.raises(ModuleNotFoundError):
+        import ppt.quadext  # noqa: F401 (the scalar tail is in ppt.ntcore)
 
 
 @pytest.mark.parametrize("code", [

@@ -1,6 +1,6 @@
-"""Unit tests for quadratic-extension ring arithmetic: the ladder
-ppt.quadext._pow, the scalar tail's signed Euler power through ecc and
-bcc, and the reference pair arithmetic they are checked against."""
+"""Unit tests for the scalar tail: the Z_n[sqrt(q)] ladder ppt.ntcore._pow,
+the tail's signed Euler power through ecc and bcc, and the reference pair
+arithmetic they are checked against."""
 
 import random
 
@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from ppt.checks import bcc, ecc
-from ppt.quadext import _pow
+from ppt.ntcore import _pow
 from reference import QuadCtx, conjugate, quad_mul, quad_pow
 
 
