@@ -200,7 +200,6 @@ class _Claim(tuple):
 
     __slots__ = ()
     _kinds: list[str]
-    _forms: dict[tuple, _Form]  # (kind, which fields after it are set) -> form
     _form: Callable[[_Claim], _Form]  # the claim's own form
 
     def verify(self, n: int) -> bool:
@@ -250,8 +249,7 @@ def _claim_class(name: str, doc: str) -> type:
     ), namespace)
     return type(name, (_Claim, namedtuple(name, ("kind", *fields))), {
         "__doc__": doc, "__module__": __name__, "__slots__": (),
-        "__new__": namespace["__new__"], "_form": namespace["_form"],
-        "_kinds": kinds, "_forms": forms,
+        "__new__": namespace["__new__"], "_form": namespace["_form"], "_kinds": kinds,
     })
 
 
@@ -332,22 +330,27 @@ class Verdict(NamedTuple):
 
 # The outcome a claim makes, by the certificate slot _CLAIMS gives its kind.
 _SLOT_OUTCOME = {"mechanism": Outcome.COMPOSITE, "prime_basis": Outcome.PRIME}
+# kind -> (the outcome its claims make, their slot), read by _verdict.
+_KIND_VERDICT = {kind: (_SLOT_OUTCOME[slot], slot) for kind, (_, slot, *_) in _CLAIMS.items()}
+_new = tuple.__new__
 
 
 def _verdict(n: int, t0: float, what: _Claim | Outcome, iters: int | None = None) -> Verdict:
     """The one place a Verdict is built, from what decided n.
 
-    A claim fills its slot and makes that slot's outcome (_SLOT_OUTCOME);
+    A claim fills its slot with its outcome, both read from _KIND_VERDICT;
     an Outcome stands alone. iters counts a search's probes, None where n's
-    class fixed the route. The recorded q is the scalar non-residue `what`
-    relied on, or 0; total_s is the time since t0.
+    class fixed the route; q is the non-residue `what` relied on, or 0;
+    total_s is the time since t0. Both tuples are built by tuple.__new__.
     """
-    slot = None if isinstance(what, Outcome) else _CLAIMS[what.kind][1]
-    outcome = _SLOT_OUTCOME.get(slot, what)
-    search = QnrSearch(iters is not None, iters or 0, getattr(what, "q", None) or 0)
     timings = {"total_s": time.perf_counter() - t0}
-    return Verdict(n, outcome, what if slot == "mechanism" else None,
-                   what if slot == "prime_basis" else None, search, timings)
+    search = _new(QnrSearch, (iters is not None, iters or 0, getattr(what, "q", None) or 0))
+    if type(what) is Outcome:
+        return _new(Verdict, (n, what, None, None, search, timings))
+    outcome, slot = _KIND_VERDICT[what[0]]
+    if slot == "mechanism":
+        return _new(Verdict, (n, outcome, what, None, search, timings))
+    return _new(Verdict, (n, outcome, None, what, search, timings))
 
 
 def _degenerate(n: int, *, prime_three: bool) -> _Claim | Outcome | None:
@@ -404,11 +407,11 @@ def _pbpc_tail(n: int, q: int) -> _Claim:
     known: n's class fixes it, or the caller has just evaluated it."""
     q %= n
     euler, a, b = _tail(q, n, -1)
-    if euler:
-        return EulerWitness(q=q, ecc_value=euler)
+    if euler:  # each class's first fields: (q, ecc_value), (q, a, b), (kind, q)
+        return EulerWitness(q, euler)
     if a or b:
-        return BinomialWitness(q=q, a=a, b=b)
-    return PrimeBasis("pbpc", q=q)
+        return BinomialWitness(q, a, b)
+    return PrimeBasis("pbpc", q)
 
 
 def _battery(n: int, m: int, mode: str) -> _Claim:
@@ -460,8 +463,7 @@ def ppta_eqnr(n: int) -> Verdict:
     """
     t0 = time.perf_counter()
     what = _degenerate(n, prime_three=False)
-    q = _class_qnr(n)
-    if what is None and q is not None:
+    if what is None and (q := _class_qnr(n)) is not None:
         what = _pbpc_tail(n, q)
     if what is None:
         s = math.isqrt(n)
@@ -494,8 +496,7 @@ def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
     if not _battery_loaded:
         _load_battery()
     fr = find_qnr_or_m(n)
-    if fr.divisor is not None:
-        d = fr.divisor
+    if (d := fr.divisor) is not None:
         what = PerfectSquare(d) if d * d == n else TrivialFactor(d)
     elif fr.qnr is not None:
         what = _pbpc_tail(n, fr.qnr)
@@ -534,9 +535,9 @@ def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdic
             return _verdict(n, t0, _pbpc_tail(n, a), i)
         out = miller_rabin_base(n, a)
         if out.witness_kind == "nontrivial_root":
-            return _verdict(n, t0, MrNontrivialRoot(base=a, b=out.value), i)
+            return _verdict(n, t0, MrNontrivialRoot(a, out.value), i)
         if out.witness:
-            return _verdict(n, t0, FermatWitness(a=a), i)
+            return _verdict(n, t0, FermatWitness(a), i)
     return _verdict(n, t0, Outcome.INCONCLUSIVE, max_random_iters)
 
 
@@ -551,8 +552,8 @@ def _claim_to_json(claim: _Claim) -> dict[str, Any]:
     return out
 
 
-def _claim_from_json(data: Any, slot: str) -> _Claim:
-    """Rebuild the claim in certificate slot `slot` from its entry there.
+def _decode(data: Any, slot: str) -> tuple[_Claim, _Form]:
+    """The claim in certificate slot `slot` rebuilt from its entry there, and its form.
 
     Raises ValueError unless data is a dictionary whose kind _CLAIMS gives
     to slot, and whose other keys are exactly the fields of one form of
@@ -572,19 +573,24 @@ def _claim_from_json(data: Any, slot: str) -> _Claim:
             values[name] = tuple(value)
         elif json_type is list or type(value) is not json_type:
             raise ValueError(f"{kind}.{name} must be {json_type.__name__}")
-    return cls._make(map(values.get, cls._fields))
+    return cls._make(map(values.get, cls._fields)), form
+
+
+def _claim_from_json(data: Any, slot: str) -> _Claim:
+    """The claim in certificate slot `slot` rebuilt from its entry there (_decode)."""
+    return _decode(data, slot)[0]
 
 
 def certificate(verdict: Verdict) -> dict[str, Any]:
-    """JSON-ready dictionary carrying every field a re-check needs."""
-    mech, basis = verdict.mechanism, verdict.prime_basis
+    """JSON-ready dictionary of every field a re-check needs, from one unpacking of the verdict."""
+    n, outcome, mech, basis, search, timings = verdict
     return {
-        "n": verdict.n,
-        "outcome": verdict.outcome.value,
+        "n": n,
+        "outcome": outcome._value_,  # .value, without the property's cost
         "mechanism": None if mech is None else _claim_to_json(mech),
         "prime_basis": None if basis is None else _claim_to_json(basis),
-        "qnr_search": verdict.qnr_search._asdict(),
-        "timings": dict(verdict.timings),
+        "qnr_search": search._asdict(),
+        "timings": dict(timings),
     }
 
 
@@ -618,11 +624,12 @@ def verify_certificate(cert: Any) -> bool:
     """Re-check a certificate from its own fields; never raises.
 
     At most one slot may hold a claim. A claim must have its slot's outcome
-    (_SLOT_OUTCOME) and re-verify against n. With no claim, the outcome must
-    be inconclusive, which claims nothing, or the Outcome _degenerate gives
-    n: not_applicable at 1, prime at 2 and 3. qnr_search and timings must
-    fit (_records_fit). A malformed certificate, a non-int where an int
-    belongs, or an n outside a check's domain reads False.
+    (_SLOT_OUTCOME) and re-verify against n by the check of the form _decode
+    found for it. With no claim, the outcome must be inconclusive, which
+    claims nothing, or the Outcome _degenerate gives n: not_applicable at
+    1, prime at 2 and 3. qnr_search and timings must fit (_records_fit). A
+    malformed certificate, a non-int where an int belongs, or an n outside
+    a check's domain reads False.
     """
     if not isinstance(cert, dict) or type(cert.get("n")) is not int or cert["n"] < 1:
         return False
@@ -637,8 +644,8 @@ def verify_certificate(cert: Any) -> bool:
     if (mech is not None and basis is not None) or outcome != _SLOT_OUTCOME[slot]._value_:
         return False
     try:
-        claim = _claim_from_json(cert[slot], slot)
-        return _records_fit(cert, getattr(claim, "q", None) or 0) and claim.verify(n)
+        claim, form = _decode(cert[slot], slot)
+        return _records_fit(cert, getattr(claim, "q", None) or 0) and form.check(claim, n)
     except (ValueError, RuntimeError):
         return False
 

@@ -112,6 +112,7 @@ class BatchStats:
 def load_dataset(path: str) -> list[int]:
     """Whitespace-separated unsigned ASCII decimal integers; '#' lines are comments."""
     numbers: list[int] = []
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
@@ -120,6 +121,8 @@ def load_dataset(path: str) -> list[int]:
             for tok in stripped.split():
                 if not (tok.isascii() and tok.isdigit()):
                     raise ValueError(f"{path}:{lineno}: malformed integer token {tok!r}")
+                if 0 < limit < len(tok):
+                    raise ValueError(f"{path}:{lineno}: token of {len(tok)} digits, over {limit}")
                 numbers.append(int(tok))
     return numbers
 

@@ -21,6 +21,7 @@ from ppt.algorithms import (
     _CLAIMS,
     _claim_from_json,
     _claim_to_json,
+    _verdict,
     certificate,
     enhanced_mr,
     find_qnr,
@@ -804,6 +805,47 @@ def test_claim_kind_round_trips_and_equals_only_itself(kind):
     assert PerfectSquare(5) != TrivialFactor(5)
     assert JacobiZeroFactor(3) != TrivialFactor(3)
     assert PrimeBasis("pgpc", m=5) != PrimeBasis("fgpc", m=5)
+
+
+@pytest.mark.parametrize("kind", sorted(_CLAIMS))
+def test_verdict_puts_each_claim_in_its_slot(kind):
+    """_verdict's per-kind table, checked against the slots of _CLAIMS, and
+    the certificate of each verdict against one built field by field."""
+    slot = _CLAIMS[kind][1]
+    outcome = {"mechanism": Outcome.COMPOSITE, "prime_basis": Outcome.PRIME}[slot]
+    for claim in _samples(kind):
+        q = claim.q if "q" in claim._fields and claim.q is not None else 0
+        entry = {"kind": kind}
+        for name, value in zip(claim._fields[1:], claim[1:]):
+            if value is not None:
+                entry[name] = list(value) if isinstance(value, tuple) else value
+        for iters in (None, 0, 4):
+            verdict = _verdict(97, 0.0, claim, iters)
+            assert type(verdict) is Verdict and type(verdict.qnr_search) is QnrSearch
+            assert verdict.n == 97 and verdict.outcome is outcome
+            assert verdict.mechanism is (claim if slot == "mechanism" else None)
+            assert verdict.prime_basis is (claim if slot == "prime_basis" else None)
+            assert verdict.qnr_search == (iters is not None, iters or 0, q)
+            assert list(verdict.timings) == ["total_s"] and verdict.timings["total_s"] > 0
+            assert certificate(verdict) == {
+                "n": 97,
+                "outcome": outcome.value,
+                "mechanism": entry if slot == "mechanism" else None,
+                "prime_basis": entry if slot == "prime_basis" else None,
+                "qnr_search": {"needed": iters is not None, "iterations": iters or 0, "q": q},
+                "timings": {"total_s": verdict.timings["total_s"]},
+            }
+
+
+@pytest.mark.parametrize("outcome", list(Outcome))
+def test_verdict_of_an_outcome_holds_no_claim(outcome):
+    verdict = _verdict(97, 0.0, outcome, 4)
+    assert verdict[:5] == (97, outcome, None, None, (True, 4, 0))
+    assert certificate(verdict) == {
+        "n": 97, "outcome": outcome.value, "mechanism": None, "prime_basis": None,
+        "qnr_search": {"needed": True, "iterations": 4, "q": 0},
+        "timings": {"total_s": verdict.timings["total_s"]},
+    }
 
 
 class TestRandomisedCrossCheck:

@@ -60,6 +60,32 @@ class TestLoadDataset:
         with pytest.raises(OSError):
             load_dataset(str(tmp_path / "nope.txt"))
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str limit in this interpreter")
+    def test_token_over_int_limit_refused_before_int(self, tmp_path, capsys):
+        """A token over the int-to-str limit gets the loader's own path:line
+        error, not int()'s advice to raise the limit. ppt batch, which lifts
+        the limit to _MAX_DIGITS, refuses a token one digit longer (exit 3)."""
+        from ppt.cli import _MAX_DIGITS, EXIT_ERROR, main
+
+        f = tmp_path / "long.txt"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            f.write_text("7\n" + "1" * 640 + " " + "1" * 641 + "\n")
+            with pytest.raises(ValueError) as err:
+                load_dataset(str(f))
+            assert str(err.value) == f"{f}:2: token of 641 digits, over 640"
+            f.write_text("7\n" + "1" * 640 + "\n")
+            assert load_dataset(str(f)) == [7, int("1" * 640)]
+            f.write_text("7\n" + "1" * (_MAX_DIGITS + 1) + "\n")
+            assert main(["batch", str(f)]) == EXIT_ERROR
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr() == ("", f"ppt: error: {f}:2: token of "
+                                           f"{_MAX_DIGITS + 1} digits, over {_MAX_DIGITS}\n")
+
 
 class TestGenerateCarmichaels:
     def test_frozen_small_lists(self):
