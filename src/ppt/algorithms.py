@@ -65,15 +65,16 @@ __all__ = [
 ]
 
 
-# The names this module takes from the polynomial battery, by module. They
-# are bound on first use (_load_battery), so that importing ppt, and every
-# scalar decision or certificate, does not compile the battery. bcc, ecc,
-# mbec_remainder and poly_powmod are not called here; they are bound so that
-# tracing tools can wrap them on this module, as they wrap the others.
+# The polynomial battery's names, by module: each battery module's __all__,
+# which ppt resolves through this table. _load_battery binds them all here
+# on first use, so that importing ppt, and every scalar decision or
+# certificate, does not compile the battery; bcc, ecc, mbec_remainder and
+# poly_powmod, not called here, are bound so that tracing tools can wrap them.
 _BATTERY = {
-    "canonical": ("canonical_params", "find_qnr_or_m"),
-    "checks": ("bcc", "ecc", "fgpc_check", "pgpc_check"),
-    "polyring": ("mbec_remainder", "poly_powmod"),
+    "canonical": ("CanonicalParams", "FindResult", "canonical_params", "cyclotomic_prime_power",
+                  "factor_prime_power", "find_qnr_or_m", "psi_of", "upsilon_of"),
+    "checks": ("PgpcReport", "bcc", "ecc", "fgpc_check", "pgpc_check", "pgpc_condition"),
+    "polyring": ("Poly", "QuotientRing", "mbec_remainder", "poly_powmod"),
 }
 _battery_loaded = False
 
@@ -574,11 +575,6 @@ def _decode(data: Any, slot: str) -> tuple[_Claim, _Form]:
         elif json_type is list or type(value) is not json_type:
             raise ValueError(f"{kind}.{name} must be {json_type.__name__}")
     return cls._make(map(values.get, cls._fields)), form
-
-
-def _claim_from_json(data: Any, slot: str) -> _Claim:
-    """The claim in certificate slot `slot` rebuilt from its entry there (_decode)."""
-    return _decode(data, slot)[0]
 
 
 def certificate(verdict: Verdict) -> dict[str, Any]:

@@ -281,9 +281,10 @@ def _cmd_batch(args) -> int:
     algo = _ALGO_NAMES[args.algo].format(mode=args.mode)
     stats = run_batch(numbers, algo=algo, print_every=args.print_every,
                       emit=lambda row: print(row, flush=True), jobs=args.jobs)
+    count = stats.outcomes
     print(
-        f"# total={stats.total} primes={stats.primes_found} "
-        f"composites={stats.composites_found} inconclusive={stats.inconclusive} "
+        f"# total={stats.total} primes={count[Outcome.PRIME]} "
+        f"composites={count[Outcome.COMPOSITE]} inconclusive={count[Outcome.INCONCLUSIVE]} "
         f"errors={stats.errors} sum_q={stats.sum_of_q} q_cases={stats.q_cases} "
         f"argmax_n={stats.argmax_n}"
     )

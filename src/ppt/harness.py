@@ -42,14 +42,11 @@ CSV_HEADER = (
 
 @dataclass
 class BatchStats:
-    """Fold state for a batch run; argmax_n is the smallest n attaining
+    """Fold state for a batch run: verdicts counted by outcome, composites
+    by mechanism kind. argmax_n is the smallest n attaining
     max_search_iters, so no field depends on the order of updates."""
 
     total: int = 0
-    primes_found: int = 0
-    composites_found: int = 0
-    inconclusive: int = 0
-    not_applicable: int = 0
     errors: int = 0
     needing_search: int = 0
     sum_search_iters: int = 0
@@ -57,19 +54,14 @@ class BatchStats:
     argmax_n: int = 0
     sum_of_q: int = 0
     q_cases: int = 0
+    outcomes: Counter[Outcome] = field(default_factory=Counter)
     resolved_by: Counter[str] = field(default_factory=Counter)
 
     def update(self, n: int, verdict: Verdict) -> None:
         self.total += 1
-        if verdict.outcome is Outcome.PRIME:
-            self.primes_found += 1
-        elif verdict.outcome is Outcome.COMPOSITE:
-            self.composites_found += 1
+        self.outcomes[verdict.outcome] += 1
+        if verdict.mechanism is not None:
             self.resolved_by[verdict.mechanism.kind] += 1
-        elif verdict.outcome is Outcome.INCONCLUSIVE:
-            self.inconclusive += 1
-        else:
-            self.not_applicable += 1
         search = verdict.qnr_search
         if search.needed:
             self.needing_search += 1
@@ -83,7 +75,7 @@ class BatchStats:
 
     def _cells(self) -> list[str]:
         """The run-log values in CSV_HEADER order, formatted as printed."""
-        comp, total, searched = self.composites_found, self.total, self.needing_search
+        comp, total, searched = self.outcomes[Outcome.COMPOSITE], self.total, self.needing_search
         cells = [str(total)]
         for kind in ("jacobi_zero_factor", "euler_witness", "binomial_witness"):
             count = self.resolved_by[kind]

@@ -20,18 +20,19 @@ Powers run on the smallest ring that gives the same residue exactly:
 
 1. x modulo an even divisor P(x**2) is w**(e >> 1) modulo P(w), placed on
    the even or odd coefficients by the parity of e;
-2. a linear base (x, 1 + x or c0 + c1*x) modulo a divisor of degree
+2. x or 1 + x, the bases the battery raises, modulo a divisor of degree
    2.._MAX_UNROLLED runs on a ladder generated as straight-line Python for
    the ring's shape: its degree, the zero pattern of its fold table and
-   the base kind. The k coefficients live in locals, each square writes
-   each cross product as one multiply, the fold has a term only for each
+   the base. The k coefficients live in locals, each square writes each
+   cross product as one multiply, the fold has a term only for each
    nonzero table entry, and a set bit multiplies by the base before the
    fold (for x, a shift of the fold's inputs). Only the shape enters the
-   source; n, the base and the table entries are arguments, so one
-   compiled function serves every ring of that shape. It is compiled on
-   the first such power, kept in a bounded cache, and each table keeps
-   the ladders its rings have used;
-3. every other power runs on the list ladder, _power.
+   source; n and the table entries are arguments, so one compiled
+   function serves every ring of that shape. It is compiled on the first
+   such power, kept in a bounded cache, and each table keeps the ladders
+   its rings have used;
+3. every other power, other linear bases included, runs on the list
+   ladder, _power.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def _ladder_source(k: int, nz: tuple, kind: str) -> str:
 
     The shape is the ring degree k >= 2, the (i, j) places of the nonzero
     fold-table entries, which `fold` holds in that order, and the base
-    kind: "x", "1+x" or "c0+c1*x". The base is c0 + c1*x.
+    kind, "x" or "1+x", from which the ladder starts.
     """
     a = [f"a{i}" for i in range(k)]
     s = [f"s{i}" for i in range(2 * k - 1)]
@@ -290,21 +291,17 @@ def _ladder_source(k: int, nz: tuple, kind: str) -> str:
 
     if kind == "x":  # t_j = s_(j-1): shift the fold's inputs
         pre, lo, hi = [], [None, *s[:k - 1]], s[k - 1:]
-    else:
-        # t_j = c0*s_j + c1*s_(j-1), with 1 + x as s_j + s_(j-1)
-        u, v = ("", "") if kind == "1+x" else ("c0 * ", "c1 * ")
-        t = [f"{u}{s[0]}"]
-        t += [f"{u}{s[j]} + {v}{s[j - 1]}" for j in range(1, 2 * k - 1)]
-        t.append(f"{v}{s[-1]}")
+    else:  # 1 + x: t_j = s_j + s_(j-1)
+        t = [s[0], *(f"{s[j]} + {s[j - 1]}" for j in range(1, 2 * k - 1)), s[-1]]
         lo, hi, pre = t[:k], t[k:], []
         for j in sorted({j for _, j in nz}):  # the t_j the fold reads
             if not hi[j].isidentifier():
                 pre.append(f"t{k + j} = {hi[j]}")
                 hi[j] = f"t{k + j}"
     lines = [
-        "def ladder(bits, n, c0, c1, fold):",
+        "def ladder(bits, n, fold):",
         *[f"    {''.join(f'f{i}_{j}, ' for i, j in nz)}= fold"] * bool(nz),
-        f"    {', '.join(a)} = c0, c1{', 0' * (k - 2)}",
+        f"    {', '.join(a)} = {'0' if kind == 'x' else '1'}, 1{', 0' * (k - 2)}",
         "    for bit in bits:",
         *(f"        {x}" for x in body),
         "        if bit == '1':",
@@ -332,13 +329,13 @@ def _ring_power(table: _Table, n: int, base: list[int], e: int) -> list[int]:
     k = len(b)
     if e == 0:
         return [1] + [0] * (k - 1)
-    if table.half is not None and b == [0, 1] + [0] * (k - 2):
+    kind = None if any(b[2:]) else {(0, 1): "x", (1, 1): "1+x"}.get(tuple(b[:2]))
+    if kind == "x" and table.half is not None:
         out = [0] * k
         out[e & 1::2] = _ring_power(table.half, n, [0, 1], e >> 1)
         return out
-    if not 2 <= k <= _MAX_UNROLLED or any(b[2:]):
+    if kind is None or k > _MAX_UNROLLED:
         return _power(b, e, table.cols, n)
-    kind = {(0, 1): "x", (1, 1): "1+x"}.get((b[0], b[1]), "c0+c1*x")
     try:
         ladder, fold = table.ladders[kind]
     except KeyError:
@@ -347,7 +344,7 @@ def _ring_power(table: _Table, n: int, base: list[int], e: int) -> list[int]:
         fold = tuple(cols[i][j] for i, j in nz)
         ladder = _ladder(k, nz, kind)
         table.ladders[kind] = ladder, fold
-    return ladder(bin(e)[3:], n, b[0], b[1], fold)
+    return ladder(bin(e)[3:], n, fold)
 
 
 def _coeffs(ring: QuotientRing, p: Poly, what: str) -> list[int]:

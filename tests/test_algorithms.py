@@ -19,8 +19,8 @@ from ppt.algorithms import (
     TrivialFactor,
     Verdict,
     _CLAIMS,
-    _claim_from_json,
     _claim_to_json,
+    _decode,
     _verdict,
     certificate,
     enhanced_mr,
@@ -30,7 +30,8 @@ from ppt.algorithms import (
     ppta_inr,
     verify_certificate,
 )
-from ppt.canonical import canonical_params
+from ppt import polyring
+from ppt.canonical import canonical_params, find_qnr_or_m
 from ppt.checks import bcc, ecc, pgpc_condition
 
 from conftest import (
@@ -41,6 +42,8 @@ from conftest import (
     CARMICHAELS_1E5,
     HC1,
     HC2,
+    M37_COMPOSITE,
+    M37_PRIME,
     MBEC_1729_PSI5,
     MBEC_HC2_PSI23,
     MBEC_N22_PSI7,
@@ -234,6 +237,19 @@ class TestInr:
             v = ppta_inr(n)
             assert v.outcome is Outcome.COMPOSITE, n
             assert v.mechanism.kind == "pgpc_violation", n
+
+    def test_battery_at_m_37(self):
+        """Psi_37's fold table over Z has 76-bit entries, so it is not
+        shared and each ring of it builds a table mod n. Both modes decide
+        a prime and a composite whose search exits at m = 37, and their
+        certificates verify after a JSON round trip."""
+        assert polyring._shared(canonical_params(37).psi.coeffs) is None
+        for n in (M37_PRIME, M37_COMPOSITE):
+            assert find_qnr_or_m(n).m == 37
+            for mode in ("pgpc", "fgpc"):
+                v = ppta_inr(n, mode)
+                assert (v.outcome is Outcome.PRIME) == sympy.isprime(n), (n, mode)
+                assert verify_certificate(json.loads(json.dumps(certificate(v)))), (n, mode)
 
     def test_prime_via_searched_nonresidue(self):
         v = ppta_inr(97)
@@ -440,7 +456,7 @@ class TestCertificates:
     def test_mechanism_json_round_trip(self):
         for n in (341, 561, 2047, NC):
             mech = ppta_inr(n).mechanism
-            back = _claim_from_json(certificate(ppta_inr(n))["mechanism"], "mechanism")
+            back = _decode(certificate(ppta_inr(n))["mechanism"], "mechanism")[0]
             assert back == mech
 
     def test_tampered_certificates_fail(self):
@@ -483,7 +499,7 @@ class TestCertificates:
     def test_each_mechanism_kind_verifies(self, decide, n, kind):
         cert = json.loads(json.dumps(certificate(decide(n))))
         assert cert["mechanism"]["kind"] == kind
-        assert _claim_from_json(cert["mechanism"], "mechanism").verify(n)
+        assert _decode(cert["mechanism"], "mechanism")[0].verify(n)
         assert verify_certificate(cert)
 
     def test_nontrivial_root_forgeries_fail(self):
@@ -780,8 +796,8 @@ _SAMPLE = {int: 5, str: "psi", list: [1, 2]}
 
 def _samples(kind):
     """A claim of each form of kind, decoded from its certificate entry."""
-    return [_claim_from_json({"kind": kind, **{f: _SAMPLE[t] for f, t in form.fields.items()}},
-                             _CLAIMS[kind][1])
+    return [_decode({"kind": kind, **{f: _SAMPLE[t] for f, t in form.fields.items()}},
+                    _CLAIMS[kind][1])[0]
             for form in _CLAIMS[kind][2:]]
 
 
@@ -792,11 +808,11 @@ def test_claim_kind_round_trips_and_equals_only_itself(kind):
     for claim in _samples(kind):
         assert claim.kind == kind and claim.describe()
         data = json.loads(json.dumps(_claim_to_json(claim)))
-        assert _claim_from_json(data, slot) == claim
+        assert _decode(data, slot)[0] == claim
         with pytest.raises(ValueError):  # the other slot holds no claim of this kind
-            _claim_from_json(data, "prime_basis" if slot == "mechanism" else "mechanism")
+            _decode(data, "prime_basis" if slot == "mechanism" else "mechanism")
         assert pickle.loads(pickle.dumps(claim)) == claim
-        assert hash(claim) == hash(_claim_from_json(data, slot))
+        assert hash(claim) == hash(_decode(data, slot)[0])
         for name in (*claim._fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(claim, name, 7)

@@ -6,12 +6,13 @@ import pytest
 
 import ppt.checks
 import ppt.polyring
-from ppt.canonical import canonical_params
+from ppt.canonical import canonical_params, find_qnr_or_m
 from ppt.checks import bcc, ecc, fgpc_check, pgpc_check, pgpc_condition
 from ppt.ntcore import jacobi
 
 from conftest import (
     ARN,
+    BATTERY_EXITS,
     BCC_2_ARN,
     BCC_2_NHC,
     BCC_7_NHC,
@@ -235,6 +236,25 @@ class TestSharedChecks:
             assert pgpc_check(n, canonical_params(m)).all_hold
             assert len(built) == tables
         assert all(n == 0 for _, n, _ in built)
+
+    def test_battery_raises_only_x_and_one_plus_x(self, monkeypatch):
+        # Every power the battery takes, at primes and composites whose
+        # search exits at each m, is of x or 1 + x: it runs on a generated
+        # ladder or a half ring, and never on the list ladder.
+        def refuse(*args):
+            raise AssertionError("the battery took the list ladder")
+
+        monkeypatch.setattr(ppt.polyring, "_power", refuse)
+        ppt.polyring._shared.cache_clear()
+        for m, (p, c) in BATTERY_EXITS.items():
+            params = canonical_params(m)
+            assert find_qnr_or_m(p).m == find_qnr_or_m(c).m == m
+            assert pgpc_check(p, params).all_hold and fgpc_check(p, params)[0], m
+            assert not pgpc_check(c, params).all_hold, m
+            fgpc_check(c, params)
+            tables = [ppt.polyring.QuotientRing(div, p)._table for div in (params.upsilon, params.psi)]
+            kinds = [t.ladders.keys() for t in tables + [t.half for t in tables] if t is not None]
+            assert set().union(*kinds) == {"x", "1+x"}, m
 
     def test_pgpc_condition_rejects_unknown_name(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 import sympy
 
 import ppt
-from ppt.algorithms import _CLAIMS, ALGORITHMS, ppta_eqnr, ppta_inr
+from ppt.algorithms import _BATTERY, _CLAIMS, ALGORITHMS, Outcome, ppta_eqnr, ppta_inr
 from ppt.harness import (
     CSV_HEADER,
     BatchStats,
@@ -131,7 +131,7 @@ class TestBatchStats:
         for n in (561, 1105, 1729):
             stats.update(n, ppta_eqnr(n))
         assert stats.total == 3
-        assert stats.composites_found == 3
+        assert stats.outcomes[Outcome.COMPOSITE] == 3
         assert stats.resolved_by["jacobi_zero_factor"] == 3
         assert stats.needing_search == 3
         assert stats.sum_search_iters == 1 + 2 + 3
@@ -158,7 +158,7 @@ class TestBatchStats:
     def test_row_formatting_against_fixed_fields(self):
         stats = BatchStats()
         stats.total = 24668
-        stats.composites_found = 24668
+        stats.outcomes[Outcome.COMPOSITE] = 24668
         stats.needing_search = 21726
         stats.sum_search_iters = 88255
         stats.max_search_iters = 17
@@ -179,7 +179,7 @@ class TestBatchStats:
     def test_average_formats_with_five_significant_digits(self):
         stats = BatchStats()
         stats.total = 3
-        stats.composites_found = 3
+        stats.outcomes[Outcome.COMPOSITE] = 3
         stats.needing_search = 3
         stats.sum_search_iters = 6
         stats.max_search_iters = 3
@@ -194,8 +194,8 @@ class TestRunBatch:
         stats = run_batch([561, 1105, 1729], "eqnr", emit=rows.append)
         assert isinstance(stats, BatchStats)
         assert stats.total == 3
-        assert stats.composites_found == 3
-        assert stats.primes_found == 0
+        assert stats.outcomes[Outcome.COMPOSITE] == 3
+        assert stats.outcomes[Outcome.PRIME] == 0
         assert rows == [stats.row()]
         assert rows[0].endswith("3 (1.0000), 2, 3")
 
@@ -216,8 +216,8 @@ class TestRunBatch:
 
     def test_mixed_outcomes_with_inr(self):
         stats = run_batch([25, 97, 569, 1105, NC], "inr_pgpc")
-        assert stats.primes_found == 2
-        assert stats.composites_found == 3
+        assert stats.outcomes[Outcome.PRIME] == 2
+        assert stats.outcomes[Outcome.COMPOSITE] == 3
         assert stats.resolved_by["perfect_square"] == 1
         assert stats.resolved_by["trivial_factor"] == 1
         assert stats.resolved_by["pgpc_violation"] == 1
@@ -225,8 +225,7 @@ class TestRunBatch:
     def test_unit_counted_not_applicable(self):
         stats = run_batch([1, 561, 569], "eqnr")
         assert stats.total == 3
-        assert stats.not_applicable == 1
-        assert (stats.primes_found, stats.composites_found) == (1, 1)
+        assert stats.outcomes == {Outcome.NOT_APPLICABLE: 1, Outcome.PRIME: 1, Outcome.COMPOSITE: 1}
 
     def test_errors_counted_without_aborting(self):
         stats = run_batch([561, 0, 569], "eqnr")
@@ -238,8 +237,7 @@ class TestRunBatch:
         serial = run_batch(nums, "eqnr")
         parallel = run_batch(nums, "eqnr", jobs=2)
         assert serial.total == parallel.total
-        assert serial.primes_found == parallel.primes_found
-        assert serial.composites_found == parallel.composites_found
+        assert serial.outcomes == parallel.outcomes
         assert serial.resolved_by == parallel.resolved_by
         assert serial.sum_of_q == parallel.sum_of_q
 
@@ -294,8 +292,8 @@ class TestRunBatch:
         composite is counted once, under its mechanism's kind; the rows
         are those printed when the counts were kept in named buckets."""
         stats = run_batch(KIND_INPUTS, algo)
-        assert stats.composites_found == len(KIND_INPUTS)
-        assert sum(stats.resolved_by.values()) == stats.composites_found
+        assert stats.outcomes[Outcome.COMPOSITE] == len(KIND_INPUTS)
+        assert sum(stats.resolved_by.values()) == stats.outcomes[Outcome.COMPOSITE]
         assert set(stats.resolved_by) <= MECHANISM_KINDS
         assert stats.row() == row
 
@@ -340,7 +338,8 @@ def test_package_loads_the_harness_on_first_use():
 
 def test_package_surface_is_the_modules_all():
     """ppt's public names are its eager modules' __all__, the battery
-    modules' __all__ in _BATTERY (resolved on first use), and _HARNESS, which
+    modules' __all__ in algorithms._BATTERY (resolved on first use, and
+    bound on algorithms when the battery loads), and _HARNESS, which
     is the harness's __all__ but for CSV_HEADER: its four batch names. Each
     resolves from ppt, and
     from ppt import * binds what it bound when ppt imported the battery
@@ -349,15 +348,17 @@ def test_package_surface_is_the_modules_all():
 
     eager = {name for name, value in vars(ppt).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    battery = set().union(*ppt._BATTERY.values())
+    battery = set().union(*_BATTERY.values())
     modules = (algorithms, canonical, checks, ntcore, polyring)
     assert eager == set(algorithms.__all__) | set(ntcore.__all__)
     assert not eager & battery
     assert eager | battery == set().union(*(module.__all__ for module in modules))
     for module in (canonical, checks, polyring):
         name = module.__name__.rpartition(".")[2]
-        assert ppt._BATTERY[name] == set(module.__all__)
-        assert all(getattr(ppt, k) is getattr(module, k) for k in module.__all__)
+        assert _BATTERY[name] == tuple(module.__all__)
+        assert all(getattr(ppt, k) is getattr(module, k) is getattr(algorithms, k)
+                   for k in module.__all__)
+    assert not hasattr(ppt, "_BATTERY")
     assert ppt._HARNESS == set(harness.__all__) - {"CSV_HEADER"} == {
         "BatchStats", "generate_carmichaels", "load_dataset", "run_batch"}
     assert eager | battery <= set(dir(ppt))

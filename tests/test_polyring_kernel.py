@@ -11,9 +11,10 @@ where fold-table entries over Z would exceed n; exponents 0, 1, 2, n-1, n
 and n**d - 1; the zero base; and inputs longer than the divisor.
 
 They also reach each route of the power: x modulo an even divisor P(x**2)
-(the half ring), linear bases on the generated ladders of degree 2 and
-up (at degree 2 at odd and even n, also where n shares a factor with the
-discriminant), and every other power on the list ladder.
+(the half ring), x and 1 + x on the generated ladders of degree 2 and up
+(at degree 2 at odd and even n, also where n shares a factor with the
+discriminant), and every other power, other linear bases included, on the
+list ladder.
 """
 
 import os
@@ -126,10 +127,12 @@ def test_powmod_matches_reference(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_linear_powmod_matches_reference(data):
-    """x, 1 + x and other linear bases, on the generated ladders."""
+    """x and 1 + x, on the generated ladders, and other linear bases, on
+    the list ladder."""
     n, div = data.draw(rings())
     k = len(div) - 1
-    base = [data.draw(coefficient(n)), data.draw(coefficient(n))]
+    base = data.draw(st.one_of(st.sampled_from(([0, 1], [1, 1])),
+                               st.lists(coefficient(n), min_size=2, max_size=2)))
     e = data.draw(exponents(n, k))
     ring = QuotientRing(Poly(div, n))
     got = poly_powmod(ring, Poly(base, n), e)
@@ -212,17 +215,17 @@ P16 = [2, -4, 1]  # Upsilon_16 = P16(x**2), D = 8
 
 @pytest.mark.parametrize("div", [UPS5, P5, P16, [0, 0, 1], [3, 0, 1]])
 @pytest.mark.parametrize("n", [3, 5, 15, 25, 7, 9, 4, 6, 2, 2**64])
-def test_degree_two_at_moduli_sharing_the_discriminant(n, div, monkeypatch):
+def test_degree_two_at_moduli_sharing_the_discriminant(n, div):
     """n in {5, 15, 25} divides D = 5, 3 is the least odd modulus, 2 the
-    least modulus, and even n runs on the same ladders as odd n."""
-    monkeypatch.delattr(polyring, "_power")  # no power here takes the list ladder
+    least modulus, and even n runs on the same ladders as odd n. Only x
+    and 1 + x compile a ladder; the other bases take the list ladder."""
     reduced = [c % n for c in div]
     ring = QuotientRing(Poly(div), n)
     for base in ([0, 1], [1, 1], [n - 1, 1], [2, n - 1], [0, 3], [4]):
         for e in (0, 1, 2, n - 1, n, n**2 - 1, 7 * n + 3):
             got = poly_powmod(ring, Poly(base, n), e)
             assert list(got.coeffs) == ref_pow(base, e, reduced, n), (base, e)
-    assert ring._table.ladders.keys() == {"x", "1+x", "c0+c1*x"}
+    assert ring._table.ladders.keys() == {"x", "1+x"}
 
 
 @pytest.mark.parametrize("m", [5, 7, 9, 11, 13, 16, 17, 23, 32, 64])
@@ -314,8 +317,8 @@ def test_ring_at_a_new_n_builds_nothing(monkeypatch):
 
 def test_one_ladder_per_shape():
     """Rings of one divisor at two wide moduli run one compiled ladder per
-    base kind: the table entries are the same small integers at both.
-    Upsilon_17 has degree 8, Upsilon_5 degree 2."""
+    base kind, x or 1 + x: the table entries are the same small integers at
+    both. 2 + 3x compiles none. Upsilon_17 has degree 8, Upsilon_5 degree 2."""
     for m in (17, 5):
         div = canonical_params(m).upsilon
         rings = [QuotientRing(div, n) for n in (2**127 - 1, 2**255 - 19)]
@@ -323,7 +326,7 @@ def test_one_ladder_per_shape():
             for base in ([0, 1], [1, 1], [2, 3]):
                 poly_powmod(ring, Poly(base, ring.n), ring.n)
         a, b = (ring._table.ladders for ring in rings)
-        assert a.keys() == b.keys() == {"x", "1+x", "c0+c1*x"}, m
+        assert a.keys() == b.keys() == {"x", "1+x"}, m
         for kind in a:
             assert a[kind][0] is b[kind][0]
             assert a[kind][1] == b[kind][1]
