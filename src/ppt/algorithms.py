@@ -288,9 +288,13 @@ PrimeBasis = _claim_class("PrimeBasis", """What certified a prime verdict.
     that mode, four conditions or the single one (made by _battery).
     """)
 
-# (kind, the keys of a certificate entry in one of its forms) -> (slot, class, form)
-_DECODE = {(kind, frozenset(("kind", *form.fields))): (slot, globals()[name], form)
-           for kind, (name, slot, *forms) in _CLAIMS.items() for form in forms}
+# kind -> per form: (its entry's keys, slot, class, form, the claim's values with
+# the form's fields unset, and (position, field, JSON type) per field), for _decode.
+_DECODE = {kind: [(frozenset(("kind", *form.fields)), slot, cls, form,
+                   (kind,) + (None,) * (len(cls._fields) - 1),
+                   [(cls._fields.index(f), f, t) for f, t in form.fields.items()])
+                  for form in forms]
+           for kind, (name, slot, *forms) in _CLAIMS.items() for cls in [globals()[name]]}
 
 
 # ------------------------------------------------------------ verdict model
@@ -559,38 +563,38 @@ def _decode(data: Any, slot: str) -> tuple[_Claim, _Form]:
     Raises ValueError unless data is a dictionary whose kind _CLAIMS gives
     to slot, and whose other keys are exactly the fields of one form of
     that kind, each of its JSON type: int, str, or list of ints (null fits
-    none of them).
+    none of them). Each field is read once, into its place in the claim.
     """
     kind = data.get("kind") if isinstance(data, dict) else None
-    found = _DECODE.get((kind, frozenset(data))) if isinstance(kind, str) else None
-    if found is None or found[0] != slot:
+    forms = _DECODE.get(kind, ()) if isinstance(kind, str) else ()
+    for keys, held_in, cls, form, unset, plan in forms:
+        if held_in == slot and data.keys() == keys:
+            break
+    else:
         raise ValueError(f"not a {slot} holding the fields of one form of a known kind")
-    _, cls, form = found
-    values = dict(data)
-    for name, json_type in form.fields.items():
-        value = values[name]
+    values = list(unset)
+    for i, name, json_type in plan:
+        value = data[name]
         if json_type is list and isinstance(value, (list, tuple)) and all(
                 type(c) is int for c in value):
-            values[name] = tuple(value)
+            value = tuple(value)
         elif json_type is list or type(value) is not json_type:
             raise ValueError(f"{kind}.{name} must be {json_type.__name__}")
-    return cls._make(map(values.get, cls._fields)), form
+        values[i] = value
+    return _new(cls, values), form
 
 
 def certificate(verdict: Verdict) -> dict[str, Any]:
     """JSON-ready dictionary of every field a re-check needs, from one unpacking of the verdict."""
-    n, outcome, mech, basis, search, timings = verdict
+    n, outcome, mech, basis, (needed, iterations, q), timings = verdict
     return {
         "n": n,
         "outcome": outcome._value_,  # .value, without the property's cost
         "mechanism": None if mech is None else _claim_to_json(mech),
         "prime_basis": None if basis is None else _claim_to_json(basis),
-        "qnr_search": search._asdict(),
+        "qnr_search": {"needed": needed, "iterations": iterations, "q": q},
         "timings": dict(timings),
     }
-
-
-_SEARCH_KEYS = frozenset(QnrSearch._fields)
 
 
 def _records_fit(cert: dict, q: int) -> bool:
@@ -601,15 +605,18 @@ def _records_fit(cert: dict, q: int) -> bool:
     0 where it has none, as _verdict records it; timings must map str to
     finite numbers >= 0.
     """
-    search, timings = cert.get("qnr_search"), cert.get("timings", {})
-    if not (isinstance(timings, dict) and ("qnr_search" not in cert or (
-        isinstance(search, dict) and search.keys() == _SEARCH_KEYS
-        and type(search["needed"]) is bool
-        and type(search["iterations"]) is int and search["iterations"] >= 0
-        and (search["needed"] or search["iterations"] == 0)
-        and type(search["q"]) is int and search["q"] == q
-    ))):
+    timings = cert.get("timings", {})
+    if not isinstance(timings, dict):
         return False
+    if "qnr_search" in cert:
+        search = cert["qnr_search"]
+        if not isinstance(search, dict) or len(search) != 3:
+            return False
+        # Three keys, and a value of its type under each of these three: no other key.
+        needed, iterations, held = search.get("needed"), search.get("iterations"), search.get("q")
+        if not (type(needed) is bool and type(iterations) is int and iterations >= 0
+                and (needed or iterations == 0) and type(held) is int and held == q):
+            return False
     for key, value in timings.items():  # a loop: all() over a generator costs more here
         if not (isinstance(key, str) and type(value) in (int, float) and 0 <= value < math.inf):
             return False
@@ -627,20 +634,19 @@ def verify_certificate(cert: Any) -> bool:
     malformed certificate, a non-int where an int belongs, or an n outside
     a check's domain reads False.
     """
-    if not isinstance(cert, dict) or type(cert.get("n")) is not int or cert["n"] < 1:
+    if not isinstance(cert, dict) or type(n := cert.get("n")) is not int or n < 1:
         return False
-    n, outcome = cert["n"], cert.get("outcome")
-    mech, basis = cert.get("mechanism"), cert.get("prime_basis")
+    outcome, mech, basis = cert.get("outcome"), cert.get("mechanism"), cert.get("prime_basis")
     # An Outcome's _value_ is its .value, read without the property's cost.
     if mech is None and basis is None:
         made = _degenerate(n, prime_three=True)
         fits = outcome == "inconclusive" or isinstance(made, Outcome) and outcome == made._value_
         return fits and _records_fit(cert, 0)
-    slot = "mechanism" if basis is None else "prime_basis"
+    slot, entry = ("mechanism", mech) if basis is None else ("prime_basis", basis)
     if (mech is not None and basis is not None) or outcome != _SLOT_OUTCOME[slot]._value_:
         return False
     try:
-        claim, form = _decode(cert[slot], slot)
+        claim, form = _decode(entry, slot)
         return _records_fit(cert, getattr(claim, "q", None) or 0) and form.check(claim, n)
     except (ValueError, RuntimeError):
         return False

@@ -283,10 +283,10 @@ def _cmd_batch(args) -> int:
                       emit=lambda row: print(row, flush=True), jobs=args.jobs)
     count = stats.outcomes
     print(
-        f"# total={stats.total} primes={count[Outcome.PRIME]} "
+        f"# total={count.total()} primes={count[Outcome.PRIME]} "
         f"composites={count[Outcome.COMPOSITE]} inconclusive={count[Outcome.INCONCLUSIVE]} "
-        f"errors={stats.errors} sum_q={stats.sum_of_q} q_cases={stats.q_cases} "
-        f"argmax_n={stats.argmax_n}"
+        f"not_applicable={count[Outcome.NOT_APPLICABLE]} errors={stats.errors} "
+        f"sum_q={stats.sum_of_q} q_cases={stats.q_cases} argmax_n={stats.argmax_n}"
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -342,7 +342,7 @@ def _cmd_bench(args) -> int:
         t0 = time.perf_counter()
         stats = run_batch(numbers, algo=name)
         dt = time.perf_counter() - t0
-        print(f"{name:<12} {stats.total:>8} {dt:>10.3f}")
+        print(f"{name:<12} {stats.outcomes.total():>8} {dt:>10.3f}")
     return 0
 
 

@@ -42,11 +42,10 @@ CSV_HEADER = (
 
 @dataclass
 class BatchStats:
-    """Fold state for a batch run: verdicts counted by outcome, composites
-    by mechanism kind. argmax_n is the smallest n attaining
+    """Fold state for a batch run: verdicts counted by outcome (outcomes.total()
+    in all), composites by mechanism kind. argmax_n is the smallest n attaining
     max_search_iters, so no field depends on the order of updates."""
 
-    total: int = 0
     errors: int = 0
     needing_search: int = 0
     sum_search_iters: int = 0
@@ -58,7 +57,6 @@ class BatchStats:
     resolved_by: Counter[str] = field(default_factory=Counter)
 
     def update(self, n: int, verdict: Verdict) -> None:
-        self.total += 1
         self.outcomes[verdict.outcome] += 1
         if verdict.mechanism is not None:
             self.resolved_by[verdict.mechanism.kind] += 1
@@ -75,7 +73,8 @@ class BatchStats:
 
     def _cells(self) -> list[str]:
         """The run-log values in CSV_HEADER order, formatted as printed."""
-        comp, total, searched = self.outcomes[Outcome.COMPOSITE], self.total, self.needing_search
+        total, searched = self.outcomes.total(), self.needing_search
+        comp = self.outcomes[Outcome.COMPOSITE]
         cells = [str(total)]
         for kind in ("jacobi_zero_factor", "euler_witness", "binomial_witness"):
             count = self.resolved_by[kind]
@@ -170,11 +169,11 @@ def run_batch(
             print(f"warning: {n}: {res}", file=sys.stderr)
         else:
             stats.update(n, res)
-        seen = stats.total + stats.errors
+        seen = stats.outcomes.total() + stats.errors
         if emit is not None and print_every and seen % print_every == 0:
             emit(stats.row())
             emitted_at = seen
-    if emit is not None and stats.total + stats.errors != emitted_at:
+    if emit is not None and stats.outcomes.total() + stats.errors != emitted_at:
         emit(stats.row())
     return stats
 

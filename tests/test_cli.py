@@ -306,6 +306,15 @@ class TestBatchCommand:
         rows = [l for l in out_lines if "|" in l]
         assert len(rows) == 3
 
+    def test_summary_counts_add_up_to_total(self, tmp_path, capsys):
+        # 1 is not applicable, 561 composite and 569 prime.
+        data = tmp_path / "nums.txt"
+        data.write_text("1 561 569\n")
+        assert main(["batch", str(data)]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("# total=3 primes=1 composites=1 inconclusive=0 "
+                                  "not_applicable=1 errors=0 ")
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["batch", str(tmp_path / "absent.txt")])
         assert code == EXIT_ERROR

@@ -93,7 +93,9 @@ GIVE_UP_CASES = [
     ["batch", "nums.txt"],
 ]
 
-GOLDEN = "72a5a51d1937f0ba5a8acf4e00543e165e177ad3a63707bf2c05bc3b674f0c9f"
+# Re-pinned when the batch summary line gained its not_applicable= count;
+# no other record changed.
+GOLDEN = "c476a999b756efdefbd17182840250ffec6edefffd6ce06a1a3fe139c00f7153"
 
 
 def _give_up(n):

@@ -130,7 +130,7 @@ class TestBatchStats:
         stats = BatchStats()
         for n in (561, 1105, 1729):
             stats.update(n, ppta_eqnr(n))
-        assert stats.total == 3
+        assert stats.outcomes.total() == 3
         assert stats.outcomes[Outcome.COMPOSITE] == 3
         assert stats.resolved_by["jacobi_zero_factor"] == 3
         assert stats.needing_search == 3
@@ -157,7 +157,6 @@ class TestBatchStats:
 
     def test_row_formatting_against_fixed_fields(self):
         stats = BatchStats()
-        stats.total = 24668
         stats.outcomes[Outcome.COMPOSITE] = 24668
         stats.needing_search = 21726
         stats.sum_search_iters = 88255
@@ -178,7 +177,6 @@ class TestBatchStats:
 
     def test_average_formats_with_five_significant_digits(self):
         stats = BatchStats()
-        stats.total = 3
         stats.outcomes[Outcome.COMPOSITE] = 3
         stats.needing_search = 3
         stats.sum_search_iters = 6
@@ -193,7 +191,7 @@ class TestRunBatch:
         rows = []
         stats = run_batch([561, 1105, 1729], "eqnr", emit=rows.append)
         assert isinstance(stats, BatchStats)
-        assert stats.total == 3
+        assert stats.outcomes.total() == 3
         assert stats.outcomes[Outcome.COMPOSITE] == 3
         assert stats.outcomes[Outcome.PRIME] == 0
         assert rows == [stats.row()]
@@ -207,7 +205,7 @@ class TestRunBatch:
         rows2 = []
         stats2 = run_batch(nums, "eqnr", print_every=4, emit=rows2.append)
         assert rows2 == [rows[1], rows[2]]  # 4, then terminal 6
-        assert rows2[-1] == stats2.row() and stats2.total == 6
+        assert rows2[-1] == stats2.row() and stats2.outcomes.total() == 6
 
     def test_empty_batch_emits_one_terminal_row(self):
         rows = []
@@ -224,19 +222,19 @@ class TestRunBatch:
 
     def test_unit_counted_not_applicable(self):
         stats = run_batch([1, 561, 569], "eqnr")
-        assert stats.total == 3
+        assert stats.outcomes.total() == 3
         assert stats.outcomes == {Outcome.NOT_APPLICABLE: 1, Outcome.PRIME: 1, Outcome.COMPOSITE: 1}
 
     def test_errors_counted_without_aborting(self):
         stats = run_batch([561, 0, 569], "eqnr")
         assert stats.errors == 1
-        assert stats.total == 2
+        assert stats.outcomes.total() == 2
 
     def test_parallel_jobs_match_serial(self):
         nums = list(range(3, 400, 2))
         serial = run_batch(nums, "eqnr")
         parallel = run_batch(nums, "eqnr", jobs=2)
-        assert serial.total == parallel.total
+        assert serial.outcomes.total() == parallel.outcomes.total()
         assert serial.outcomes == parallel.outcomes
         assert serial.resolved_by == parallel.resolved_by
         assert serial.sum_of_q == parallel.sum_of_q

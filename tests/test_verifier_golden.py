@@ -21,7 +21,9 @@ verifies COUNT mutants, prints the counts and the digest, and exits 1 on
 a raise or on a True that sympy.isprime contradicts.
 """
 
+import collections
 import copy
+import functools
 import hashlib
 import json
 import random
@@ -183,6 +185,68 @@ def test_mutants_match_golden_digest():
     assert result["counts"]["raised"] == 0
     assert result["wrong"] == []
     assert result["digest"] == GOLDEN
+
+
+# The sha256 of the base certificates' JSON texts, joined by newlines, as
+# certificate() wrote them before its one-pass rewrite: it may not drift by
+# a byte.
+BASES_DIGEST = "456ec6819b155112ae5bdc9bde190d93137ad23cca23d50a4c9a15d3f141bc48"
+
+
+@functools.lru_cache(maxsize=1)
+def _bases() -> tuple:
+    return tuple(base_certificates())
+
+
+def _rebuilt(value, mapping=dict, reverse=False):
+    """value with each dict inside it rebuilt as a mapping, its keys reversed if reverse."""
+    if isinstance(value, dict):
+        items = [(key, _rebuilt(inner, mapping, reverse)) for key, inner in value.items()]
+        return mapping(items[::-1] if reverse else items)
+    if isinstance(value, list):
+        return [_rebuilt(inner, mapping, reverse) for inner in value]
+    return value
+
+
+def test_base_certificates_match_golden_digest():
+    assert hashlib.sha256("\n".join(_bases()).encode()).hexdigest() == BASES_DIGEST
+
+
+def test_verifier_reads_ordered_dicts_and_any_key_order():
+    for text in _bases():
+        cert = json.loads(text)
+        assert verify_certificate(cert) is True
+        assert verify_certificate(_rebuilt(cert, collections.OrderedDict)) is True
+        assert verify_certificate(_rebuilt(cert, reverse=True)) is True
+    rng = random.Random(31)
+    for _ in range(3000):
+        cert = json.loads(rng.choice(_bases()))
+        mutate(cert, rng)
+        ok = verify_certificate(cert)
+        assert verify_certificate(_rebuilt(cert, collections.OrderedDict)) is ok
+        assert verify_certificate(_rebuilt(cert, reverse=True)) is ok
+
+
+def test_bool_coefficients_are_refused():
+    """A bool is no int in a divisor or remainder, though True == 1 and False == 0."""
+    certs = [cert for cert in map(json.loads, _bases())
+             if cert["mechanism"] and cert["mechanism"]["kind"] in ("binomial_witness",
+                                                                   "pgpc_violation")]
+    swapped = 0
+    for cert in certs:
+        claim = cert["mechanism"]
+        for name in ("divisor", "remainder"):
+            if name not in claim:
+                continue
+            bads = [[True]]
+            # The same coefficients, each 0 or 1 among them as a bool.
+            as_bools = [bool(c) if c in (0, 1) else c for c in claim[name]]
+            if bool in map(type, as_bools):
+                bads.append(as_bools)
+                swapped += 1
+            for bad in bads:
+                assert verify_certificate({**cert, "mechanism": {**claim, name: bad}}) is False
+    assert swapped >= 10
 
 
 if __name__ == "__main__":
