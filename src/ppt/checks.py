@@ -15,11 +15,12 @@ read from ppt or ppt.algorithms.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .canonical import CanonicalParams, canonical_params
 from .ntcore import _tail, jacobi
-from .polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
+from .polyring import Poly, QuotientRing, _fold, _product, mbec_remainder, poly_powmod
 
 __all__ = [
     "PgpcReport",
@@ -88,6 +89,11 @@ class PgpcReport(NamedTuple):
 _CONDITIONS = ("cond1", "cond2", "cond3", "cond4")
 
 
+def _times_x(p: list[int], div: tuple[int, ...]) -> list[int]:
+    """x*p mod the monic div over Z, for p of len(div) - 1 coefficients."""
+    return [a - p[-1] * c for a, c in zip([0, *p[:-1]], div)]
+
+
 @lru_cache(maxsize=1024)
 def _galois_image(m: int, r: int, upsilon_side: bool) -> tuple[int, ...]:
     """s_r(x) mod the divisor over Z, deg D coefficients: sigma_r of its root.
@@ -104,21 +110,82 @@ def _galois_image(m: int, r: int, upsilon_side: bool) -> tuple[int, ...]:
     sign, step = 1, -1 if upsilon_side else 1
     if not upsilon_side and not r & 1:
         sign, r = -1, m - r
-
-    def times_x(p: list[int]) -> list[int]:  # x*p mod the monic divisor
-        return [a - p[-1] * c for a, c in zip([0, *p[:-1]], div)]
-
     one = [1] + [0] * (len(div) - 2)
-    prev, cur = [2 * c for c in one], times_x(one)
+    prev, cur = [2 * c for c in one], _times_x(one, div)
     for _ in range(r - 1):
-        prev, cur = cur, [a + step * b for a, b in zip(times_x(cur), prev)]
+        prev, cur = cur, [a + step * b for a, b in zip(_times_x(cur, div), prev)]
     return tuple(sign * c for c in cur)
+
+
+def _galois_matrix(m: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """sigma_r on Z[x]/Upsilon_m as d rows over Z: row i holds the x**i
+    coefficients of s_r(x)**j for j < d, so that sigma_r(sum c_j x**j)
+    has coefficient i equal to the dot product of row i with c."""
+    div = canonical_params(m).upsilon.coeffs
+    s = _galois_image(m, r, True)
+    col = [1] + [0] * (len(s) - 1)
+    cols = [col]
+    for _ in range(len(s) - 1):  # col*s mod Upsilon_m, by Horner in s
+        acc = [0] * len(s)
+        for c in reversed(s):
+            acc = [a + c * b for a, b in zip(_times_x(acc, div), col)]
+        cols.append(col := acc)
+    return tuple(zip(*cols))
+
+
+@lru_cache(maxsize=64)
+def _conjugate_chain(m: int) -> tuple[int, int, tuple, tuple] | None:
+    """(eps, k, sigma_h, sigma_2) with 1 + x = eps * prod sigma_(2**i*h)(x),
+    i < k, mod Upsilon_m over Z, for h = (m+1)/2; None when m has no such
+    chain. Built on first use; the i-th conjugate is sigma_2 applied i
+    times to sigma_h, so the two matrices (_galois_matrix) serve every i.
+
+    Let s_j = zeta**(j*h) - zeta**(-j*h), which depends on j mod m, with
+    s_(-j) = -s_j. As zeta = zeta**(2*h), sigma_b(t) = zeta**b + zeta**-b
+    is s_(4*b)/s_(2*b) for t = zeta + 1/zeta; at b = 2**i*h that is
+    s_(2**(i+1))/s_(2**i), so the product telescopes to s_(2**k)/s_1,
+    while 1 + t = s_3/s_1. Hence the product is eps*(1 + t) when
+    2**k = eps*3 mod m. Such k exists exactly when m is odd, p_m >= 5
+    and 3 is in +-<2> mod m: 5, 7, 11, 13, 19, 23, 25, 29, 37, ..., but
+    not 9, 17, 27, 31 or a power of 2.
+    """
+    h, b = (m + 1) // 2, 2 % m
+    for k in range(1, m):
+        if b in (3, m - 3):
+            return (1 if b == 3 else -1), k, _galois_matrix(m, h), _galois_matrix(m, 2)
+        b = 2 * b % m
+    return None
+
+
+def _one_plus_x_power(n: int, params: CanonicalParams, xn: Poly) -> Poly | None:
+    """(1+x)**n mod <Upsilon_m, n> from x**n there, or None without a chain.
+
+    Each sigma of _conjugate_chain is a ring endomorphism of
+    Z[x]/Upsilon_m over Z, so sigma(x**n) = sigma(x)**n mod <Upsilon_m, n>
+    for every odd n, prime or not, p_m | n included, and the product of
+    the conjugates of x**n is (eps*(1 + x))**n = eps*(1 + x)**n.
+    """
+    chain = _conjugate_chain(params.m)
+    if chain is None:
+        return None
+    eps, k, first, step = chain
+    cols = QuotientRing(params.upsilon, n)._table.cols
+    out = y = [sum(map(mul, row, xn.coeffs)) % n for row in first]
+    for _ in range(k - 1):
+        y = [sum(map(mul, row, y)) % n for row in step]
+        out = _fold(_product(out, y), cols, n)
+    return Poly([eps * c for c in out], n)
 
 
 def _condition(
     n: int, params: CanonicalParams, name: str, xn: dict
 ) -> tuple[Poly, tuple[int, ...]]:
     """pgpc_condition, with x**n modulo each divisor D kept in xn.
+
+    cond1 hands mbec_remainder (1+x)**n modulo Upsilon_m as the product of
+    the conjugates of x**n (_one_plus_x_power) where m has a chain, and
+    leaves it to the (1+x)**n ladder at the other m; cond2 always runs
+    that ladder modulo Psi_m, where no such product exists (README).
 
     cond3/cond4 start from x**n. With r = n mod m a unit and m >= 5,
     x -> s_r(x) (_galois_image) is a ring endomorphism of Z_n[x]/D for
@@ -136,7 +203,8 @@ def _condition(
     if upsilon_side not in xn:
         xn[upsilon_side] = poly_powmod(QuotientRing(div, n), x, n)
     if name in ("cond1", "cond2"):
-        return mbec_remainder(n, div, xn[upsilon_side]), ()
+        x1n = _one_plus_x_power(n, params, xn[True]) if upsilon_side else None
+        return mbec_remainder(n, div, xn[upsilon_side], x1n), ()
     m, p_m = params.m, params.p_m
     c = 1 % n if upsilon_side or p_m == 2 else jacobi(n, p_m) % n
     want = (c,) if c else ()
@@ -157,7 +225,8 @@ def pgpc_condition(
     4. x**(n**d - 1)        = c mod <Psi_m, n>, c = 1 if p_m = 2 else (n | p_m)
 
     The condition holds when the residue's coefficients equal `expected`.
-    Conditions 3 and 4 start from x**n (see _condition).
+    Condition 1 takes (1+x)**n from x**n where m allows it, and conditions
+    3 and 4 start from x**n (see _condition).
     """
     return _condition(n, params, name, {})
 

@@ -362,20 +362,26 @@ def poly_powmod(ring: QuotientRing, base: Poly, e: int) -> Poly:
     return Poly(_ring_power(ring._table, ring.n, b, e), ring.n)
 
 
-def mbec_remainder(n: int, d: Poly, xn: Poly | None = None) -> Poly:
+def mbec_remainder(n: int, d: Poly, xn: Poly | None = None, x1n: Poly | None = None) -> Poly:
     """Remainder of (1+x)**n - 1 - x**n in Z_n[x]/<d(x)>.
 
     Zero exactly when the binomial congruence holds modulo d at modulus n.
     d must be monic of degree >= 1; integer-coefficient d is reduced mod n,
-    and a d reduced under another modulus is refused. xn, when given, is
-    x**n in that ring (any representative), and is not recomputed.
+    and a d reduced under another modulus is refused. xn and x1n, when
+    given, are x**n and (1+x)**n in that ring (any representatives), and
+    are not recomputed: the battery hands in both modulo Upsilon_m where
+    its Galois conjugates give (1+x)**n from x**n, so that the remainder
+    is then one subtraction.
     """
     if n < 3 or not n & 1:
         raise ValueError("mbec_remainder: modulus must be odd and >= 3")
     ring = QuotientRing(d, n)
     if xn is None:
         xn = poly_powmod(ring, Poly([0, 1]), n)
-    a = _ring_power(ring._table, n, [1, 1], n)
+    if x1n is None:
+        a = _ring_power(ring._table, n, [1, 1], n)
+    else:
+        a = _reduce(ring._table, n, _coeffs(ring, x1n, "mbec_remainder"))
     b = _reduce(ring._table, n, _coeffs(ring, xn, "mbec_remainder"))
     out = [u - v for u, v in zip(a, b)]
     out[0] -= 1

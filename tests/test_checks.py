@@ -240,7 +240,9 @@ class TestSharedChecks:
     def test_battery_raises_only_x_and_one_plus_x(self, monkeypatch):
         # Every power the battery takes, at primes and composites whose
         # search exits at each m, is of x or 1 + x: it runs on a generated
-        # ladder or a half ring, and never on the list ladder.
+        # ladder or a half ring, and never on the list ladder. Modulo
+        # Upsilon_m it raises 1 + x only at the m without a conjugate chain
+        # for cond1 (9, 16 and 17 here).
         def refuse(*args):
             raise AssertionError("the battery took the list ladder")
 
@@ -255,6 +257,8 @@ class TestSharedChecks:
             tables = [ppt.polyring.QuotientRing(div, p)._table for div in (params.upsilon, params.psi)]
             kinds = [t.ladders.keys() for t in tables + [t.half for t in tables] if t is not None]
             assert set().union(*kinds) == {"x", "1+x"}, m
+            ups = [t.ladders.keys() for t in (tables[0], tables[0].half) if t is not None]
+            assert set().union(*ups) == ({"x", "1+x"} if m in (9, 16, 17) else {"x"}), m
 
     def test_pgpc_condition_rejects_unknown_name(self):
         with pytest.raises(ValueError):
