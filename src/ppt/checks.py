@@ -117,6 +117,7 @@ def _galois_image(m: int, r: int, upsilon_side: bool) -> tuple[int, ...]:
     return tuple(sign * c for c in cur)
 
 
+@lru_cache(maxsize=64)
 def _galois_matrix(m: int, r: int) -> tuple[tuple[int, ...], ...]:
     """sigma_r on Z[x]/Upsilon_m as d rows over Z: row i holds the x**i
     coefficients of s_r(x)**j for j < d, so that sigma_r(sum c_j x**j)
@@ -134,47 +135,89 @@ def _galois_matrix(m: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _conjugate_chain(m: int) -> tuple[int, int, tuple, tuple] | None:
-    """(eps, k, sigma_h, sigma_2) with 1 + x = eps * prod sigma_(2**i*h)(x),
-    i < k, mod Upsilon_m over Z, for h = (m+1)/2; None when m has no such
-    chain. Built on first use; the i-th conjugate is sigma_2 applied i
-    times to sigma_h, so the two matrices (_galois_matrix) serve every i.
+def _conjugate_chain(m: int, backward: bool = False) -> tuple[int, int, tuple, tuple] | None:
+    """(eps, k, first, step) relating x and 1 + x mod Upsilon_m over Z, or
+    None when m has no such chain. Built on first use; the i-th conjugate
+    is step applied i times to first's image, so the two matrices
+    (_galois_matrix) serve every i.
+
+    Forward: 1 + x = eps * prod_(i<k) sigma_(2**i*h)(x), h = (m+1)/2, with
+    first = sigma_h and step = sigma_2. Backward: x = eps * prod_(i<k)
+    sigma_(2*3**i)(1 + x), with first = sigma_2 and step = sigma_3.
 
     Let s_j = zeta**(j*h) - zeta**(-j*h), which depends on j mod m, with
-    s_(-j) = -s_j. As zeta = zeta**(2*h), sigma_b(t) = zeta**b + zeta**-b
-    is s_(4*b)/s_(2*b) for t = zeta + 1/zeta; at b = 2**i*h that is
+    s_(-j) = -s_j and sigma_b(s_j) = s_(b*j). As zeta = zeta**(2*h),
+    t = zeta + 1/zeta is s_4/s_2 and 1 + t is s_3/s_1. Forward, the
+    factor sigma_b(t) = s_(4*b)/s_(2*b) at b = 2**i*h is
     s_(2**(i+1))/s_(2**i), so the product telescopes to s_(2**k)/s_1,
-    while 1 + t = s_3/s_1. Hence the product is eps*(1 + t) when
-    2**k = eps*3 mod m. Such k exists exactly when m is odd, p_m >= 5
-    and 3 is in +-<2> mod m: 5, 7, 11, 13, 19, 23, 25, 29, 37, ..., but
-    not 9, 17, 27, 31 or a power of 2.
+    which is eps*(1 + t) when 2**k = eps*3 mod m. Backward, the factor
+    sigma_b(1 + t) = s_(3*b)/s_b at b = 2*3**i is s_(2*3**(i+1))/s_(2*3**i),
+    so the product is s_(2*3**k)/s_2 = eps*t when 3**k = eps*2 mod m. A
+    forward chain exists exactly when p_m >= 5 and 3 is in +-<2> mod m
+    (5, 7, 11, 13, 19, 23, 25, 29, 37, ...), a backward one exactly when
+    p_m >= 5 and 2 is in +-<3> (cond1 takes it at 17, 31, 43, 89, 113,
+    127, 137, ..., which have no forward chain); neither at 9, 27 or a
+    power of 2.
     """
-    h, b = (m + 1) // 2, 2 % m
+    g, c, target = (3, 2, 2) if backward else (2, (m + 1) // 2, 3)
+    b = g % m
     for k in range(1, m):
-        if b in (3, m - 3):
-            return (1 if b == 3 else -1), k, _galois_matrix(m, h), _galois_matrix(m, 2)
-        b = 2 * b % m
+        if b in (target, m - target):
+            return (1 if b == target else -1), k, _galois_matrix(m, c), _galois_matrix(m, g)
+        b = g * b % m
     return None
 
 
-def _one_plus_x_power(n: int, params: CanonicalParams, xn: Poly) -> Poly | None:
-    """(1+x)**n mod <Upsilon_m, n> from x**n there, or None without a chain.
+# The two ladder bases, and (1+x)**r, r < 3, for the cube rule.
+_X, _ONE_PLUS_X = Poly([0, 1]), Poly([1, 1])
+_ONE_PLUS_X_POW = ([1], [1, 1], [1, 2, 1])
 
-    Each sigma of _conjugate_chain is a ring endomorphism of
-    Z[x]/Upsilon_m over Z, so sigma(x**n) = sigma(x)**n mod <Upsilon_m, n>
-    for every odd n, prime or not, p_m | n included, and the product of
-    the conjugates of x**n is (eps*(1 + x))**n = eps*(1 + x)**n.
+
+def _cond1_powers(n: int, params: CanonicalParams) -> tuple[Poly, Poly | None]:
+    """x**n and (1+x)**n mod <Upsilon_m, n> from one ladder, or x**n and
+    None at an m with no rule (a power of 2, 27, 41, 73, ...).
+
+    Every step is exact over Z for every odd n, prime or not, p_m | n
+    included, so the x**n that cond3 reads is the ladder's. Each sigma is
+    a ring endomorphism of Z[x]/Upsilon_m over Z, so sigma(y**n) =
+    sigma(y)**n mod <Upsilon_m, n>, and eps**n = eps for odd n:
+
+    - with a forward chain (_conjugate_chain), the ladder gives x**n and
+      (1+x)**n = eps * prod sigma(x**n);
+    - with a backward chain only, the ladder gives (1+x)**n and
+      x**n = eps * prod sigma((1+x)**n);
+    - at m = 9, Upsilon_9 = x**3 - 3x + 1 gives (1+x)**3 = 3x(x + 2), and
+      x + 2 = sigma_5(x)**2. So for n = 3a + r and y = x**a from the
+      ladder, x**n = y**2 * (y * x**r) and (1+x)**n = sigma_5(y**2) *
+      (3**a * y * (1+x)**r), where y * x**r is y shifted by r.
+
+    Each product is folded once.
     """
-    chain = _conjugate_chain(params.m)
+    m = params.m
+    ring = QuotientRing(params.upsilon, n)
+    cols = ring._table.cols
+    if m == 9:
+        a, r = divmod(n, 3)
+        y = list(poly_powmod(ring, _X, a).coeffs)
+        y += [0] * (3 - len(y))
+        y2 = _fold(_product(y, y), cols, n)
+        z2 = [sum(map(mul, row, y2)) for row in _galois_matrix(9, 5)]
+        v = _fold([0] * r + y, cols, n)
+        scale = pow(3, a, n)
+        u = _fold([scale * c for c in _product(_ONE_PLUS_X_POW[r], y)], cols, n)
+        return Poly(_fold(_product(y2, v), cols, n), n), Poly(_fold(_product(z2, u), cols, n), n)
+    forward = _conjugate_chain(m)
+    chain = forward or _conjugate_chain(m, True)
     if chain is None:
-        return None
+        return poly_powmod(ring, _X, n), None
     eps, k, first, step = chain
-    cols = QuotientRing(params.upsilon, n)._table.cols
-    out = y = [sum(map(mul, row, xn.coeffs)) % n for row in first]
+    power = poly_powmod(ring, _X if forward else _ONE_PLUS_X, n)
+    out = y = [sum(map(mul, row, power.coeffs)) % n for row in first]
     for _ in range(k - 1):
         y = [sum(map(mul, row, y)) % n for row in step]
         out = _fold(_product(out, y), cols, n)
-    return Poly([eps * c for c in out], n)
+    other = Poly([eps * c for c in out], n)
+    return (power, other) if forward else (other, power)
 
 
 def _condition(
@@ -182,10 +225,10 @@ def _condition(
 ) -> tuple[Poly, tuple[int, ...]]:
     """pgpc_condition, with x**n modulo each divisor D kept in xn.
 
-    cond1 hands mbec_remainder (1+x)**n modulo Upsilon_m as the product of
-    the conjugates of x**n (_one_plus_x_power) where m has a chain, and
-    leaves it to the (1+x)**n ladder at the other m; cond2 always runs
-    that ladder modulo Psi_m, where no such product exists (README).
+    cond1 hands mbec_remainder x**n and, where m has a rule, (1+x)**n
+    modulo Upsilon_m, both from one ladder (_cond1_powers); at the other
+    m mbec_remainder runs the (1+x)**n ladder. cond2 always runs that
+    ladder modulo Psi_m, where no such rule exists (README).
 
     cond3/cond4 start from x**n. With r = n mod m a unit and m >= 5,
     x -> s_r(x) (_galois_image) is a ring endomorphism of Z_n[x]/D for
@@ -197,14 +240,16 @@ def _condition(
     """
     if name not in _CONDITIONS:
         raise ValueError(f"pgpc_condition: unknown condition {name!r}")
-    upsilon_side = name in ("cond1", "cond3")
+    if name == "cond1":
+        xn[True], x1n = _cond1_powers(n, params)
+        return mbec_remainder(n, params.upsilon, xn[True], x1n), ()
+    upsilon_side = name == "cond3"
     div = params.upsilon if upsilon_side else params.psi
     x = Poly([0, 1], n)
     if upsilon_side not in xn:
         xn[upsilon_side] = poly_powmod(QuotientRing(div, n), x, n)
-    if name in ("cond1", "cond2"):
-        x1n = _one_plus_x_power(n, params, xn[True]) if upsilon_side else None
-        return mbec_remainder(n, div, xn[upsilon_side], x1n), ()
+    if name == "cond2":
+        return mbec_remainder(n, div, xn[False]), ()
     m, p_m = params.m, params.p_m
     c = 1 % n if upsilon_side or p_m == 2 else jacobi(n, p_m) % n
     want = (c,) if c else ()

@@ -370,8 +370,9 @@ def mbec_remainder(n: int, d: Poly, xn: Poly | None = None, x1n: Poly | None = N
     and a d reduced under another modulus is refused. xn and x1n, when
     given, are x**n and (1+x)**n in that ring (any representatives), and
     are not recomputed: the battery hands in both modulo Upsilon_m where
-    its Galois conjugates give (1+x)**n from x**n, so that the remainder
-    is then one subtraction.
+    an exact rule over Z derives one from a single ladder (a chain of
+    Galois conjugates, or the cube relation at m = 9), so that the
+    remainder is then one subtraction.
     """
     if n < 3 or not n & 1:
         raise ValueError("mbec_remainder: modulus must be odd and >= 3")

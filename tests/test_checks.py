@@ -241,8 +241,9 @@ class TestSharedChecks:
         # Every power the battery takes, at primes and composites whose
         # search exits at each m, is of x or 1 + x: it runs on a generated
         # ladder or a half ring, and never on the list ladder. Modulo
-        # Upsilon_m it raises 1 + x only at the m without a conjugate chain
-        # for cond1 (9, 16 and 17 here).
+        # Upsilon_m cond1 raises one base: x at a forward conjugate chain
+        # and at m = 9, 1 + x alone at a backward chain (17 here), and
+        # both at m = 16, which has no rule.
         def refuse(*args):
             raise AssertionError("the battery took the list ladder")
 
@@ -258,7 +259,7 @@ class TestSharedChecks:
             kinds = [t.ladders.keys() for t in tables + [t.half for t in tables] if t is not None]
             assert set().union(*kinds) == {"x", "1+x"}, m
             ups = [t.ladders.keys() for t in (tables[0], tables[0].half) if t is not None]
-            assert set().union(*ups) == ({"x", "1+x"} if m in (9, 16, 17) else {"x"}), m
+            assert set().union(*ups) == {16: {"x", "1+x"}, 17: {"1+x"}}.get(m, {"x"}), m
 
     def test_pgpc_condition_rejects_unknown_name(self):
         with pytest.raises(ValueError):

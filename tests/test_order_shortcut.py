@@ -6,9 +6,12 @@ That is exact for every n because of three facts about the integer
 divisors, checked here over Z, and the differential test checks the
 shortcut's residues against the full ladder.
 
-cond1 takes (1+x)**n modulo Upsilon_m as a signed product of conjugates of
-x**n, where 1 + x is such a product of conjugates of x over Z; the
-identity is checked here, and the residues against the (1+x)**n ladder.
+cond1 takes one of x**n and (1+x)**n modulo Upsilon_m from a ladder and
+the other from an identity over Z: a signed product of conjugates of x**n
+where 1 + x is such a product of conjugates of x (forward chain), of
+conjugates of (1+x)**n where x is such a product of conjugates of 1 + x
+(backward chain), or, at m = 9, (1+x)**3 = 3 * x * s_5(x)**2. The identities are
+checked here, and the residues against the x**n and (1+x)**n ladders.
 """
 
 import math
@@ -19,9 +22,9 @@ import sympy
 import ppt.checks
 import ppt.polyring
 from ppt.canonical import canonical_params
-from ppt.checks import _conjugate_chain, _galois_image, pgpc_condition
+from ppt.checks import _cond1_powers, _conjugate_chain, _galois_image, pgpc_condition
 from ppt.ntcore import jacobi
-from ppt.polyring import Poly, QuotientRing, mbec_remainder
+from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
 from conftest import CARMICHAELS_1MOD24_1E8, M37_COMPOSITE, M37_PRIME
 
@@ -108,33 +111,95 @@ def test_one_plus_x_chain_identity_over_z(m):
     assert [eps * c for c in product] == [1, 1] + [0] * (d - 2), m
 
 
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_backward_chain_identity_over_z(m):
+    # x = eps * prod_(i<k) s_(2*3**i)(1 + x) mod Upsilon_m over Z whenever
+    # 3**k = eps*2 mod m; such k exists exactly when p_m >= 5 and 2 is in
+    # +-<3> mod m, and cond1 takes it only where there is no forward chain
+    # (17 and 31 here). The two matrices are sigma_2's and sigma_3's action
+    # on the powers of x below d, and sigma_3 applied i times to
+    # sigma_2(1 + x) gives 1 + s_(2*3**i)(x).
+    params = canonical_params(m)
+    div = list(params.upsilon.coeffs)
+    d = params.d
+    threes = {pow(3, i, m) for i in range(m)}
+    chain = _conjugate_chain(m, True)
+    assert (chain is not None) == (params.p_m >= 5 and bool({2, m - 2} & threes)), m
+    assert (chain is not None and _conjugate_chain(m) is None) == (m in (17, 31)), m
+    if chain is None:
+        return
+    eps, k, first, step = chain
+    assert pow(3, k, m) == eps * 2 % m and all(pow(3, i, m) not in (2, m - 2) for i in range(1, k))
+    for r, rows in ((2, first), (3, step)):
+        s = list(_galois_image(m, r, True))
+        powers = [[1] + [0] * (d - 1)]
+        for _ in range(d - 1):
+            powers.append(_mulmod(powers[-1], s, div))
+        assert [list(col) for col in zip(*rows)] == powers, (m, r)
+    product = [1] + [0] * (d - 1)
+    y = [1, 1] + [0] * (d - 2)
+    for i in range(k):
+        y = [sum(a * b for a, b in zip(row, y)) for row in (first if i == 0 else step)]
+        s = list(_galois_image(m, 2 * pow(3, i, m) % m, True))
+        assert y == [1 + s[0], *s[1:]], (m, i)
+        product = _mulmod(product, y, div)
+    assert [eps * c for c in product] == [0, 1] + [0] * (d - 2), m
+
+
+def test_cube_rule_identity_over_z():
+    # (1+x)**3 = 3 * x * s_5(x)**2 mod Upsilon_9 = x**3 - 3x + 1 over Z:
+    # (1+x)**3 = 3x(x + 2) there, and s_5(x)**2 = x + 2, since
+    # (zeta**5 + zeta**-5)**2 = zeta**10 + 2 + zeta**-10 with zeta**9 = 1.
+    div = list(canonical_params(9).upsilon.coeffs)
+    assert div == [1, -3, 0, 1]
+    s = list(_galois_image(9, 5, True))
+    cube = _mulmod(_mulmod([1, 1], [1, 1], div), [1, 1], div)
+    assert cube == [3 * c for c in _mulmod([0, 1], _mulmod(s, s, div), div)] == [0, 6, 3]
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_cond1_rule_by_m(m):
+    # cond1 derives (1+x)**n or x**n from the other at every m here but 8,
+    # 16, 27 and 32, where mbec_remainder runs the (1+x)**n ladder.
+    params = canonical_params(m)
+    for n in (3, 1009, 2**64 + 13):
+        xn, x1n = _cond1_powers(n, params)
+        assert (x1n is None) == (m in (8, 16, 27, 32)), (m, n)
+
+
 def test_one_plus_x_from_conjugates_matches_the_ladder(monkeypatch):
-    # cond1's residue from the conjugate product equals mbec_remainder's
-    # (1+x)**n ladder at every odd n < 3000 (p_m | n included), every
-    # n = 1 mod 24 below 20,000, the Carmichael numbers 1 mod 24 below 1e8
-    # and an m = 37 prime/composite pair; the spy on the ring powers shows
-    # that cond1 raises no 1 + x where m has a chain, and still does at
-    # m = 9, 16 and 17, which keep the ladder.
+    # cond1's residue from one ladder and an exact rule equals
+    # mbec_remainder's x**n and (1+x)**n ladders, and the x**n it keeps for
+    # cond3 equals the x**n ladder, at every odd n < 3000 (p_m | n
+    # included), every n = 1 mod 24 below 20,000, the Carmichael numbers 1
+    # mod 24 below 1e8 and an m = 37 prime/composite pair. The spy on the
+    # ring powers shows one ladder base per m: x at a forward chain and at
+    # m = 9, 1 + x at the backward chains (17, 31), and both at m = 16,
+    # which has no rule.
     real = ppt.polyring._ring_power
-    bases = []
+    bases = set()
 
     def spy(table, n, base, e):
-        bases.append(list(base))
+        bases.add(tuple(base))
         return real(table, n, base, e)
 
     numbers = [*range(3, 3000, 2), *range(25, 20000, 24), *CARMICHAELS_1MOD24_1E8,
                M37_PRIME, M37_COMPOSITE]
-    cases = [(m, numbers) for m in (5, 7, 11, 13, 19, 23, 25, 37)]
-    cases += [(m, range(25, 3000, 24)) for m in (9, 16, 17)]
+    cases = [(m, numbers) for m in (5, 7, 9, 11, 13, 17, 19, 23, 25, 31, 37)]
+    cases += [(16, range(25, 3000, 24))]
     for m, numbers in cases:
         params = canonical_params(m)
+        want_bases = {(1, 1)} if m in (17, 31) else {(0, 1), (1, 1)} if m == 16 else {(0, 1)}
         for n in numbers:
             monkeypatch.setattr(ppt.polyring, "_ring_power", spy)
             bases.clear()
-            residue, want = pgpc_condition(n, params, "cond1")
+            xn = {}
+            residue, want = ppt.checks._condition(n, params, "cond1", xn)
             monkeypatch.undo()
-            assert ([1, 1] in bases) == (m in (9, 16, 17)), (m, n)
+            assert bases == want_bases, (m, n)
             assert want == () and residue == mbec_remainder(n, params.upsilon), (m, n)
+            x = Poly([0, 1], n)
+            assert xn == {True: poly_powmod(QuotientRing(params.upsilon, n), x, n)}, (m, n)
 
 
 def test_shortcut_matches_the_full_ladder(monkeypatch):
