@@ -15,6 +15,7 @@ read from ppt or ppt.algorithms.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -135,89 +136,76 @@ def _galois_matrix(m: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _conjugate_chain(m: int, backward: bool = False) -> tuple[int, int, tuple, tuple] | None:
-    """(eps, k, first, step) relating x and 1 + x mod Upsilon_m over Z, or
-    None when m has no such chain. Built on first use; the i-th conjugate
-    is step applied i times to first's image, so the two matrices
-    (_galois_matrix) serve every i.
+def _walk(m: int) -> tuple[tuple, tuple, int, int | None]:
+    """(sigma_g, sigma_2, i2, i3) at an odd m with p_m >= 5, or m = 9.
 
-    Forward: 1 + x = eps * prod_(i<k) sigma_(2**i*h)(x), h = (m+1)/2, with
-    first = sigma_h and step = sigma_2. Backward: x = eps * prod_(i<k)
-    sigma_(2*3**i)(1 + x), with first = sigma_2 and step = sigma_3.
-
-    Let s_j = zeta**(j*h) - zeta**(-j*h), which depends on j mod m, with
-    s_(-j) = -s_j and sigma_b(s_j) = s_(b*j). As zeta = zeta**(2*h),
-    t = zeta + 1/zeta is s_4/s_2 and 1 + t is s_3/s_1. Forward, the
-    factor sigma_b(t) = s_(4*b)/s_(2*b) at b = 2**i*h is
-    s_(2**(i+1))/s_(2**i), so the product telescopes to s_(2**k)/s_1,
-    which is eps*(1 + t) when 2**k = eps*3 mod m. Backward, the factor
-    sigma_b(1 + t) = s_(3*b)/s_b at b = 2*3**i is s_(2*3**(i+1))/s_(2*3**i),
-    so the product is s_(2*3**k)/s_2 = eps*t when 3**k = eps*2 mod m. A
-    forward chain exists exactly when p_m >= 5 and 3 is in +-<2> mod m
-    (5, 7, 11, 13, 19, 23, 25, 29, 37, ...), a backward one exactly when
-    p_m >= 5 and 2 is in +-<3> (cond1 takes it at 17, 31, 43, 89, 113,
-    127, 137, ..., which have no forward chain); neither at 9, 27 or a
-    power of 2.
+    g is the least generator of (Z/m)*/+-1, cyclic of order d for an odd
+    prime power, and sigma_b depends on b mod +-1 only (V_-b = V_b). So
+    sigma_g applied i < d times to y gives each conjugate of y once, the
+    i2-th being sigma_2(y) and the i3-th sigma_3(y) (None at m = 9, where
+    3 is no unit). Built on first use.
     """
-    g, c, target = (3, 2, 2) if backward else (2, (m + 1) // 2, 3)
-    b = g % m
-    for k in range(1, m):
-        if b in (target, m - target):
-            return (1 if b == target else -1), k, _galois_matrix(m, c), _galois_matrix(m, g)
-        b = g * b % m
-    return None
+    d = canonical_params(m).d
+    for g in range(2, m):
+        orbit = [1]
+        while gcd(g, m) == 1 and (b := orbit[-1] * g % m) not in (1, m - 1):
+            orbit.append(b)
+        if len(orbit) == d:
+            break
+    pos = {min(b, m - b): i for i, b in enumerate(orbit)}
+    return _galois_matrix(m, g), _galois_matrix(m, 2), pos[2], pos.get(min(3, m - 3))
 
 
-# The two ladder bases, and (1+x)**r, r < 3, for the cube rule.
-_X, _ONE_PLUS_X = Poly([0, 1]), Poly([1, 1])
-_ONE_PLUS_X_POW = ([1], [1, 1], [1, 2, 1])
+_X = Poly([0, 1])
 
 
-def _cond1_powers(n: int, params: CanonicalParams) -> tuple[Poly, Poly | None]:
-    """x**n and (1+x)**n mod <Upsilon_m, n> from one ladder, or x**n and
-    None at an m with no rule (a power of 2, 27, 41, 73, ...).
+def _cond1_powers(n: int, params: CanonicalParams, xn: dict) -> tuple[Poly, Poly | None]:
+    """x**n and (1+x)**n mod <Upsilon_m, n> from cond2's power, or the x**n
+    ladder and None at an m or n the rule does not cover.
 
-    Every step is exact over Z for every odd n, prime or not, p_m | n
-    included, so the x**n that cond3 reads is the ladder's. Each sigma is
-    a ring endomorphism of Z[x]/Upsilon_m over Z, so sigma(y**n) =
-    sigma(y)**n mod <Upsilon_m, n>, and eps**n = eps for odd n:
+    The rule holds at odd m with p_m >= 5, and at m = 9, for odd n with
+    p_m not dividing n. It raises x**n modulo Psi_m = P(x**2) into
+    xn[False], which cond2 and cond4 then reuse; its odd coefficients are
+    w**k mod P(w), k = (n-1)/2. P(w) = Upsilon_m(w + 2), so w -> t - 2 maps
+    that to X = (t-2)**k mod <Upsilon_m, n>, below degree d, so no fold.
 
-    - with a forward chain (_conjugate_chain), the ladder gives x**n and
-      (1+x)**n = eps * prod sigma(x**n);
-    - with a backward chain only, the ladder gives (1+x)**n and
-      x**n = eps * prod sigma((1+x)**n);
-    - at m = 9, Upsilon_9 = x**3 - 3x + 1 gives (1+x)**3 = 3x(x + 2), and
-      x + 2 = sigma_5(x)**2. So for n = 3a + r and y = x**a from the
-      ladder, x**n = y**2 * (y * x**r) and (1+x)**n = sigma_5(y**2) *
-      (3**a * y * (1+x)**r), where y * x**r is y shifted by r.
-
-    Each product is folded once.
+    Each sigma_b, b a unit mod m, is a ring endomorphism of Z[t]/Upsilon_m
+    over Z, so sigma_b(X) = (V_b(t) - 2)**k mod <Upsilon_m, n> for every n.
+    Over Z[t], V_4(t) - 2 = t**2 * (V_2(t) - 2) and V_3(t) - 2 =
+    (1+t)**2 * (t - 2). So sigma_4(X) = t**(n-1) * sigma_2(X), and, for
+    p_m >= 5, sigma_3(X) = (1+t)**(n-1) * X. The product of the d
+    conjugates of X is its norm N = ((-1)**d * Upsilon_m(2))**k, with
+    Upsilon_m(2) = Phi_m(1) = p_m, a unit mod n as p_m does not divide n,
+    so X**-1 = prod_(b!=1) sigma_b(X) / N. Then t**n =
+    t * sigma_2(sigma_2(X) * X**-1) and (1+t)**n = (1+t) * sigma_3(X) *
+    X**-1. At m = 9, V_3(t) - 2 = -3 = N(t - 2) mod Upsilon_9, so
+    (1+t)**(n-1) = prod_(b!=1) sigma_b(X), with no inverse.
     """
-    m = params.m
+    m, p_m, d = params.m, params.p_m, params.d
     ring = QuotientRing(params.upsilon, n)
-    cols = ring._table.cols
-    if m == 9:
-        a, r = divmod(n, 3)
-        y = list(poly_powmod(ring, _X, a).coeffs)
-        y += [0] * (3 - len(y))
-        y2 = _fold(_product(y, y), cols, n)
-        z2 = [sum(map(mul, row, y2)) for row in _galois_matrix(9, 5)]
-        v = _fold([0] * r + y, cols, n)
-        scale = pow(3, a, n)
-        u = _fold([scale * c for c in _product(_ONE_PLUS_X_POW[r], y)], cols, n)
-        return Poly(_fold(_product(y2, v), cols, n), n), Poly(_fold(_product(z2, u), cols, n), n)
-    forward = _conjugate_chain(m)
-    chain = forward or _conjugate_chain(m, True)
-    if chain is None:
+    if not m & 1 or p_m == 3 and m != 9 or not n % p_m:
         return poly_powmod(ring, _X, n), None
-    eps, k, first, step = chain
-    power = poly_powmod(ring, _X if forward else _ONE_PLUS_X, n)
-    out = y = [sum(map(mul, row, power.coeffs)) % n for row in first]
-    for _ in range(k - 1):
-        y = [sum(map(mul, row, y)) % n for row in step]
-        out = _fold(_product(out, y), cols, n)
-    other = Poly([eps * c for c in out], n)
-    return (power, other) if forward else (other, power)
+    xn[False] = poly_powmod(QuotientRing(params.psi, n), _X, n)
+    x = [0] * d
+    for a in reversed(xn[False].coeffs[1::2]):  # x*(t - 2) + a, by Horner
+        x = [u - 2 * v for u, v in zip([a, *x], x)]
+    step, two, i2, i3 = _walk(m)
+    cols = ring._table.cols
+    conj = [[a % n for a in x]]  # sigma_g**i(X), i < d
+    for _ in range(d - 1):
+        conj.append([sum(map(mul, row, conj[-1])) % n for row in step])
+    rest = conj[1]  # N * X**-1
+    for y in conj[2:]:
+        rest = _fold(_product(rest, y), cols, n)
+    inv = pow(_fold(_product(conj[0], rest), cols, n)[0], -1, n)
+    b = _fold(_product(conj[i2], rest), cols, n)  # N * sigma_2(X) * X**-1
+    tn = [0, *(inv * sum(map(mul, row, b)) for row in two)]  # t * t**(n-1)
+    if i3 is None:  # m = 9: rest is (1+t)**(n-1)
+        a = rest
+    else:  # at m = 5, sigma_3 = sigma_2
+        a = [inv * v for v in (b if i3 == i2 else _fold(_product(conj[i3], rest), cols, n))]
+    a = [u + v for u, v in zip([*a, 0], [0, *a])]  # (1+t) * (1+t)**(n-1)
+    return Poly(_fold(tn, cols, n), n), Poly(_fold(a, cols, n), n)
 
 
 def _condition(
@@ -225,9 +213,9 @@ def _condition(
 ) -> tuple[Poly, tuple[int, ...]]:
     """pgpc_condition, with x**n modulo each divisor D kept in xn.
 
-    cond1 hands mbec_remainder x**n and, where m has a rule, (1+x)**n
-    modulo Upsilon_m, both from one ladder (_cond1_powers); at the other
-    m mbec_remainder runs the (1+x)**n ladder. cond2 always runs that
+    cond1 hands mbec_remainder x**n and, where the rule holds, (1+x)**n
+    modulo Upsilon_m, both from x**n modulo Psi_m (_cond1_powers); at the
+    other m mbec_remainder runs the (1+x)**n ladder. cond2 always runs that
     ladder modulo Psi_m, where no such rule exists (README).
 
     cond3/cond4 start from x**n. With r = n mod m a unit and m >= 5,
@@ -241,7 +229,7 @@ def _condition(
     if name not in _CONDITIONS:
         raise ValueError(f"pgpc_condition: unknown condition {name!r}")
     if name == "cond1":
-        xn[True], x1n = _cond1_powers(n, params)
+        xn[True], x1n = _cond1_powers(n, params, xn)
         return mbec_remainder(n, params.upsilon, xn[True], x1n), ()
     upsilon_side = name == "cond3"
     div = params.upsilon if upsilon_side else params.psi
@@ -270,8 +258,8 @@ def pgpc_condition(
     4. x**(n**d - 1)        = c mod <Psi_m, n>, c = 1 if p_m = 2 else (n | p_m)
 
     The condition holds when the residue's coefficients equal `expected`.
-    Condition 1 takes (1+x)**n from x**n where m allows it, and conditions
-    3 and 4 start from x**n (see _condition).
+    Condition 1 takes both of its powers from x**n modulo Psi_m where m
+    and n allow it, and conditions 3 and 4 start from x**n (see _condition).
     """
     return _condition(n, params, name, {})
 

@@ -38,6 +38,7 @@ Powers run on the smallest ring that gives the same residue exactly:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from operator import mul
 from typing import NamedTuple
 
@@ -370,20 +371,25 @@ def mbec_remainder(n: int, d: Poly, xn: Poly | None = None, x1n: Poly | None = N
     and a d reduced under another modulus is refused. xn and x1n, when
     given, are x**n and (1+x)**n in that ring (any representatives), and
     are not recomputed: the battery hands in both modulo Upsilon_m where
-    an exact rule over Z derives one from a single ladder (a chain of
-    Galois conjugates, or the cube relation at m = 9), so that the
-    remainder is then one subtraction.
+    an exact rule over Z derives them from cond2's power. When both are
+    records mod n below d's degree, the remainder is one subtraction, with
+    no ring built.
     """
     if n < 3 or not n & 1:
         raise ValueError("mbec_remainder: modulus must be odd and >= 3")
-    ring = QuotientRing(d, n)
-    if xn is None:
-        xn = poly_powmod(ring, Poly([0, 1]), n)
-    if x1n is None:
-        a = _ring_power(ring._table, n, [1, 1], n)
+    if (xn is not None and x1n is not None and xn.n == x1n.n == n and d.n in (0, n)
+            and d.coeffs[-1:] == (1,)
+            and len(d.coeffs) > max(len(xn.coeffs), len(x1n.coeffs), 1)):
+        a, b = x1n.coeffs, xn.coeffs
     else:
-        a = _reduce(ring._table, n, _coeffs(ring, x1n, "mbec_remainder"))
-    b = _reduce(ring._table, n, _coeffs(ring, xn, "mbec_remainder"))
-    out = [u - v for u, v in zip(a, b)]
+        ring = QuotientRing(d, n)
+        if xn is None:
+            xn = poly_powmod(ring, Poly([0, 1]), n)
+        if x1n is None:
+            a = _ring_power(ring._table, n, [1, 1], n)
+        else:
+            a = _reduce(ring._table, n, _coeffs(ring, x1n, "mbec_remainder"))
+        b = _reduce(ring._table, n, _coeffs(ring, xn, "mbec_remainder"))
+    out = [u - v for u, v in zip_longest(a, b, fillvalue=0)] or [0]
     out[0] -= 1
     return Poly(out, n)

@@ -211,10 +211,11 @@ class TestSharedChecks:
 
         monkeypatch.setattr(ppt.checks, "mbec_remainder", spy("mbec_remainder"))
         monkeypatch.setattr(ppt.checks, "poly_powmod", spy("poly_powmod"))
-        # x**n goes through poly_powmod once per divisor and serves both of
-        # its conditions; at a prime, cond3/cond4 then need no other power.
+        # x**n modulo Psi_m goes through poly_powmod once: cond1 derives its
+        # two powers modulo Upsilon_m from it, and cond2 and cond4 reuse it;
+        # at a prime, cond3/cond4 then need no other power.
         assert pgpc_check(1009, canonical_params(5)).all_hold
-        assert calls == ["poly_powmod", "mbec_remainder"] * 2
+        assert calls == ["poly_powmod", "mbec_remainder", "mbec_remainder"]
         calls.clear()
         assert fgpc_check(NC, canonical_params(5))[0] is False
         assert calls == ["poly_powmod", "mbec_remainder"]
@@ -240,10 +241,10 @@ class TestSharedChecks:
     def test_battery_raises_only_x_and_one_plus_x(self, monkeypatch):
         # Every power the battery takes, at primes and composites whose
         # search exits at each m, is of x or 1 + x: it runs on a generated
-        # ladder or a half ring, and never on the list ladder. Modulo
-        # Upsilon_m cond1 raises one base: x at a forward conjugate chain
-        # and at m = 9, 1 + x alone at a backward chain (17 here), and
-        # both at m = 16, which has no rule.
+        # ladder or a half ring, and never on the list ladder. At odd m
+        # cond1 raises nothing modulo Upsilon_m, since it derives both
+        # powers from x**n modulo Psi_m, so no Upsilon table compiles a
+        # ladder; m = 16, which has no rule, raises both x and 1 + x there.
         def refuse(*args):
             raise AssertionError("the battery took the list ladder")
 
@@ -259,7 +260,7 @@ class TestSharedChecks:
             kinds = [t.ladders.keys() for t in tables + [t.half for t in tables] if t is not None]
             assert set().union(*kinds) == {"x", "1+x"}, m
             ups = [t.ladders.keys() for t in (tables[0], tables[0].half) if t is not None]
-            assert set().union(*ups) == {16: {"x", "1+x"}, 17: {"1+x"}}.get(m, {"x"}), m
+            assert set().union(*ups) == ({"x", "1+x"} if m == 16 else set()), m
 
     def test_pgpc_condition_rejects_unknown_name(self):
         with pytest.raises(ValueError):

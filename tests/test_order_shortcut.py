@@ -6,15 +6,16 @@ That is exact for every n because of three facts about the integer
 divisors, checked here over Z, and the differential test checks the
 shortcut's residues against the full ladder.
 
-cond1 takes one of x**n and (1+x)**n modulo Upsilon_m from a ladder and
-the other from an identity over Z: a signed product of conjugates of x**n
-where 1 + x is such a product of conjugates of x (forward chain), of
-conjugates of (1+x)**n where x is such a product of conjugates of 1 + x
-(backward chain), or, at m = 9, (1+x)**3 = 3 * x * s_5(x)**2. The identities are
-checked here, and the residues against the x**n and (1+x)**n ladders.
+cond1 takes x**n and (1+x)**n modulo Upsilon_m from cond2's x**n modulo
+Psi_m = P(x**2): P(w) = Upsilon_m(w + 2), so that power is X = (t-2)**k,
+k = (n-1)/2, and two identities over Z[t] give t**(n-1) and (1+t)**(n-1)
+from the Galois conjugates of X, whose product is the norm, a power of
++-p_m. The facts are checked here over Z, and the residues against the
+x**n and (1+x)**n ladders.
 """
 
 import math
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -22,11 +23,11 @@ import sympy
 import ppt.checks
 import ppt.polyring
 from ppt.canonical import canonical_params
-from ppt.checks import _cond1_powers, _conjugate_chain, _galois_image, pgpc_condition
+from ppt.checks import _cond1_powers, _galois_image, _walk, pgpc_condition
 from ppt.ntcore import jacobi
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
-from conftest import CARMICHAELS_1MOD24_1E8, M37_COMPOSITE, M37_PRIME
+from conftest import BATTERY_EXITS, CARMICHAELS_1MOD24_1E8, M37_COMPOSITE, M37_PRIME
 
 PRIME_POWERS = [5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -77,129 +78,162 @@ def test_galois_image_identity_over_z(m, side):
         assert f == [0, c] + [0] * (k - 2), (m, side, r)
 
 
-@pytest.mark.parametrize("m", PRIME_POWERS)
-def test_one_plus_x_chain_identity_over_z(m):
-    # 1 + x = eps * prod_(i<k) s_(2**i*h)(x) mod Upsilon_m over Z, h = (m+1)/2,
-    # whenever 2**k = eps*3 mod m; such k exists exactly when p_m >= 5 and
-    # 3 is in +-<2> mod m. The two matrices are sigma_h's and sigma_2's
-    # action on the powers of x below d, and sigma_2 applied i times to
-    # s_h(x) gives s_(2**i*h)(x).
+def _taylor_shift(p, a):
+    """p(w + a) over Z, by Horner."""
+    out = []
+    for c in reversed(p):
+        out = [u + a * v for u, v in zip_longest([0, *out], out, fillvalue=0)]
+        out[0] += c
+    return out
+
+
+def _lucas(b):
+    """V_b(t) over Z, ascending: V_0 = 2, V_1 = t, V_j = t*V_(j-1) - V_(j-2)."""
+    prev, cur = [2], [0, 1]
+    for _ in range(b - 1):
+        prev, cur = cur, [u - v for u, v in zip_longest([0, *cur], prev, fillvalue=0)]
+    return cur if b else prev
+
+
+def _times(a, b):
+    """a * b over Z."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+ODD_PRIME_POWERS = [m for m in PRIME_POWERS if m & 1]
+RULE_PRIME_POWERS = [m for m in ODD_PRIME_POWERS if m % 3 or m == 9]
+
+
+@pytest.mark.parametrize("m", ODD_PRIME_POWERS)
+def test_half_ring_is_shifted_upsilon(m):
+    # Psi_m = P(x**2) with P(w) = Upsilon_m(w + 2) over Z: the root of P is
+    # u**2 = zeta**2 - 2 + zeta**-2, a conjugate of t less 2. So cond2's
+    # x**n = x * w**k, k = (n-1)/2, carries (t-2)**k mod Upsilon_m.
     params = canonical_params(m)
-    div = list(params.upsilon.coeffs)
-    d = params.d
-    twos = {pow(2, i, m) for i in range(m)}
-    exists = params.p_m >= 5 and bool({3, m - 3} & twos)
-    chain = _conjugate_chain(m)
-    assert (chain is not None) == exists, m
-    if chain is None:
-        return
-    eps, k, first, step = chain
-    assert pow(2, k, m) == eps * 3 % m and all(pow(2, i, m) not in (3, m - 3) for i in range(1, k))
-    h = (m + 1) // 2
-    for r, rows in ((h, first), (2, step)):
-        s = list(_galois_image(m, r, True))
-        powers = [[1] + [0] * (d - 1)]
-        for _ in range(d - 1):
-            powers.append(_mulmod(powers[-1], s, div))
-        assert [list(col) for col in zip(*rows)] == powers, (m, r)
-    product = [1] + [0] * (d - 1)
-    y = [0, 1] + [0] * (d - 2)
-    for i in range(k):
-        y = [sum(a * b for a, b in zip(row, y)) for row in (first if i == 0 else step)]
-        assert y == list(_galois_image(m, pow(2, i, m) * h % m, True)), (m, i)
-        product = _mulmod(product, y, div)
-    assert [eps * c for c in product] == [1, 1] + [0] * (d - 2), m
+    psi = params.psi.coeffs
+    assert not any(psi[1::2]), m
+    assert list(psi[::2]) == _taylor_shift(params.upsilon.coeffs, 2), m
 
 
 @pytest.mark.parametrize("m", PRIME_POWERS)
-def test_backward_chain_identity_over_z(m):
-    # x = eps * prod_(i<k) s_(2*3**i)(1 + x) mod Upsilon_m over Z whenever
-    # 3**k = eps*2 mod m; such k exists exactly when p_m >= 5 and 2 is in
-    # +-<3> mod m, and cond1 takes it only where there is no forward chain
-    # (17 and 31 here). The two matrices are sigma_2's and sigma_3's action
-    # on the powers of x below d, and sigma_3 applied i times to
-    # sigma_2(1 + x) gives 1 + s_(2*3**i)(x).
+def test_conjugate_identities_over_z(m):
+    # V_4(t) - 2 = t**2 * (V_2(t) - 2) and V_3(t) - 2 = (1+t)**2 * (t - 2)
+    # over Z[t], and s_b(x) = V_b(x) mod Upsilon_m for b = 2, 3, 4 where b
+    # is a unit mod m, so that sigma_b is the endomorphism cond1 applies.
+    minus_two = lambda p: [p[0] - 2, *p[1:]]
+    assert minus_two(_lucas(4)) == _times([0, 0, 1], minus_two(_lucas(2)))
+    assert minus_two(_lucas(3)) == _times([1, 2, 1], [-2, 1])
+    div = list(canonical_params(m).upsilon.coeffs)
+    for b in (2, 3, 4):
+        if math.gcd(b, m) == 1:
+            assert list(_galois_image(m, b, True)) == _mulmod(_lucas(b), [1], div), (m, b)
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_norm_of_t_minus_two(m):
+    # Upsilon_m(2) = Phi_m(1) = p_m, so at odd m the product of the d
+    # conjugates of t - 2, one per b in (Z/m)*/+-1, is (-1)**d * p_m over
+    # Z: the norm N(t - 2), a unit mod every n that p_m does not divide.
+    # At m = 9, V_3(t) = zeta**3 + zeta**-3 = -1, so V_3(t) - 2 = N(t - 2).
     params = canonical_params(m)
-    div = list(params.upsilon.coeffs)
-    d = params.d
-    threes = {pow(3, i, m) for i in range(m)}
-    chain = _conjugate_chain(m, True)
-    assert (chain is not None) == (params.p_m >= 5 and bool({2, m - 2} & threes)), m
-    assert (chain is not None and _conjugate_chain(m) is None) == (m in (17, 31)), m
-    if chain is None:
+    div, d, p = list(params.upsilon.coeffs), params.d, params.p_m
+    assert sum(c << i for i, c in enumerate(div)) == p
+    if not m & 1:
         return
-    eps, k, first, step = chain
-    assert pow(3, k, m) == eps * 2 % m and all(pow(3, i, m) not in (2, m - 2) for i in range(1, k))
-    for r, rows in ((2, first), (3, step)):
-        s = list(_galois_image(m, r, True))
-        powers = [[1] + [0] * (d - 1)]
-        for _ in range(d - 1):
-            powers.append(_mulmod(powers[-1], s, div))
-        assert [list(col) for col in zip(*rows)] == powers, (m, r)
+    norm = [(-1) ** d * p] + [0] * (d - 1)
     product = [1] + [0] * (d - 1)
-    y = [1, 1] + [0] * (d - 2)
-    for i in range(k):
-        y = [sum(a * b for a, b in zip(row, y)) for row in (first if i == 0 else step)]
-        s = list(_galois_image(m, 2 * pow(3, i, m) % m, True))
-        assert y == [1 + s[0], *s[1:]], (m, i)
-        product = _mulmod(product, y, div)
-    assert [eps * c for c in product] == [0, 1] + [0] * (d - 2), m
+    for b in range(1, (m + 1) // 2):
+        if math.gcd(b, m) == 1:
+            s = list(_galois_image(m, b, True))
+            product = _mulmod(product, [s[0] - 2, *s[1:]], div)
+    assert product == norm, m
+    if m == 9:
+        assert _mulmod([-2, -3, 0, 1], [1], div) == norm
 
 
-def test_cube_rule_identity_over_z():
-    # (1+x)**3 = 3 * x * s_5(x)**2 mod Upsilon_9 = x**3 - 3x + 1 over Z:
-    # (1+x)**3 = 3x(x + 2) there, and s_5(x)**2 = x + 2, since
-    # (zeta**5 + zeta**-5)**2 = zeta**10 + 2 + zeta**-10 with zeta**9 = 1.
-    div = list(canonical_params(9).upsilon.coeffs)
-    assert div == [1, -3, 0, 1]
-    s = list(_galois_image(9, 5, True))
-    cube = _mulmod(_mulmod([1, 1], [1, 1], div), [1, 1], div)
-    assert cube == [3 * c for c in _mulmod([0, 1], _mulmod(s, s, div), div)] == [0, 6, 3]
+@pytest.mark.parametrize("m", RULE_PRIME_POWERS)
+def test_walk_visits_each_conjugate_once(m):
+    # sigma_g applied i < d times to t gives each s_b(t), b in
+    # (Z/m)*/+-1, once; the i2-th is s_2 and the i3-th s_3 (none at m = 9,
+    # where 3 is no unit). The second matrix is sigma_2's action on the
+    # powers of x below d.
+    params = canonical_params(m)
+    div, d = list(params.upsilon.coeffs), params.d
+    step, two, i2, i3 = _walk(m)
+    y, seen = [0, 1] + [0] * (d - 2), []
+    for _ in range(d):
+        seen.append(tuple(y))
+        y = [sum(a * b for a, b in zip(row, y)) for row in step]
+    units = [b for b in range(1, (m + 1) // 2) if math.gcd(b, m) == 1]
+    assert sorted(seen) == sorted(_galois_image(m, b, True) for b in units), m
+    assert seen[i2] == _galois_image(m, 2, True), m
+    assert (i3 is None) == (m == 9) and (m == 9 or seen[i3] == _galois_image(m, 3, True)), m
+    s, power = list(_galois_image(m, 2, True)), [1] + [0] * (d - 1)
+    for col in zip(*two):
+        assert list(col) == power, m
+        power = _mulmod(power, s, div)
 
 
 @pytest.mark.parametrize("m", PRIME_POWERS)
 def test_cond1_rule_by_m(m):
-    # cond1 derives (1+x)**n or x**n from the other at every m here but 8,
-    # 16, 27 and 32, where mbec_remainder runs the (1+x)**n ladder.
+    # cond1 derives x**n and (1+x)**n from cond2's x**n modulo Psi_m, which
+    # it keeps for cond2, at every m here but 8, 16, 27 and 32 and every n
+    # that p_m does not divide; elsewhere it runs both ladders modulo
+    # Upsilon_m.
     params = canonical_params(m)
-    for n in (3, 1009, 2**64 + 13):
-        xn, x1n = _cond1_powers(n, params)
-        assert (x1n is None) == (m in (8, 16, 27, 32)), (m, n)
+    for n in (3, 5, 7, 1009, 2**64 + 13):
+        xn = {}
+        _, x1n = _cond1_powers(n, params, xn)
+        rule = m not in (8, 16, 27, 32) and n % params.p_m != 0
+        assert (x1n is not None) == rule == (False in xn), (m, n)
 
 
 def test_one_plus_x_from_conjugates_matches_the_ladder(monkeypatch):
-    # cond1's residue from one ladder and an exact rule equals
-    # mbec_remainder's x**n and (1+x)**n ladders, and the x**n it keeps for
-    # cond3 equals the x**n ladder, at every odd n < 3000 (p_m | n
-    # included), every n = 1 mod 24 below 20,000, the Carmichael numbers 1
-    # mod 24 below 1e8 and an m = 37 prime/composite pair. The spy on the
-    # ring powers shows one ladder base per m: x at a forward chain and at
-    # m = 9, 1 + x at the backward chains (17, 31), and both at m = 16,
+    # cond1's x**n and residue, and so its (1+x)**n, equal the x**n and
+    # (1+x)**n ladders modulo Upsilon_m, and the x**n kept for cond2 the
+    # ladder modulo Psi_m, at every odd n < 3000 (p_m | n included), every n = 1
+    # mod 24 below 20,000, the Carmichael numbers 1 mod 24 below 1e8, the
+    # battery exits and an m = 37 prime/composite pair. The spy on the ring
+    # powers shows the one power the rule takes (x modulo Psi_m, on its
+    # half table), and both Upsilon ladders where p_m | n and at m = 16,
     # which has no rule.
     real = ppt.polyring._ring_power
-    bases = set()
+    raised = []
 
-    def spy(table, n, base, e):
-        bases.add(tuple(base))
+    def spy(table, n, base, e):  # a half table's power is its ring's
+        if (div := Poly(table.div, n).coeffs) in (ups, psi):
+            raised.append((div, tuple(base)))
         return real(table, n, base, e)
 
     numbers = [*range(3, 3000, 2), *range(25, 20000, 24), *CARMICHAELS_1MOD24_1E8,
-               M37_PRIME, M37_COMPOSITE]
-    cases = [(m, numbers) for m in (5, 7, 9, 11, 13, 17, 19, 23, 25, 31, 37)]
+               *(n for pair in BATTERY_EXITS.values() for n in pair), M37_PRIME, M37_COMPOSITE]
+    cases = [(m, numbers) for m in (5, 7, 9, 11, 13, 17, 19, 23, 25, 31, 37, 41, 49)]
     cases += [(16, range(25, 3000, 24))]
     for m, numbers in cases:
         params = canonical_params(m)
-        want_bases = {(1, 1)} if m in (17, 31) else {(0, 1), (1, 1)} if m == 16 else {(0, 1)}
         for n in numbers:
+            ups, psi = params.upsilon.reduced(n).coeffs, params.psi.reduced(n).coeffs
             monkeypatch.setattr(ppt.polyring, "_ring_power", spy)
-            bases.clear()
+            raised.clear()
             xn = {}
             residue, want = ppt.checks._condition(n, params, "cond1", xn)
             monkeypatch.undo()
-            assert bases == want_bases, (m, n)
-            assert want == () and residue == mbec_remainder(n, params.upsilon), (m, n)
-            x = Poly([0, 1], n)
-            assert xn == {True: poly_powmod(QuotientRing(params.upsilon, n), x, n)}, (m, n)
+            if m == 16 or n % params.p_m == 0:
+                assert raised == [(ups, (0, 1)), (ups, (1, 1))], (m, n)
+            else:
+                assert raised == [(psi, (0, 1))], (m, n)
+                x = poly_powmod(QuotientRing(params.psi, n), Poly([0, 1], n), n)
+                assert xn[False] == x, (m, n)
+            ring = QuotientRing(params.upsilon, n)
+            x = poly_powmod(ring, Poly([0, 1], n), n)
+            x1 = poly_powmod(ring, Poly([1, 1], n), n)
+            assert xn[True] == x, (m, n)
+            diff = [a - b for a, b in zip_longest(x1.coeffs, x.coeffs, fillvalue=0)] or [0]
+            assert want == () and residue == Poly([diff[0] - 1, *diff[1:]], n), (m, n)
 
 
 def test_shortcut_matches_the_full_ladder(monkeypatch):

@@ -209,3 +209,18 @@ class TestMbecRemainder:
         xn = Poly([0, 0, 1, 1], 1009)
         assert mbec_remainder(1009, Poly(UPS5), xn) == mbec_remainder(1009, Poly(UPS5))
 
+    def test_given_powers_are_subtracted(self):
+        # Both powers handed in: reduced records are subtracted as they
+        # are, and other representatives are reduced first; a divisor the
+        # ring would refuse is refused either way.
+        n, ups = 1009, Poly(UPS5)
+        want = mbec_remainder(n, ups)
+        ring = QuotientRing(ups, n)
+        xn, x1n = poly_powmod(ring, Poly([0, 1]), n), poly_powmod(ring, Poly([1, 1]), n)
+        assert mbec_remainder(n, ups, xn, x1n) == want
+        assert mbec_remainder(n, ups, Poly([0, 0, 1, 1], n), Poly(x1n.coeffs)) == want
+        with pytest.raises(ValueError, match="monic"):
+            mbec_remainder(n, Poly([-1, 1, 2]), xn, x1n)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            mbec_remainder(n, Poly(UPS5, 7), xn, x1n)
+
