@@ -11,7 +11,10 @@ Psi_m = P(x**2): P(w) = Upsilon_m(w + 2), so that power is X = (t-2)**k,
 k = (n-1)/2, and two identities over Z[t] give t**(n-1) and (1+t)**(n-1)
 from the Galois conjugates of X, whose product is the norm, a power of
 +-p_m. The facts are checked here over Z, and the residues against the
-x**n and (1+x)**n ladders.
+x**n and (1+x)**n ladders. The forward and backward conjugate chains
+(1 + x and x as signed products of conjugates of each other) and the
+m = 9 cube relation are checked over Z too, as identities that exercise
+the Galois images and their matrices.
 """
 
 import math
@@ -23,7 +26,7 @@ import sympy
 import ppt.checks
 import ppt.polyring
 from ppt.canonical import canonical_params
-from ppt.checks import _cond1_powers, _galois_image, _walk, pgpc_condition
+from ppt.checks import _cond1_powers, _galois_image, _galois_matrix, _walk, pgpc_condition
 from ppt.ntcore import jacobi
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
@@ -77,6 +80,93 @@ def test_galois_image_identity_over_z(m, side):
             f = _compose(f, powers[:k])
         assert f == [0, c] + [0] * (k - 2), (m, side, r)
 
+
+
+def _chain(m, g, target):
+    """(eps, k) with g**k = eps*target mod m and k >= 1 least, or None."""
+    for k in range(1, m):
+        for eps in (1, -1):
+            if pow(g, k, m) == eps * target % m:
+                return eps, k
+    return None
+
+
+def _check_matrix(m, r, d, div):
+    """_galois_matrix(m, r) holds s_r(x)**j mod Upsilon_m in column j < d."""
+    s = list(_galois_image(m, r, True))
+    powers = [[1] + [0] * (d - 1)]
+    for _ in range(d - 1):
+        powers.append(_mulmod(powers[-1], s, div))
+    rows = _galois_matrix(m, r)
+    assert [list(col) for col in zip(*rows)] == powers, (m, r)
+    return rows
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_one_plus_x_chain_identity_over_z(m):
+    # 1 + x = eps * prod_(i<k) s_(2**i*h)(x) mod Upsilon_m over Z, h = (m+1)/2,
+    # whenever 2**k = eps*3 mod m; such k exists exactly when p_m >= 5 and
+    # 3 is in +-<2> mod m. sigma_2's matrix applied i times to s_h(x) gives
+    # s_(2**i*h)(x): sigma_a(s_b(x)) = s_(ab)(x), which _walk relies on.
+    params = canonical_params(m)
+    div = list(params.upsilon.coeffs)
+    d = params.d
+    twos = {pow(2, i, m) for i in range(m)}
+    exists = params.p_m >= 5 and bool({3, m - 3} & twos)
+    chain = _chain(m, 2, 3) if params.p_m >= 5 else None
+    assert (chain is not None) == exists, m
+    if chain is None:
+        return
+    eps, k = chain
+    h = (m + 1) // 2
+    first, step = _check_matrix(m, h, d, div), _check_matrix(m, 2, d, div)
+    product = [1] + [0] * (d - 1)
+    y = [0, 1] + [0] * (d - 2)
+    for i in range(k):
+        y = [sum(a * b for a, b in zip(row, y)) for row in (first if i == 0 else step)]
+        assert y == list(_galois_image(m, pow(2, i, m) * h % m, True)), (m, i)
+        product = _mulmod(product, y, div)
+    assert [eps * c for c in product] == [1, 1] + [0] * (d - 2), m
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_backward_chain_identity_over_z(m):
+    # x = eps * prod_(i<k) s_(2*3**i)(1 + x) mod Upsilon_m over Z whenever
+    # 3**k = eps*2 mod m; such k exists exactly when p_m >= 5 and 2 is in
+    # +-<3> mod m, and only 17 and 31 here have it with no forward chain.
+    # sigma_3's matrix applied i times to sigma_2(1 + x) gives
+    # 1 + s_(2*3**i)(x).
+    params = canonical_params(m)
+    div = list(params.upsilon.coeffs)
+    d = params.d
+    threes = {pow(3, i, m) for i in range(m)}
+    chain = _chain(m, 3, 2) if params.p_m >= 5 else None
+    forward = _chain(m, 2, 3) if params.p_m >= 5 else None
+    assert (chain is not None) == (params.p_m >= 5 and bool({2, m - 2} & threes)), m
+    assert (chain is not None and forward is None) == (m in (17, 31)), m
+    if chain is None:
+        return
+    eps, k = chain
+    first, step = _check_matrix(m, 2, d, div), _check_matrix(m, 3, d, div)
+    product = [1] + [0] * (d - 1)
+    y = [1, 1] + [0] * (d - 2)
+    for i in range(k):
+        y = [sum(a * b for a, b in zip(row, y)) for row in (first if i == 0 else step)]
+        s = list(_galois_image(m, 2 * pow(3, i, m) % m, True))
+        assert y == [1 + s[0], *s[1:]], (m, i)
+        product = _mulmod(product, y, div)
+    assert [eps * c for c in product] == [0, 1] + [0] * (d - 2), m
+
+
+def test_cube_rule_identity_over_z():
+    # (1+x)**3 = 3 * x * s_5(x)**2 mod Upsilon_9 = x**3 - 3x + 1 over Z:
+    # (1+x)**3 = 3x(x + 2) there, and s_5(x)**2 = x + 2, since
+    # (zeta**5 + zeta**-5)**2 = zeta**10 + 2 + zeta**-10 with zeta**9 = 1.
+    div = list(canonical_params(9).upsilon.coeffs)
+    assert div == [1, -3, 0, 1]
+    s = list(_galois_image(9, 5, True))
+    cube = _mulmod(_mulmod([1, 1], [1, 1], div), [1, 1], div)
+    assert cube == [3 * c for c in _mulmod([0, 1], _mulmod(s, s, div), div)] == [0, 6, 3]
 
 def _taylor_shift(p, a):
     """p(w + a) over Z, by Horner."""
