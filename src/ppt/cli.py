@@ -21,7 +21,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .algorithms import ALGORITHMS, Outcome, Verdict, certificate, enhanced_mr
+from .algorithms import ALGORITHMS, MAX_BITS, Outcome, Verdict, certificate, enhanced_mr
 
 __all__ = ["main", "parse_int_expr"]
 
@@ -252,12 +252,19 @@ def _describe(verdict: Verdict) -> str:
 _EXIT_CODES = {Outcome.PRIME: EXIT_PRIME, Outcome.COMPOSITE: EXIT_COMPOSITE}
 
 
+def _check_bits(n: int) -> None:
+    """Refuse an n the deciders would refuse, as a usage error."""
+    if n.bit_length() > MAX_BITS:
+        raise _UsageError(f"n has {n.bit_length()} bits, over the limit of {MAX_BITS}")
+
+
 def _cmd_test(args) -> int:
     if args.max_iters < 1:
         raise _UsageError("--max-iters must be >= 1")
     n = parse_int_expr(args.n)
     if n < 1:
         raise _UsageError("n must be >= 1")
+    _check_bits(n)
     algo = _ALGO_NAMES[args.algo].format(mode=args.mode)
     if algo == "enhanced_mr":
         verdict = enhanced_mr(n, max_random_iters=args.max_iters, rng_seed=args.seed)
@@ -278,6 +285,8 @@ def _cmd_batch(args) -> int:
         raise _UsageError("--jobs must be >= 1")
     from .harness import CSV_HEADER, load_dataset, run_batch
     numbers = load_dataset(args.file)
+    for n in numbers:
+        _check_bits(n)
     algo = _ALGO_NAMES[args.algo].format(mode=args.mode)
     stats = run_batch(numbers, algo=algo, print_every=args.print_every,
                       emit=lambda row: print(row, flush=True), jobs=args.jobs)

@@ -166,7 +166,9 @@ def run_batch(
     for n, res in _verdicts(numbers, algo, jobs):
         if isinstance(res, Exception):
             stats.errors += 1
-            print(f"warning: {n}: {res}", file=sys.stderr)
+            # An n too long for the int-to-str limit (4,300 digits) is named by its size.
+            name = n if n.bit_length() < 14_000 else f"a {n.bit_length()}-bit n"
+            print(f"warning: {name}: {res}", file=sys.stderr)
         else:
             stats.update(n, res)
         seen = stats.outcomes.total() + stats.errors

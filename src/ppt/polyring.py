@@ -13,8 +13,8 @@ for the canonical divisors (at most 31 bits up to m = 17, 44 at m = 23),
 keeps one table over Z for its rings at every n; its entries are congruent
 to the reduced ones, so every residue is the same. Any other divisor gets
 a table of least-absolute residues mod n with each ring. A ladder step
-squares on raw integers, each cross product once, and folds back to k
-coefficients with one % n each.
+squares on raw integers and folds back to k coefficients with one % n
+each.
 
 Powers run on the smallest ring that gives the same residue exactly:
 
@@ -22,11 +22,19 @@ Powers run on the smallest ring that gives the same residue exactly:
    the even or odd coefficients by the parity of e;
 2. x or 1 + x, the bases the battery raises, modulo a divisor of degree
    2.._MAX_UNROLLED runs on a ladder generated as straight-line Python for
-   the ring's shape: its degree, the zero pattern of its fold table and
-   the base. The k coefficients live in locals, each square writes each
-   cross product as one multiply, the fold has a term only for each
-   nonzero table entry, and a set bit multiplies by the base before the
-   fold (for x, a shift of the fold's inputs). Only the shape enters the
+   the ring's shape: its degree k, the base, and the places of its fold
+   table that are nonzero over Z (for a divisor given mod n, in its own
+   table). That pattern holds every pattern mod n, since an entry that n
+   divides is 0 and multiplies by 0, so a divisor has one shape at every
+   n. The k coefficients live in locals, the fold has a term only for each
+   place of the pattern, and a set bit multiplies by the base before the
+   fold (for x, a shift of the fold's inputs). The square takes one of two
+   forms, chosen by k alone: below _KARATSUBA_FROM the schoolbook square,
+   each cross product one multiply, and from it on one Karatsuba level,
+   three squares of the halves in that form. No form depends on n's size:
+   CPython multiplies ints by Karatsuba only from 70 digits (about 2,100
+   bits), so below that the level over the coefficients is the only one
+   a ladder gets, and above it the two stack. Only the shape enters the
    source; n and the table entries are arguments, so one compiled
    function serves every ring of that shape. It is compiled on the first
    such power, kept in a bounded cache, and each table keeps the ladders
@@ -118,6 +126,7 @@ class _Table(NamedTuple):
 
     div: tuple[int, ...]
     cols: list[tuple]  # the fold table, read by columns (_fold_columns)
+    nz: tuple  # the (i, j) places the ladders fold with (_table)
     ladders: dict  # base kind -> (ladder, fold)
     half: _Table | None  # P(w)'s, for an even divisor P(x**2) of degree >= 4
 
@@ -136,14 +145,15 @@ class QuotientRing:
             raise ValueError("QuotientRing: modulus mismatch")
         cs = divisor.coeffs
         # Leading coefficient 1 over Z: monic of the same degree at every n.
-        table = _shared(cs) if not divisor.n and len(cs) > 1 and cs[-1] == 1 else None
-        if table is None:
+        monic = not divisor.n and len(cs) > 1 and cs[-1] == 1
+        table, shared = _shared(cs) if monic else (None, False)
+        if not shared:
             d = Poly(cs, n)
             if d.degree < 1:
                 raise ValueError("QuotientRing: divisor degree must be >= 1")
             if d.coeffs[-1] != 1:
                 raise ValueError("QuotientRing: divisor must be monic")
-            table = _table(d.coeffs, n)
+            table = _table(d.coeffs, n, table)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_table", table)
 
@@ -182,24 +192,33 @@ def _fold_columns(div: tuple[int, ...], n: int, top: int) -> list[tuple]:
     return list(zip(*rows))
 
 
-def _table(div: tuple[int, ...], n: int) -> _Table:
-    """The _Table of div mod n (over Z at n = 0), with no ladders yet."""
-    even = len(div) > 4 and not any(div[1::2])
+def _table(div: tuple[int, ...], n: int, z: _Table | None = None) -> _Table:
+    """The _Table of div mod n (over Z at n = 0), with no ladders yet.
+
+    z, where given, is the table over Z of the divisor that div reduces:
+    the ladders then fold on z's nonzero places, a pattern that holds every
+    pattern mod n (an entry that n divides is 0 and multiplies by 0), so
+    one shape serves every n. Otherwise they fold on the table's own.
+    """
+    even = len(div) > 4 and not any(div[1::2]) if z is None else z.half is not None
     cols = _fold_columns(div, n, 2 * len(div) - 3)
-    return _Table(div, cols, {}, _table(div[::2], n) if even else None)
+    nz = z.nz if z else tuple((i, j) for i, col in enumerate(cols) for j, f in enumerate(col) if f)
+    half = _table(div[::2], n, z and z.half) if even else None
+    return _Table(div, cols, nz, {}, half)
 
 
 # 64 keeps the two divisors of a battery for thirty-two m values.
 @lru_cache(maxsize=64)
-def _shared(div: tuple[int, ...]) -> _Table | None:
-    """_table(div, 0), shared by the rings of div at every n: an entry differs
-    from the residue mod n it stands for by a multiple of n, so each fold
-    gives the same residue. None where an entry is wider than 64 bits (the
-    canonical divisors' take at most 44 up to m = 23), so that a divisor
-    with wide coefficients keeps a table reduced mod each n. The half table
-    is covered too: x**(2i) mod P(x**2) is w**i mod P(w)."""
+def _shared(div: tuple[int, ...]) -> tuple[_Table, bool]:
+    """_table(div, 0), and whether the rings of div share it at every n: an
+    entry differs from the residue mod n it stands for by a multiple of n,
+    so each fold gives the same residue. They do not where an entry is
+    wider than 64 bits (the canonical divisors' take at most 44 up to
+    m = 23): a divisor with wide coefficients keeps a table reduced mod
+    each n, which folds on the places of this one. The half table is
+    covered too: x**(2i) mod P(x**2) is w**i mod P(w)."""
     table = _table(div, 0)
-    return table if max(abs(f) for col in table.cols for f in col).bit_length() <= 64 else None
+    return table, max(abs(f) for col in table.cols for f in col).bit_length() <= 64
 
 
 def _reduce(table: _Table, n: int, p: list[int]) -> list[int]:
@@ -261,26 +280,77 @@ def _power(b: list[int], e: int, cols: list[tuple], n: int) -> list[int]:
 
 
 # Largest ring degree whose linear-base powers run on a generated ladder.
-# The source grows as k**2 and compiling it takes about 0.4 ms at k = 4,
-# 3 ms at 16, 12 ms at 32 and 55 ms at 64, which a 256-bit battery at that
-# degree still repays; above it the list ladder serves.
+# The source grows as k**2: generating and compiling it for a dense fold
+# table takes about 0.4 ms at k = 4, 4 ms at 16, 14 ms at 32 and 44 ms at
+# 64 (either form of the square; best of 7, 2.1 GHz Xeon, Python 3.11),
+# which a 256-bit battery at that degree still repays; above it the list
+# ladder serves.
 _MAX_UNROLLED = 64
+
+
+# Least ring degree whose generated square takes one Karatsuba level: from it
+# on, every per-shape A/B at 256 and 512 bits in BENCH_karatsuba_square.json
+# reads the level no slower than the schoolbook square, for both bases and
+# for odd and even k; at k <= 5 it is up to 7% slower.
+_KARATSUBA_FROM = 6
+
+
+def _square_terms(v: list[str]) -> tuple[list[str], list[str]]:
+    """The square of the polynomial whose coefficients are the locals v:
+    lines that double each coefficient but the last, and each coefficient
+    of the square as an expression, with each cross product once."""
+    k = len(v)
+    terms = []
+    for m in range(2 * k - 1):
+        t = [f"d{v[i]} * {v[m - i]}" for i in range(max(0, m - k + 1), (m + 1) // 2)]
+        terms.append(" + ".join(t + [f"{v[m // 2]} * {v[m // 2]}"] * (m % 2 == 0)))
+    return [f"d{x} = {x} + {x}" for x in v[:-1]], terms
+
+
+def _square_source(k: int) -> list[str]:
+    """Lines setting s0 .. s(2k-2) to the square of a0 + ... + a(k-1)x**(k-1).
+
+    From degree _KARATSUBA_FROM on, one Karatsuba level: with h = ceil(k/2),
+    L = a0 .. a(h-1) and H = ah .. a(k-1), (L + x**h H)**2 is
+    L**2 + x**(2h) H**2 + x**h ((L + H)**2 - L**2 - H**2), three squares of
+    about k/2 coefficients in place of one of k.
+    """
+    a = [f"a{i}" for i in range(k)]
+    if k < _KARATSUBA_FROM:
+        lines, s = _square_terms(a)
+        return lines + [f"s{m} = {t}" for m, t in enumerate(s)]
+    h = (k + 1) // 2
+    lines = [f"c{i} = a{i} + a{h + i}" for i in range(k - h)]
+    sums = [f"c{i}" for i in range(k - h)] + a[k - h:h]  # L + H
+    (lp, p), (lq, q), (lc, c) = map(_square_terms, (a[:h], a[h:], sums))
+    # s_m is P_m below h and Q_(m-2h) from 3h - 1 on (P = L**2, Q = H**2,
+    # C = (L + H)**2). Between, with r_j = P_(h+j) - Q_j: s_(h+j) is
+    # r_j + C_j - P_j and s_(2h+j) is C_(h+j) - r_j - Q_(h+j), for j < h - 1;
+    # s_(2h-1) is C_(h-1) - P_(h-1) - Q_(h-1). At odd k, C's top is P's,
+    # a(h-1)**2, so s_(3h-2) is Q_(h-2).
+    lines += lp + lq + lc + [f"s{m} = {p[m]}" for m in range(h)]
+    lines += [f"s{2 * h + i} = {q[i]}" for i in range(h - 1 - k % 2, len(q))]
+    top = [f" - s{3 * h + j}" if h + j < len(q) else "" for j in range(-1, h - 1)]
+    for j in range(h - 1):
+        if k % 2 and j == h - 2:
+            lines.append(f"s{h + j} = {p[h + j]} - s{2 * h + j} + {c[j]} - s{j}")
+        else:
+            lines += [f"r{j} = {p[h + j]} - ({q[j]})", f"s{h + j} = r{j} + {c[j]} - s{j}",
+                      f"s{2 * h + j} = {c[h + j]} - r{j}{top[j + 1]}"]
+    lines.append(f"s{2 * h - 1} = {c[h - 1]} - s{h - 1}{top[0]}")
+    return lines
 
 
 def _ladder_source(k: int, nz: tuple, kind: str) -> str:
     """Straight-line ladder for one shape, as the source of `ladder`.
 
-    The shape is the ring degree k >= 2, the (i, j) places of the nonzero
-    fold-table entries, which `fold` holds in that order, and the base
-    kind, "x" or "1+x", from which the ladder starts.
+    The shape is the ring degree k >= 2, the (i, j) places of the fold
+    table that `fold` holds, in that order, and the base kind, "x" or
+    "1+x", from which the ladder starts.
     """
     a = [f"a{i}" for i in range(k)]
     s = [f"s{i}" for i in range(2 * k - 1)]
-    body = [f"d{i} = a{i} + a{i}" for i in range(k - 1)]
-    for m in range(2 * k - 1):
-        terms = [f"d{i} * a{m - i}" for i in range(max(0, m - k + 1), (m + 1) // 2)]
-        terms += [f"a{m // 2} * a{m // 2}"] * (m % 2 == 0)
-        body.append(f"s{m} = {' + '.join(terms)}")
+    body = _square_source(k)
 
     def fold(lo: list, hi: list) -> list[str]:
         out = []
@@ -314,8 +384,9 @@ def _ladder_source(k: int, nz: tuple, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The batteries at every m <= 23 run on 25 shapes at a wide n; 64 leaves room
-# for moduli small enough to zero a table entry, and bounds the memory held.
+# The batteries at every m <= 23 run on 25 shapes, the same at every n; 64
+# leaves room for larger m and for divisors given mod n, whose shapes follow
+# their own tables, and bounds the memory held.
 @lru_cache(maxsize=64)
 def _ladder(k: int, nz: tuple, kind: str):
     """The compiled ladder of one shape (see _ladder_source)."""
@@ -340,10 +411,8 @@ def _ring_power(table: _Table, n: int, base: list[int], e: int) -> list[int]:
     try:
         ladder, fold = table.ladders[kind]
     except KeyError:
-        cols = table.cols
-        nz = tuple((i, j) for i, col in enumerate(cols) for j, f in enumerate(col) if f)
-        fold = tuple(cols[i][j] for i, j in nz)
-        ladder = _ladder(k, nz, kind)
+        fold = tuple(table.cols[i][j] for i, j in table.nz)
+        ladder = _ladder(k, table.nz, kind)
         table.ladders[kind] = ladder, fold
     return ladder(bin(e)[3:], n, fold)
 

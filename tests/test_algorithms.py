@@ -3,12 +3,15 @@
 import json
 import pickle
 import random
+import time
+from functools import partial
 
 import pytest
 import sympy
 
 from ppt.algorithms import (
     ALGORITHMS,
+    MAX_BITS,
     BinomialWitness,
     EulerWitness,
     JacobiZeroFactor,
@@ -33,6 +36,7 @@ from ppt.algorithms import (
 from ppt import polyring
 from ppt.canonical import canonical_params, find_qnr_or_m
 from ppt.checks import bcc, ecc, pgpc_condition
+from ppt.harness import run_batch
 
 from conftest import (
     ARN,
@@ -243,7 +247,7 @@ class TestInr:
         shared and each ring of it builds a table mod n. Both modes decide
         a prime and a composite whose search exits at m = 37, and their
         certificates verify after a JSON round trip."""
-        assert polyring._shared(canonical_params(37).psi.coeffs) is None
+        assert not polyring._shared(canonical_params(37).psi.coeffs)[1]
         for n in (M37_PRIME, M37_COMPOSITE):
             assert find_qnr_or_m(n).m == 37
             for mode in ("pgpc", "fgpc"):
@@ -879,3 +883,44 @@ class TestRandomisedCrossCheck:
             assert ppta_inr(n).outcome is Outcome.COMPOSITE, n
             assert ppta_inr(n, mode="fgpc").outcome is Outcome.COMPOSITE, n
             assert enhanced_mr(n).outcome is Outcome.COMPOSITE, n
+
+
+class TestBitLimit:
+    """One limit on n's bits for the three deciders, which raise ValueError
+    above it, and for verify_certificate, which reads False above it before
+    any arithmetic; max_bits= overrides it for a library caller."""
+
+    WIDE = 2**10**6 - 1  # 10**6 bits, 7 mod 8
+
+    def test_deciders_refuse_a_wide_n(self):
+        for decide in (ppta_eqnr, ppta_inr, partial(ppta_inr, mode="fgpc"), enhanced_mr):
+            with pytest.raises(ValueError, match="over the limit"):
+                decide(self.WIDE)
+            with pytest.raises(ValueError, match="over the limit"):
+                decide(2**MAX_BITS + 1)
+            assert decide(2**MAX_BITS, max_bits=MAX_BITS + 1).mechanism.kind == "even"
+            with pytest.raises(ValueError, match="over the limit of 9"):
+                decide(1009, max_bits=9)
+            assert decide(1009, max_bits=10).outcome is Outcome.PRIME
+
+    def test_verifier_reads_false_quickly(self):
+        # An honest pbpc claim at 2^127 - 1 (q = n - 2), moved to a 10**6-bit n
+        # whose re-check would run the scalar tail there.
+        cert = certificate(ppta_eqnr(2**127 - 1))
+        assert verify_certificate(cert)
+        q = self.WIDE - 2
+        wide = {**cert, "n": self.WIDE, "prime_basis": {"kind": "pbpc", "q": q},
+                "qnr_search": {**cert["qnr_search"], "q": q}}
+        t0 = time.perf_counter()
+        assert verify_certificate(wide) is False
+        assert time.perf_counter() - t0 < 0.1
+        even = certificate(ppta_eqnr(2**MAX_BITS, max_bits=MAX_BITS + 1))
+        assert verify_certificate(even) is False
+        assert verify_certificate(even, max_bits=MAX_BITS + 1) is True
+        assert verify_certificate(certificate(ppta_eqnr(1009)), max_bits=9) is False
+
+    def test_run_batch_counts_an_error(self, capsys):
+        stats = run_batch([561, 2**MAX_BITS + 1, 569])
+        assert stats.errors == 1 and stats.outcomes.total() == 2
+        assert capsys.readouterr().err == (f"warning: a {MAX_BITS + 1}-bit n: n has {MAX_BITS + 1}"
+                                           f" bits, over the limit of {MAX_BITS}\n")

@@ -284,6 +284,34 @@ class TestTestCommand:
         capsys.readouterr()
 
 
+class TestBitLimit:
+    """n wider than algorithms.MAX_BITS is a usage error, refused before any
+    arithmetic; the widest numbers the CI run decides stay decided."""
+
+    def test_million_bit_n_refused_quickly(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["test", "2^1048576 - 1"]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr().err == (
+            f"ppt: error: n has 1048576 bits, over the limit of {ppt.MAX_BITS}\n")
+
+    def test_limit_is_inclusive(self, capsys):
+        assert main(["test", f"2^{ppt.MAX_BITS - 1}"]) == EXIT_COMPOSITE
+        assert main(["test", f"2^{ppt.MAX_BITS}"]) == EXIT_USAGE
+
+    def test_mersenne_numbers_at_4_4k_bits(self, capsys):
+        assert main(["test", "2^4423 - 1"]) == EXIT_PRIME
+        assert main(["test", "2^4421 - 1"]) == EXIT_COMPOSITE
+
+    def test_batch_refuses_a_wide_n(self, tmp_path, capsys):
+        data = tmp_path / "nums.txt"
+        with _int_str_digits_lifted():
+            data.write_text(f"561\n{2**ppt.MAX_BITS + 1}\n")
+        assert main(["batch", str(data)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "over the limit of" in err
+
+
 class TestBatchCommand:
     def test_batch_run_with_csv(self, tmp_path, capsys):
         data = tmp_path / "nums.txt"

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from ppt import polyring
 from ppt.canonical import canonical_params
+from ppt.checks import pgpc_condition
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
 SMALL_N = (3, 5, 7, 9, 15, 21)
@@ -261,7 +262,7 @@ def test_shared_table_at_moduli_dividing_an_entry(m):
     hits = 0
     for n in (3, 5, 7, 9, 11, 13, 25, 49):
         for div in divs:
-            cols = polyring._shared(div.coeffs).cols
+            cols = polyring._shared(div.coeffs)[0].cols
             hits += any(f and f % n == 0 for col in cols for f in col)
             reduced = list(div.reduced(n).coeffs)
             for e in (0, 1, 2, n, n * n + 1, 12345):
@@ -287,10 +288,10 @@ def test_wide_divisor_over_z_keeps_a_table_per_n():
     for m in (5, 7, 9, 11, 13, 16, 17, 23):
         params = canonical_params(m)
         for div in (params.upsilon, params.psi):
-            assert polyring._shared(div.coeffs) is not None, (m, div)
+            assert polyring._shared(div.coeffs)[1], (m, div)
     n = 2**61 - 1
     div = Poly([2**100 + 3, 2**99 + 1, 0, 1])
-    assert polyring._shared(div.coeffs) is None
+    assert not polyring._shared(div.coeffs)[1]
     ring = QuotientRing(div, n)
     assert all(abs(f) <= n // 2 for col in ring._table.cols for f in col)
     for base in ([0, 1], [1, 1]):
@@ -330,6 +331,44 @@ def test_one_ladder_per_shape():
         for kind in a:
             assert a[kind][0] is b[kind][0]
             assert a[kind][1] == b[kind][1]
+
+
+def test_one_shape_per_divisor_at_every_n():
+    """Psi_41's table over Z is too wide to share, so each ring rebuilds it
+    mod n, where n may zero some entries; the ladders still fold on the
+    places nonzero over Z, so cond1 and cond2 over the odd n < 3,000 compile
+    at most one ladder per divisor and base kind (x on Psi_41's half ring,
+    and x and 1 + x on Upsilon_41 where 41 divides n, 1 + x on Psi_41)."""
+    params = canonical_params(41)
+    assert not polyring._shared(params.psi.coeffs)[1]
+    polyring._ladder.cache_clear()
+    for n in range(3, 3000, 2):
+        for cond in ("cond1", "cond2"):
+            pgpc_condition(n, params, cond)
+    assert polyring._ladder.cache_info().misses <= 4
+
+
+@pytest.mark.parametrize("k", [*range(2, 17), 20, 33, 40, 63, 64])
+def test_generated_square_matches_reference(k):
+    """The generated ladders for x and 1 + x at every degree k from 2 to 16,
+    odd and even, on both sides of _KARATSUBA_FROM, and at 20, 33, 40, 63
+    and _MAX_UNROLLED = 64: with a dense random divisor and a sparse one,
+    x**k + a*x + b, whose fold table has two nonzero entries per column,
+    at random n of 20, 256 and 600 bits. Twelve-bit exponents square
+    full-width coefficients at every k."""
+    assert polyring._KARATSUBA_FROM in range(3, 17) and polyring._MAX_UNROLLED == 64
+    rng = random.Random(k)
+    for bits in (20, 256, 600):
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        dense = [rng.randrange(n) for _ in range(k)] + [1]
+        sparse = [rng.randrange(1, n), rng.randrange(1, n)] + [0] * (k - 2) + [1]
+        for div in (dense, sparse):
+            ring = QuotientRing(Poly(div, n))
+            for base in ([0, 1], [1, 1]):
+                e = rng.getrandbits(12) | 1 << 11
+                got = poly_powmod(ring, Poly(base, n), e)
+                assert list(got.coeffs) == ref_pow(base, e, div, n), (bits, div is dense, base)
+            assert ring._table.ladders.keys() == {"x", "1+x"}
 
 
 def test_ladder_cache_is_bounded():
