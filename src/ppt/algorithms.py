@@ -359,25 +359,24 @@ def _verdict(n: int, t0: float, what: _Claim | Outcome, iters: int | None = None
     return _new(Verdict, (n, outcome, None, what, search, timings))
 
 
-# The widest n, in bits, that a decider decides and verify_certificate reads;
-# each takes a max_bits= override. A decision costs a few Fermat tests, and
-# one pow(2, n - 1, n) takes 0.19 s at 4,423 bits and 8.4 s at 16,384 on a
+# The widest n, in bits, that a decider decides and verify_certificate reads,
+# looked up at each call. A decision costs a few Fermat tests, and one
+# pow(2, n - 1, n) takes 0.19 s at 4,423 bits and 8.4 s at 16,384 on a
 # 2.1 GHz Xeon. The widest input pinned by a test, the CLI's 2^20000 (even),
 # fits; a 10**6-bit n is refused before any arithmetic.
 MAX_BITS = 1 << 15
 
 
-def _degenerate(n: int, *, prime_three: bool,
-                max_bits: int = MAX_BITS) -> _Claim | Outcome | None:
+def _degenerate(n: int, *, prime_three: bool) -> _Claim | Outcome | None:
     """What decides n = 1, n = 2, optionally n = 3, and even n; else None.
 
     The deciders' one domain check: raises ValueError for n < 1 and for n
-    wider than max_bits.
+    wider than MAX_BITS.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n.bit_length() > max_bits:
-        raise ValueError(f"n has {n.bit_length()} bits, over the limit of {max_bits}")
+    if n.bit_length() > MAX_BITS:
+        raise ValueError(f"n has {n.bit_length()} bits, over the limit of {MAX_BITS}")
     if n == 1:
         return Outcome.NOT_APPLICABLE
     if n == 2 or (prime_three and n == 3):
@@ -472,7 +471,7 @@ def _no_search(n: int) -> _Claim:
 # ------------------------------------------------------------ the deciders
 
 
-def ppta_eqnr(n: int, *, max_bits: int = MAX_BITS) -> Verdict:
+def ppta_eqnr(n: int) -> Verdict:
     """Decide n with an explicit quadratic non-residue.
 
     For n = 3, 5 mod 8 the non-residue is 2; for n = 7 mod 8 it is n - 2.
@@ -483,7 +482,7 @@ def ppta_eqnr(n: int, *, max_bits: int = MAX_BITS) -> Verdict:
     hypothesis.
     """
     t0 = time.perf_counter()
-    what = _degenerate(n, prime_three=False, max_bits=max_bits)
+    what = _degenerate(n, prime_three=False)
     if what is None and (q := _class_qnr(n)) is not None:
         what = _pbpc_tail(n, q)
     if what is None:
@@ -496,7 +495,7 @@ def ppta_eqnr(n: int, *, max_bits: int = MAX_BITS) -> Verdict:
     return _verdict(n, t0, what, probe.iterations)
 
 
-def ppta_inr(n: int, mode: str = "pgpc", *, max_bits: int = MAX_BITS) -> Verdict:
+def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
     """Decide n without scanning for a non-residue.
 
     For n != 1 mod 24 a non-residue is available deterministically (2,
@@ -509,7 +508,7 @@ def ppta_inr(n: int, mode: str = "pgpc", *, max_bits: int = MAX_BITS) -> Verdict
     if mode not in ("pgpc", "fgpc"):
         raise ValueError("ppta_inr: mode must be 'pgpc' or 'fgpc'")
     t0 = time.perf_counter()
-    what = _degenerate(n, prime_three=True, max_bits=max_bits)
+    what = _degenerate(n, prime_three=True)
     if what is None and n % 24 != 1:
         what = _no_search(n)
     if what is not None:
@@ -526,8 +525,7 @@ def ppta_inr(n: int, mode: str = "pgpc", *, max_bits: int = MAX_BITS) -> Verdict
     return _verdict(n, t0, what, fr.iterations)
 
 
-def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0, *,
-                max_bits: int = MAX_BITS) -> Verdict:
+def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdict:
     """Randomized hybrid of Miller-Rabin rounds and the two scalar checks.
 
     For n != 1 mod 24 this is ppta_inr's deterministic branch. Otherwise
@@ -539,7 +537,7 @@ def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0, *,
     if max_random_iters < 1:
         raise ValueError("enhanced_mr: max_random_iters must be >= 1")
     t0 = time.perf_counter()
-    what = _degenerate(n, prime_three=True, max_bits=max_bits)
+    what = _degenerate(n, prime_three=True)
     if what is None and n % 24 != 1:
         what = _no_search(n)
     if what is None:
@@ -640,7 +638,7 @@ def _records_fit(cert: dict, q: int) -> bool:
     return True
 
 
-def verify_certificate(cert: Any, *, max_bits: int = MAX_BITS) -> bool:
+def verify_certificate(cert: Any) -> bool:
     """Re-check a certificate from its own fields; never raises.
 
     At most one slot may hold a claim. A claim must have its slot's outcome
@@ -649,16 +647,16 @@ def verify_certificate(cert: Any, *, max_bits: int = MAX_BITS) -> bool:
     claims nothing, or the Outcome _degenerate gives n: not_applicable at
     1, prime at 2 and 3. qnr_search and timings must fit (_records_fit). A
     malformed certificate, a non-int where an int belongs, or an n outside
-    a check's domain reads False, and so does an n wider than max_bits,
+    a check's domain reads False, and so does an n wider than MAX_BITS,
     before any arithmetic.
     """
     if (not isinstance(cert, dict) or type(n := cert.get("n")) is not int or n < 1
-            or n.bit_length() > max_bits):
+            or n.bit_length() > MAX_BITS):
         return False
     outcome, mech, basis = cert.get("outcome"), cert.get("mechanism"), cert.get("prime_basis")
     # An Outcome's _value_ is its .value, read without the property's cost.
     if mech is None and basis is None:
-        made = _degenerate(n, prime_three=True, max_bits=max_bits)
+        made = _degenerate(n, prime_three=True)
         fits = outcome == "inconclusive" or isinstance(made, Outcome) and outcome == made._value_
         return fits and _records_fit(cert, 0)
     slot, entry = ("mechanism", mech) if basis is None else ("prime_basis", basis)

@@ -21,7 +21,8 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .algorithms import ALGORITHMS, MAX_BITS, Outcome, Verdict, certificate, enhanced_mr
+from . import algorithms
+from .algorithms import ALGORITHMS, Outcome, Verdict, certificate, enhanced_mr
 
 __all__ = ["main", "parse_int_expr"]
 
@@ -254,8 +255,8 @@ _EXIT_CODES = {Outcome.PRIME: EXIT_PRIME, Outcome.COMPOSITE: EXIT_COMPOSITE}
 
 def _check_bits(n: int) -> None:
     """Refuse an n the deciders would refuse, as a usage error."""
-    if n.bit_length() > MAX_BITS:
-        raise _UsageError(f"n has {n.bit_length()} bits, over the limit of {MAX_BITS}")
+    if n.bit_length() > (limit := algorithms.MAX_BITS):
+        raise _UsageError(f"n has {n.bit_length()} bits, over the limit of {limit}")
 
 
 def _cmd_test(args) -> int:

@@ -166,8 +166,9 @@ def run_batch(
     for n, res in _verdicts(numbers, algo, jobs):
         if isinstance(res, Exception):
             stats.errors += 1
-            # An n too long for the int-to-str limit (4,300 digits) is named by its size.
-            name = n if n.bit_length() < 14_000 else f"a {n.bit_length()}-bit n"
+            # An n of more digits than the int-to-str limit is named by its size.
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            name = f"a {n.bit_length()}-bit n" if 0 < limit and abs(n) >= 10**limit else n
             print(f"warning: {name}: {res}", file=sys.stderr)
         else:
             stats.update(n, res)

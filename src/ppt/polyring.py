@@ -126,7 +126,7 @@ class _Table(NamedTuple):
 
     div: tuple[int, ...]
     cols: list[tuple]  # the fold table, read by columns (_fold_columns)
-    nz: tuple  # the (i, j) places the ladders fold with (_table)
+    nz: tuple | None  # the (i, j) places the ladders fold on; None: cols' own (_places)
     ladders: dict  # base kind -> (ladder, fold)
     half: _Table | None  # P(w)'s, for an even divisor P(x**2) of degree >= 4
 
@@ -146,14 +146,14 @@ class QuotientRing:
         cs = divisor.coeffs
         # Leading coefficient 1 over Z: monic of the same degree at every n.
         monic = not divisor.n and len(cs) > 1 and cs[-1] == 1
-        table, shared = _shared(cs) if monic else (None, False)
-        if not shared:
+        table, z = _shared(cs) if monic else (None, None)
+        if table is None:
             d = Poly(cs, n)
             if d.degree < 1:
                 raise ValueError("QuotientRing: divisor degree must be >= 1")
             if d.coeffs[-1] != 1:
                 raise ValueError("QuotientRing: divisor must be monic")
-            table = _table(d.coeffs, n, table)
+            table = _table(d.coeffs, n, z)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_table", table)
 
@@ -192,33 +192,46 @@ def _fold_columns(div: tuple[int, ...], n: int, top: int) -> list[tuple]:
     return list(zip(*rows))
 
 
-def _table(div: tuple[int, ...], n: int, z: _Table | None = None) -> _Table:
+def _table(div: tuple[int, ...], n: int, z: tuple | None = None) -> _Table:
     """The _Table of div mod n (over Z at n = 0), with no ladders yet.
 
-    z, where given, is the table over Z of the divisor that div reduces:
-    the ladders then fold on z's nonzero places, a pattern that holds every
+    z, where given, is the pattern over Z of the divisor that div reduces
+    (_pattern): the ladders then fold on its places, which hold every
     pattern mod n (an entry that n divides is 0 and multiplies by 0), so
     one shape serves every n. Otherwise they fold on the table's own.
     """
-    even = len(div) > 4 and not any(div[1::2]) if z is None else z.half is not None
-    cols = _fold_columns(div, n, 2 * len(div) - 3)
-    nz = z.nz if z else tuple((i, j) for i, col in enumerate(cols) for j, f in enumerate(col) if f)
-    half = _table(div[::2], n, z and z.half) if even else None
-    return _Table(div, cols, nz, {}, half)
+    even = len(div) > 4 and not any(div[1::2]) if z is None else z[1] is not None
+    half = _table(div[::2], n, z and z[1]) if even else None
+    return _Table(div, _fold_columns(div, n, 2 * len(div) - 3), z and z[0], {}, half)
+
+
+def _places(cols: list[tuple]) -> tuple:
+    """The (i, j) places where the fold table cols is nonzero."""
+    return tuple((i, j) for i, col in enumerate(cols) for j, f in enumerate(col) if f)
+
+
+def _pattern(table: _Table | None) -> tuple | None:
+    """(places, half's pattern) of a table over Z: its nonzero places where
+    a ladder can fold on them (degree <= _MAX_UNROLLED), else None."""
+    if table is None:
+        return None
+    return _places(table.cols) if len(table.cols) <= _MAX_UNROLLED else None, _pattern(table.half)
 
 
 # 64 keeps the two divisors of a battery for thirty-two m values.
 @lru_cache(maxsize=64)
-def _shared(div: tuple[int, ...]) -> tuple[_Table, bool]:
-    """_table(div, 0), and whether the rings of div share it at every n: an
+def _shared(div: tuple[int, ...]) -> tuple[_Table | None, tuple | None]:
+    """(_table(div, 0), None), shared by the rings of div at every n: an
     entry differs from the residue mod n it stands for by a multiple of n,
-    so each fold gives the same residue. They do not where an entry is
-    wider than 64 bits (the canonical divisors' take at most 44 up to
-    m = 23): a divisor with wide coefficients keeps a table reduced mod
+    so each fold gives the same residue. (None, its _pattern) where an
+    entry is wider than 64 bits (the canonical divisors' take at most 44 up
+    to m = 23): a divisor with wide coefficients keeps a table reduced mod
     each n, which folds on the places of this one. The half table is
     covered too: x**(2i) mod P(x**2) is w**i mod P(w)."""
     table = _table(div, 0)
-    return table, max(abs(f) for col in table.cols for f in col).bit_length() <= 64
+    if max(abs(f) for col in table.cols for f in col).bit_length() <= 64:
+        return table, None
+    return None, _pattern(table)
 
 
 def _reduce(table: _Table, n: int, p: list[int]) -> list[int]:
@@ -411,8 +424,9 @@ def _ring_power(table: _Table, n: int, base: list[int], e: int) -> list[int]:
     try:
         ladder, fold = table.ladders[kind]
     except KeyError:
-        fold = tuple(table.cols[i][j] for i, j in table.nz)
-        ladder = _ladder(k, table.nz, kind)
+        nz = _places(table.cols) if table.nz is None else table.nz
+        fold = tuple(table.cols[i][j] for i, j in nz)
+        ladder = _ladder(k, nz, kind)
         table.ladders[kind] = ladder, fold
     return ladder(bin(e)[3:], n, fold)
 

@@ -3,6 +3,7 @@
 import json
 import pickle
 import random
+import sys
 import time
 from functools import partial
 
@@ -247,7 +248,7 @@ class TestInr:
         shared and each ring of it builds a table mod n. Both modes decide
         a prime and a composite whose search exits at m = 37, and their
         certificates verify after a JSON round trip."""
-        assert not polyring._shared(canonical_params(37).psi.coeffs)[1]
+        assert polyring._shared(canonical_params(37).psi.coeffs)[0] is None
         for n in (M37_PRIME, M37_COMPOSITE):
             assert find_qnr_or_m(n).m == 37
             for mode in ("pgpc", "fgpc"):
@@ -888,22 +889,24 @@ class TestRandomisedCrossCheck:
 class TestBitLimit:
     """One limit on n's bits for the three deciders, which raise ValueError
     above it, and for verify_certificate, which reads False above it before
-    any arithmetic; max_bits= overrides it for a library caller."""
+    any arithmetic; both read algorithms.MAX_BITS at each call."""
 
     WIDE = 2**10**6 - 1  # 10**6 bits, 7 mod 8
 
-    def test_deciders_refuse_a_wide_n(self):
+    def test_deciders_refuse_a_wide_n(self, monkeypatch):
         for decide in (ppta_eqnr, ppta_inr, partial(ppta_inr, mode="fgpc"), enhanced_mr):
             with pytest.raises(ValueError, match="over the limit"):
                 decide(self.WIDE)
             with pytest.raises(ValueError, match="over the limit"):
                 decide(2**MAX_BITS + 1)
-            assert decide(2**MAX_BITS, max_bits=MAX_BITS + 1).mechanism.kind == "even"
-            with pytest.raises(ValueError, match="over the limit of 9"):
-                decide(1009, max_bits=9)
-            assert decide(1009, max_bits=10).outcome is Outcome.PRIME
+            assert decide(2**(MAX_BITS - 1)).mechanism.kind == "even"
+        monkeypatch.setattr("ppt.algorithms.MAX_BITS", 10)
+        for decide in (ppta_eqnr, ppta_inr, partial(ppta_inr, mode="fgpc"), enhanced_mr):
+            assert decide(1009).outcome is Outcome.PRIME
+            with pytest.raises(ValueError, match="over the limit of 10"):
+                decide(2053)
 
-    def test_verifier_reads_false_quickly(self):
+    def test_verifier_reads_false_quickly(self, monkeypatch):
         # An honest pbpc claim at 2^127 - 1 (q = n - 2), moved to a 10**6-bit n
         # whose re-check would run the scalar tail there.
         cert = certificate(ppta_eqnr(2**127 - 1))
@@ -914,13 +917,27 @@ class TestBitLimit:
         t0 = time.perf_counter()
         assert verify_certificate(wide) is False
         assert time.perf_counter() - t0 < 0.1
-        even = certificate(ppta_eqnr(2**MAX_BITS, max_bits=MAX_BITS + 1))
-        assert verify_certificate(even) is False
-        assert verify_certificate(even, max_bits=MAX_BITS + 1) is True
-        assert verify_certificate(certificate(ppta_eqnr(1009)), max_bits=9) is False
+        small = certificate(ppta_eqnr(1009))
+        assert verify_certificate(small) is True
+        monkeypatch.setattr("ppt.algorithms.MAX_BITS", 9)
+        assert verify_certificate(small) is False
 
-    def test_run_batch_counts_an_error(self, capsys):
+    def test_run_batch_counts_an_error(self, capsys, monkeypatch):
         stats = run_batch([561, 2**MAX_BITS + 1, 569])
         assert stats.errors == 1 and stats.outcomes.total() == 2
         assert capsys.readouterr().err == (f"warning: a {MAX_BITS + 1}-bit n: n has {MAX_BITS + 1}"
                                            f" bits, over the limit of {MAX_BITS}\n")
+        # The warning names n by its size only where the interpreter's
+        # int-to-str limit would refuse its 663 digits.
+        monkeypatch.setattr("ppt.algorithms.MAX_BITS", 9)
+        n = 2**2200 + 1
+        before = sys.get_int_max_str_digits()
+        try:
+            for limit in (640, 663, 0):
+                sys.set_int_max_str_digits(limit)
+                run_batch([n])
+                name = "a 2201-bit n" if limit == 640 else str(n)
+                assert capsys.readouterr().err == (f"warning: {name}: n has 2201 bits,"
+                                                   " over the limit of 9\n")
+        finally:
+            sys.set_int_max_str_digits(before)

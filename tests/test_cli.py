@@ -295,9 +295,12 @@ class TestBitLimit:
         assert capsys.readouterr().err == (
             f"ppt: error: n has 1048576 bits, over the limit of {ppt.MAX_BITS}\n")
 
-    def test_limit_is_inclusive(self, capsys):
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
         assert main(["test", f"2^{ppt.MAX_BITS - 1}"]) == EXIT_COMPOSITE
         assert main(["test", f"2^{ppt.MAX_BITS}"]) == EXIT_USAGE
+        monkeypatch.setattr(ppt.algorithms, "MAX_BITS", 10)
+        assert main(["test", "1021"]) == EXIT_PRIME
+        assert main(["test", "1031"]) == EXIT_USAGE
 
     def test_mersenne_numbers_at_4_4k_bits(self, capsys):
         assert main(["test", "2^4423 - 1"]) == EXIT_PRIME

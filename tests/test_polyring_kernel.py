@@ -288,10 +288,10 @@ def test_wide_divisor_over_z_keeps_a_table_per_n():
     for m in (5, 7, 9, 11, 13, 16, 17, 23):
         params = canonical_params(m)
         for div in (params.upsilon, params.psi):
-            assert polyring._shared(div.coeffs)[1], (m, div)
+            assert polyring._shared(div.coeffs)[0] is not None, (m, div)
     n = 2**61 - 1
     div = Poly([2**100 + 3, 2**99 + 1, 0, 1])
-    assert not polyring._shared(div.coeffs)[1]
+    assert polyring._shared(div.coeffs)[0] is None
     ring = QuotientRing(div, n)
     assert all(abs(f) <= n // 2 for col in ring._table.cols for f in col)
     for base in ([0, 1], [1, 1]):
@@ -340,7 +340,7 @@ def test_one_shape_per_divisor_at_every_n():
     at most one ladder per divisor and base kind (x on Psi_41's half ring,
     and x and 1 + x on Upsilon_41 where 41 divides n, 1 + x on Psi_41)."""
     params = canonical_params(41)
-    assert not polyring._shared(params.psi.coeffs)[1]
+    assert polyring._shared(params.psi.coeffs)[0] is None
     polyring._ladder.cache_clear()
     for n in range(3, 3000, 2):
         for cond in ("cond1", "cond2"):
