@@ -158,7 +158,7 @@ _CLAIMS: dict[str, tuple] = {
     "trivial_factor": ("TrivialFactor", "mechanism",
                        _Form({"p": int}, _proper_factor, "factor {p}")),
     "perfect_square": ("PerfectSquare", "mechanism",
-                       _Form({"s": int}, lambda c, n: c.s > 1 and c.s * c.s == n,
+                       _Form({"s": int}, lambda c, n: 1 < c.s < n and c.s * c.s == n,
                              "perfect square of {s}")),
     "jacobi_zero_factor": ("JacobiZeroFactor", "mechanism",
                            _Form({"p": int}, _proper_factor, "shared factor {p}")),

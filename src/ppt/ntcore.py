@@ -116,6 +116,12 @@ def _prime(i: int) -> int:
     return _primes[i]
 
 
+# The least bit length of n from which _pow takes each step's cross term
+# from squares: the width from which that form reads no slower than the
+# product form under Python 3.10-3.13 (BENCH_scalar_square.json).
+_SQUARES_FROM = 480
+
+
 def _pow(q: int, n: int, e: int) -> tuple[int, int]:
     """(1 + sqrt(q))**e mod n, n >= 2, by left-to-right binary squaring.
 
@@ -125,12 +131,31 @@ def _pow(q: int, n: int, e: int) -> tuple[int, int]:
     (sa + sb*sqrt(q))*(1 + sqrt(q)) = sa + sb*q + (sa + sb)*sqrt(q), folds
     into the square before its reduction, so each bit reduces each
     coordinate with one % n (e = 1 returns the base).
+
+    The square of ra + rb*sqrt(q) is ra**2 + rb**2*q + 2*ra*rb*sqrt(q).
+    Below _SQUARES_FROM bits of n a step takes 2*ra*rb as one product.
+    From there on it takes ra**2 + rb**2 - (ra - rb)**2, reusing the two
+    squares the rational coordinate needs: CPython squares a number
+    faster than it multiplies two, and from that width the saving repays
+    the extra additions. The difference, not (ra + rb)**2: |ra - rb| < n,
+    where ra + rb can take one more machine digit than n. It is squared
+    as d * d, since Python 3.10's d ** 2 costs more. The form is chosen
+    once per call.
     """
     if e == 0:
         return 1 % n, 0
     ra = rb = 1
+    if n.bit_length() < _SQUARES_FROM:
+        for bit in bin(e)[3:]:
+            sa, sb = ra * ra + rb * rb * q, 2 * ra * rb
+            if bit == "1":
+                ra, rb = (sa + sb * q) % n, (sa + sb) % n
+            else:
+                ra, rb = sa % n, sb % n
+        return ra, rb
     for bit in bin(e)[3:]:
-        sa, sb = ra * ra + rb * rb * q, 2 * ra * rb
+        a2, b2, d = ra * ra, rb * rb, ra - rb
+        sa, sb = a2 + b2 * q, a2 + b2 - d * d
         if bit == "1":
             ra, rb = (sa + sb * q) % n, (sa + sb) % n
         else:

@@ -10,6 +10,11 @@ not. It checks:
   enhanced_mr(n, 1) make a certificate that survives a JSON round trip,
   verifies, and has the outcome the sieve prime_flags gives n (the one-draw
   enhanced_mr may also be inconclusive);
+* that each of those deciders decides 2^521 - 1 (prime; q = n - 2 is an
+  explicit non-residue) and 2^523 - 1 (composite; an Euler liar at
+  q = n - 2, so its witness is the binomial defect) and makes a
+  certificate that survives a JSON round trip and verifies; both are
+  wide enough that the scalar ladder takes its squares-form loop;
 * that `ppt batch` prints the same lines with --jobs 1 and --jobs 2;
 * the CLI's exit codes, output and certificates on the numbers of CI's
   battery step, and its usage errors on an over-deep and an over-long
@@ -32,9 +37,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from ppt.algorithms import ALGORITHMS, certificate, enhanced_mr, verify_certificate  # noqa: E402
 from ppt.cli import main  # noqa: E402
+from ppt.ntcore import _SQUARES_FROM  # noqa: E402
 from reference import prime_flags  # noqa: E402
 
 LIMIT = 20_000
+DECIDERS = {**ALGORITHMS, "enhanced_mr(n, 1)": lambda n: enhanced_mr(n, 1)}
+# Two Mersenne numbers, 7 mod 24, at least _SQUARES_FROM bits wide: n's
+# outcome and the kind of its claim, which every decider makes at q = n - 2.
+MERSENNE = {"2^521 - 1": (2**521 - 1, "prime", "pbpc"),
+            "2^523 - 1": (2**523 - 1, "composite", "binomial_witness")}
 
 # CI's battery step: find-m's m, then `ppt test --algo inr` exits 0 on the
 # primes and 1 on the composites (each number is commented there).
@@ -76,8 +87,7 @@ def cli(*argv: str) -> tuple[int, str, str]:
 
 def check_certificates() -> None:
     flags = prime_flags(LIMIT)
-    deciders = {**ALGORITHMS, "enhanced_mr(n, 1)": lambda n: enhanced_mr(n, 1)}
-    for name, decide in deciders.items():
+    for name, decide in DECIDERS.items():
         t0, bad = time.perf_counter(), []
         for n in range(1, LIMIT):
             cert = json.loads(json.dumps(certificate(decide(n))))
@@ -88,6 +98,18 @@ def check_certificates() -> None:
                 bad.append(n)
         check(f"{name} certificates for 1 <= n < {LIMIT} ({time.perf_counter() - t0:.1f} s)",
               not bad, f"n = {bad[:10]}")
+
+
+def check_mersenne() -> None:
+    for label, (n, outcome, kind) in MERSENNE.items():
+        check(f"{label} has at least _SQUARES_FROM = {_SQUARES_FROM} bits",
+              n.bit_length() >= _SQUARES_FROM)
+        for name, decide in DECIDERS.items():
+            cert = json.loads(json.dumps(certificate(decide(n))))
+            claim = cert["mechanism"] or cert["prime_basis"] or {}
+            check(f"{name} {label}: {outcome} by {kind} at q = n - 2, verifies",
+                  cert["outcome"] == outcome and claim.get("kind") == kind
+                  and claim.get("q") == n - 2 and verify_certificate(cert), repr(cert))
 
 
 def check_batch_jobs() -> None:
@@ -127,6 +149,7 @@ def check_cli() -> None:
 if __name__ == "__main__":
     print(f"Python {sys.version.split()[0]}")
     check_certificates()
+    check_mersenne()
     check_batch_jobs()
     check_cli()
     print(f"{len(failures)} failed" if failures else "all passed")

@@ -922,6 +922,20 @@ class TestBitLimit:
         monkeypatch.setattr("ppt.algorithms.MAX_BITS", 9)
         assert verify_certificate(small) is False
 
+    def test_perfect_square_claim_reads_false_quickly(self):
+        # A perfect_square claim for n = 9 whose s is a dense 4,000,000-bit
+        # integer: squaring s would take most of a second, so the check
+        # bounds s by n before it squares.
+        cert = certificate(ppta_eqnr(9))
+        assert cert["mechanism"] == {"kind": "perfect_square", "s": 3}
+        assert verify_certificate(cert) is True
+        s = random.Random(53).getrandbits(4_000_000) | 1 << 3_999_999
+        for forged in (s, -s, 9, 1, -3):
+            bad = {**cert, "mechanism": {"kind": "perfect_square", "s": forged}}
+            t0 = time.perf_counter()
+            assert verify_certificate(bad) is False, forged
+            assert time.perf_counter() - t0 < 0.05, forged
+
     def test_run_batch_counts_an_error(self, capsys, monkeypatch):
         stats = run_batch([561, 2**MAX_BITS + 1, 569])
         assert stats.errors == 1 and stats.outcomes.total() == 2

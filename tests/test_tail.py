@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from ppt.checks import bcc, ecc
-from ppt.ntcore import _pow
+from ppt.ntcore import _SQUARES_FROM, _pow
 from reference import QuadCtx, conjugate, quad_mul, quad_pow
 
 
@@ -109,6 +109,21 @@ class TestPow:
         for q, n, e in cases:
             y = quad_pow(QuadCtx(n, q).one_plus_root(), e)
             assert _pow((q + n // 2) % n - n // 2, n, e) == (y.a, y.b), (q, n, e)
+
+    def test_both_step_forms_match_the_reference(self):
+        # _pow's product-form loop runs below _SQUARES_FROM bits of n and
+        # its squares-form loop from there on. Both against the reference:
+        # n of 64 bits, one bit either side of the width and at it, and
+        # 2048 bits; q at 2, -2, 3 and a full-width least-absolute residue;
+        # e at 0, 1, 2 (one step) and n.
+        rng = random.Random(59)
+        for bits in (64, _SQUARES_FROM - 1, _SQUARES_FROM, _SQUARES_FROM + 1, 2048):
+            n = rng.getrandbits(bits) | 1 << bits - 1 | 1
+            h = n >> 1
+            for q in (2, -2, 3, (rng.randrange(n) + h) % n - h):
+                for e in (0, 1, 2, n):
+                    y = quad_pow(QuadCtx(n, q).one_plus_root(), e)
+                    assert _pow(q, n, e) == (y.a, y.b), (bits, q, e)
 
 
 def test_tail_takes_the_euler_power_at_either_sign():
