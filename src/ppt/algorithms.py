@@ -1,16 +1,17 @@
 """Primality deciders built on quadratic non-residues and binomial congruences.
 
-Three deciders share one verdict model:
+The three deciders are routes through one sequence, _decide: screen the
+degenerate n, take the route n's class fixes, screen perfect squares, run
+the decider's search step and build the Verdict. The steps:
 
-* ppta_eqnr: picks an explicit quadratic non-residue q (deterministically
-  from n mod 8 when possible, otherwise by scanning small primes) and tests
-  the Euler criterion followed by the binomial congruence in Z_n[sqrt(q)].
-* ppta_inr: for n != 1 mod 24 the non-residue is deterministic; otherwise a
-  parameter search yields a divisor, a non-residue, or a prime power m whose
-  canonical divisor polynomials drive a four-condition (or single-condition)
-  polynomial battery.
-* enhanced_mr: randomized hybrid; random bases serve either as Miller-Rabin
-  bases or, once one is a non-residue, as the q for the two checks above.
+* ppta_eqnr: scan small primes for a quadratic non-residue q (find_qnr),
+  then test the Euler criterion followed by the binomial congruence in
+  Z_n[sqrt(q)] (_pbpc_tail).
+* ppta_inr: a parameter search (_search) yields a divisor, a non-residue,
+  or a prime power m whose canonical divisor polynomials drive a
+  four-condition (or single-condition) polynomial battery.
+* enhanced_mr: random bases serve either as Miller-Rabin bases or, once
+  one is a non-residue, as the q for the two checks above.
 
 Composite verdicts carry a mechanism and prime verdicts the basis (explicit
 non-residue or parameter m) that certified them. Both are claims, and one
@@ -18,9 +19,10 @@ table, _CLAIMS, describes every claim kind: its class, its certificate
 slot, and the forms it takes, each with its fields and their JSON types,
 its check and its description. The claim classes and the certificate
 codec are built from that table. A claim re-verifies from n and its own
-fields: a factor, square or root by arithmetic, and a claim made at a q or
-an m by re-running the route that made it there (_pbpc_tail or _battery)
-and comparing the result with the claim.
+fields: a factor or square by arithmetic, and a root, or a claim made at
+a q or an m, by re-running the route that made it there (the Miller-Rabin
+round, _pbpc_tail, or ppta_inr's step _search) and comparing the result
+with the claim.
 
 The scalar routes need ppt.ntcore only. The polynomial battery, ppt.checks
 with ppt.canonical and ppt.polyring, is imported the first time ppta_inr
@@ -117,25 +119,8 @@ def _tail_makes(claim: _Claim, n: int) -> bool:
     return jacobi(claim.q, n) == -1 and _pbpc_tail(n, claim.q) == claim
 
 
-def _battery_makes(claim: _Claim, n: int, mode: str) -> bool:
-    """Whether the battery makes claim at claim.m, the m find_qnr_or_m picks.
-
-    The searched m fixes the divisors, and bounds the verifier's cost.
-    """
-    if not _battery_loaded:
-        _load_battery()
-    m = claim.m
-    searched = n >= 25 and n % 24 == 1 and find_qnr_or_m(n).m == m
-    return searched and _battery(n, m, mode) == claim
-
-
 def _proper_factor(claim: _Claim, n: int) -> bool:
     return 1 < claim.p < n and n % claim.p == 0
-
-
-def _nontrivial_root(claim: _Claim, n: int) -> bool:
-    r = claim.b % n
-    return r not in (1, n - 1) and r * r % n == 1
 
 
 class _Form(NamedTuple):
@@ -170,11 +155,13 @@ _CLAIMS: dict[str, tuple] = {
         _Form({"q": int, "a": int, "b": int}, _tail_makes,
               "binomial defect ({a}, {b}) at q={q}"),
         _Form({"divisor_kind": str, "divisor": list, "remainder": list, "m": int},
-              lambda c, n: _battery_makes(c, n, "fgpc"),
+              lambda c, n: _search(n, "fgpc")[0] == c,
               "binomial defect mod {divisor_kind} (m={m})"),
     ),
     "mr_nontrivial_root": ("MrNontrivialRoot", "mechanism",
-                           _Form({"base": int, "b": int}, _nontrivial_root,
+                           _Form({"base": int, "b": int},
+                                 lambda c, n: 1 < c.base < n - 1 and miller_rabin_base(
+                                     n, c.base)[1:] == ("nontrivial_root", c.b),
                                  "nontrivial root of unity {b} (base {base})")),
     "fermat_witness": ("FermatWitness", "mechanism",
                        _Form({"a": int},
@@ -182,14 +169,14 @@ _CLAIMS: dict[str, tuple] = {
                              "fermat witness {a}")),
     "pgpc_violation": ("PgpcViolation", "mechanism",
                        _Form({"m": int, "failed": str, "remainder": list, "expected": list},
-                             lambda c, n: _battery_makes(c, n, "pgpc"),
+                             lambda c, n: _search(n, "pgpc")[0] == c,
                              "polynomial battery failed {failed} at m={m}")),
     "pbpc": ("PrimeBasis", "prime_basis",
              _Form({"q": int}, _tail_makes, "explicit non-residue q={q}")),
     "pgpc": ("PrimeBasis", "prime_basis",
-             _Form({"m": int}, lambda c, n: _battery_makes(c, n, "pgpc"), "pgpc at m={m}")),
+             _Form({"m": int}, lambda c, n: _search(n, "pgpc")[0] == c, "pgpc at m={m}")),
     "fgpc": ("PrimeBasis", "prime_basis",
-             _Form({"m": int}, lambda c, n: _battery_makes(c, n, "fgpc"), "fgpc at m={m}")),
+             _Form({"m": int}, lambda c, n: _search(n, "fgpc")[0] == c, "fgpc at m={m}")),
 }
 
 
@@ -266,18 +253,18 @@ EulerWitness = _claim_class(
 BinomialWitness = _claim_class("BinomialWitness", """Nonzero binomial-congruence defect.
 
     Scalar form (made by _pbpc_tail): (q, a, b) is the defect pair in
-    Z_n[sqrt(q)]. Polynomial form (made by _battery in mode 'fgpc'):
+    Z_n[sqrt(q)]. Polynomial form (made by _search in mode 'fgpc'):
     `divisor`, Psi_m mod n in ascending coefficients, leaves the nonzero
     `remainder`; `divisor_kind` names the canonical polynomial, always
     "psi", and `m` its parameter.
     """)
 MrNontrivialRoot = _claim_class(
-    "MrNontrivialRoot", "A square root b of 1 other than +-1, found while squaring base**odd.")
+    "MrNontrivialRoot", "A square root b of 1, not +-1, met in a Miller-Rabin round at base.")
 FermatWitness = _claim_class("FermatWitness", "a**(n-1) != 1 mod n, for a not divisible by n.")
 PgpcViolation = _claim_class(
     "PgpcViolation", """First failing condition of the four-condition polynomial battery.
 
-    Made by _battery in mode 'pgpc'. `remainder` holds the offending
+    Made by _search in mode 'pgpc'. `remainder` holds the offending
     residue (ascending coefficients mod n) and `expected` what a prime
     would have produced there: the empty tuple for the two binomial
     conditions, (1,) or the Jacobi constant for the power conditions.
@@ -286,7 +273,7 @@ PrimeBasis = _claim_class("PrimeBasis", """What certified a prime verdict.
 
     kind 'pbpc': explicit non-residue q passed both scalar checks (made by
     _pbpc_tail). kind 'pgpc' or 'fgpc': parameter m passed the battery in
-    that mode, four conditions or the single one (made by _battery).
+    that mode, four conditions or the single one (made by _search).
     """)
 
 # kind -> per form: (its entry's keys, slot, class, form, the claim's values with
@@ -336,27 +323,9 @@ class Verdict(NamedTuple):
 
 # The outcome a claim makes, by the certificate slot _CLAIMS gives its kind.
 _SLOT_OUTCOME = {"mechanism": Outcome.COMPOSITE, "prime_basis": Outcome.PRIME}
-# kind -> (the outcome its claims make, their slot), read by _verdict.
+# kind -> (the outcome its claims make, their slot), read by _decide.
 _KIND_VERDICT = {kind: (_SLOT_OUTCOME[slot], slot) for kind, (_, slot, *_) in _CLAIMS.items()}
 _new = tuple.__new__
-
-
-def _verdict(n: int, t0: float, what: _Claim | Outcome, iters: int | None = None) -> Verdict:
-    """The one place a Verdict is built, from what decided n.
-
-    A claim fills its slot with its outcome, both read from _KIND_VERDICT;
-    an Outcome stands alone. iters counts a search's probes, None where n's
-    class fixed the route; q is the non-residue `what` relied on, or 0;
-    total_s is the time since t0. Both tuples are built by tuple.__new__.
-    """
-    timings = {"total_s": time.perf_counter() - t0}
-    search = _new(QnrSearch, (iters is not None, iters or 0, getattr(what, "q", None) or 0))
-    if type(what) is Outcome:
-        return _new(Verdict, (n, what, None, None, search, timings))
-    outcome, slot = _KIND_VERDICT[what[0]]
-    if slot == "mechanism":
-        return _new(Verdict, (n, outcome, what, None, search, timings))
-    return _new(Verdict, (n, outcome, None, what, search, timings))
 
 
 # The widest n, in bits, that a decider decides and verify_certificate reads,
@@ -367,7 +336,7 @@ def _verdict(n: int, t0: float, what: _Claim | Outcome, iters: int | None = None
 MAX_BITS = 1 << 15
 
 
-def _degenerate(n: int, *, prime_three: bool) -> _Claim | Outcome | None:
+def _degenerate(n: int, prime_three: bool) -> _Claim | Outcome | None:
     """What decides n = 1, n = 2, optionally n = 3, and even n; else None.
 
     The deciders' one domain check: raises ValueError for n < 1 and for n
@@ -419,7 +388,7 @@ def find_qnr(n: int) -> QnrProbe:
     )
 
 
-# ----------------------------------------------------------- shared closing
+# ---------------------------------------------------------------- the driver
 
 
 def _pbpc_tail(n: int, q: int) -> _Claim:
@@ -434,41 +403,52 @@ def _pbpc_tail(n: int, q: int) -> _Claim:
     return PrimeBasis("pbpc", q)
 
 
-def _battery(n: int, m: int, mode: str) -> _Claim:
-    """The battery at parameter m: four conditions (mode 'pgpc') or cond2 alone."""
-    params = canonical_params(m)
-    if mode == "pgpc":
-        rep = pgpc_check(n, params)
-        if not rep.all_hold:
-            return PgpcViolation(m, rep.failed, rep.witness.coeffs, rep.expected)
-    else:
-        ok, rem = fgpc_check(n, params)
-        if not ok:
-            psi = params.psi.reduced(n).coeffs
-            return BinomialWitness(divisor_kind="psi", divisor=psi, remainder=rem.coeffs, m=m)
-    return PrimeBasis(mode, m=m)
+def _decide(n: int, search: Callable[..., tuple], args: tuple = (), eqnr: bool = False,
+            square: bool = True) -> Verdict:
+    """The sequence every decider runs; search(n, *args) is the decider's own step.
 
-
-def _class_qnr(n: int) -> int | None:
-    """The non-residue n mod 8 fixes: 2 for 3, 5 mod 8, n - 2 for 7 mod 8."""
-    r8 = n & 7
-    if r8 == 3 or r8 == 5:
-        return 2
-    return n - 2 if r8 == 7 else None
-
-
-def _no_search(n: int) -> _Claim:
-    """Odd n > 3 with n != 1 mod 24: 3 divides n, or a non-residue is known.
-
-    Beyond the classes of _class_qnr, n = 17 mod 24 leaves q = 3, since
-    (3 | n) = (n | 3) = (2 | 3) = -1.
+    _degenerate screens n (3 is prime there unless eqnr). With eqnr, n mod 8
+    may fix the non-residue: 2 at 3, 5 mod 8, n - 2 at 7 mod 8. Without it,
+    n != 1 mod 24 is fixed: by the factor 3, by that non-residue, or at 17
+    mod 24 by 3, as (3 | n) = (n | 3) = (2 | 3) = -1. A perfect square is
+    next, if square. Else search(n, *args) gives the claim or Outcome that
+    decided n and its probe count. The one Verdict is built here: a claim
+    takes its slot and outcome from _KIND_VERDICT, and qnr_search records
+    whether search ran and q, the claim's non-residue or 0 (tuple.__new__
+    builds both).
     """
-    if n % 3 == 0:
-        return TrivialFactor(3)
-    return _pbpc_tail(n, _class_qnr(n) or 3)
+    t0 = time.perf_counter()
+    what = _degenerate(n, not eqnr)
+    iters = None
+    if what is None and (eqnr or n % 24 != 1):
+        r8 = n & 7
+        q = 2 if r8 == 3 or r8 == 5 else n - 2 if r8 == 7 else 0 if eqnr else 3
+        if not eqnr and n % 3 == 0:
+            what = TrivialFactor(3)
+        elif q:
+            what = _pbpc_tail(n, q)
+    if what is None and square and (s := math.isqrt(n)) * s == n:
+        what = PerfectSquare(s)
+    if what is None:
+        what, iters = search(n, *args)
+    timings = {"total_s": time.perf_counter() - t0}
+    record = _new(QnrSearch, (iters is not None, iters or 0, getattr(what, "q", None) or 0))
+    if type(what) is Outcome:
+        return _new(Verdict, (n, what, None, None, record, timings))
+    outcome, slot = _KIND_VERDICT[what[0]]
+    if slot == "mechanism":
+        return _new(Verdict, (n, outcome, what, None, record, timings))
+    return _new(Verdict, (n, outcome, None, what, record, timings))
 
 
 # ------------------------------------------------------------ the deciders
+
+
+def _scan(n: int) -> tuple[_Claim, int]:
+    """ppta_eqnr's step: find_qnr's factor, or the scalar tail at its non-residue."""
+    probe = find_qnr(n)
+    what = JacobiZeroFactor(probe.p) if probe.found_factor else _pbpc_tail(n, probe.p)
+    return what, probe.iterations
 
 
 def ppta_eqnr(n: int) -> Verdict:
@@ -481,18 +461,34 @@ def ppta_eqnr(n: int) -> Verdict:
     congruence; surviving both is decisive under the explicit-non-residue
     hypothesis.
     """
-    t0 = time.perf_counter()
-    what = _degenerate(n, prime_three=False)
-    if what is None and (q := _class_qnr(n)) is not None:
-        what = _pbpc_tail(n, q)
-    if what is None:
-        s = math.isqrt(n)
-        what = PerfectSquare(s) if s * s == n else None
-    if what is not None:
-        return _verdict(n, t0, what)
-    probe = find_qnr(n)
-    what = JacobiZeroFactor(probe.p) if probe.found_factor else _pbpc_tail(n, probe.p)
-    return _verdict(n, t0, what, probe.iterations)
+    return _decide(n, _scan, (), True)
+
+
+def _search(n: int, mode: str) -> tuple[_Claim, int]:
+    """ppta_inr's step at n = 1 mod 24, which the verifier re-runs.
+
+    find_qnr_or_m gives a square root or divisor of n, a non-residue, for
+    the scalar tail, or m, for the battery: its four conditions (mode
+    'pgpc') or cond2 alone. Raises ValueError at any other n.
+    """
+    if not _battery_loaded:
+        _load_battery()
+    fr = find_qnr_or_m(n)
+    m = fr.m
+    if (d := fr.divisor) is not None:
+        what = PerfectSquare(d) if d * d == n else TrivialFactor(d)
+    elif m is None:
+        what = _pbpc_tail(n, fr.qnr)
+    elif mode == "pgpc":
+        rep = pgpc_check(n, canonical_params(m))
+        what = PrimeBasis(mode, m=m) if rep.all_hold else PgpcViolation(
+            m, rep.failed, rep.witness.coeffs, rep.expected)
+    else:
+        params = canonical_params(m)
+        ok, rem = fgpc_check(n, params)
+        what = PrimeBasis(mode, m=m) if ok else BinomialWitness(
+            divisor_kind="psi", divisor=params.psi.reduced(n).coeffs, remainder=rem.coeffs, m=m)
+    return what, fr.iterations
 
 
 def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
@@ -507,22 +503,25 @@ def ppta_inr(n: int, mode: str = "pgpc") -> Verdict:
     """
     if mode not in ("pgpc", "fgpc"):
         raise ValueError("ppta_inr: mode must be 'pgpc' or 'fgpc'")
-    t0 = time.perf_counter()
-    what = _degenerate(n, prime_three=True)
-    if what is None and n % 24 != 1:
-        what = _no_search(n)
-    if what is not None:
-        return _verdict(n, t0, what)
-    if not _battery_loaded:
-        _load_battery()
-    fr = find_qnr_or_m(n)
-    if (d := fr.divisor) is not None:
-        what = PerfectSquare(d) if d * d == n else TrivialFactor(d)
-    elif fr.qnr is not None:
-        what = _pbpc_tail(n, fr.qnr)
-    else:
-        what = _battery(n, fr.m, mode)
-    return _verdict(n, t0, what, fr.iterations)
+    return _decide(n, _search, (mode,), False, False)
+
+
+def _draws(n: int, max_random_iters: int, rng_seed: int) -> tuple[_Claim | Outcome, int]:
+    """enhanced_mr's step: seeded random bases, until one decides n."""
+    rng = random.Random(rng_seed)
+    for i in range(1, max_random_iters + 1):
+        a = rng.randint(5, n - 5)
+        j = jacobi(a, n)
+        if j == 0:
+            return JacobiZeroFactor(math.gcd(a, n)), i
+        if j == -1:
+            return _pbpc_tail(n, a), i
+        out = miller_rabin_base(n, a)
+        if out.witness_kind == "nontrivial_root":
+            return MrNontrivialRoot(a, out.value), i
+        if out.witness:
+            return FermatWitness(a), i
+    return Outcome.INCONCLUSIVE, max_random_iters
 
 
 def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdict:
@@ -536,29 +535,7 @@ def enhanced_mr(n: int, max_random_iters: int = 64, rng_seed: int = 0) -> Verdic
     """
     if max_random_iters < 1:
         raise ValueError("enhanced_mr: max_random_iters must be >= 1")
-    t0 = time.perf_counter()
-    what = _degenerate(n, prime_three=True)
-    if what is None and n % 24 != 1:
-        what = _no_search(n)
-    if what is None:
-        s = math.isqrt(n)
-        what = PerfectSquare(s) if s * s == n else None
-    if what is not None:
-        return _verdict(n, t0, what)
-    rng = random.Random(rng_seed)
-    for i in range(1, max_random_iters + 1):
-        a = rng.randint(5, n - 5)
-        j = jacobi(a, n)
-        if j == 0:
-            return _verdict(n, t0, JacobiZeroFactor(math.gcd(a, n)), i)
-        if j == -1:
-            return _verdict(n, t0, _pbpc_tail(n, a), i)
-        out = miller_rabin_base(n, a)
-        if out.witness_kind == "nontrivial_root":
-            return _verdict(n, t0, MrNontrivialRoot(a, out.value), i)
-        if out.witness:
-            return _verdict(n, t0, FermatWitness(a), i)
-    return _verdict(n, t0, Outcome.INCONCLUSIVE, max_random_iters)
+    return _decide(n, _draws, (max_random_iters, rng_seed))
 
 
 # ------------------------------------------------------------- certificates
@@ -617,7 +594,7 @@ def _records_fit(cert: dict, q: int) -> bool:
 
     qnr_search must hold exactly `needed` (bool), `iterations` (int >= 0,
     and 0 where needed is false) and `q`, the claim's scalar non-residue or
-    0 where it has none, as _verdict records it; timings must map str to
+    0 where it has none, as _decide records it; timings must map str to
     finite numbers >= 0.
     """
     timings = cert.get("timings", {})

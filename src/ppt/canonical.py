@@ -180,9 +180,9 @@ def find_qnr_or_m(n: int) -> FindResult:
         if r == 0:
             return FindResult(iterations=i, divisor=p)
         if r == 1:
-            k = 2
-            while (n - 1) % p**k == 0:
-                k += 1
+            k, t = 2, (n - 1) // p  # t = (n - 1) / p**(k - 1)
+            while t % p == 0:
+                k, t = k + 1, t // p
             if p == 2:
                 deg = 2 ** (k - 2)
                 m = 2**k

@@ -327,6 +327,7 @@ def _cmd_find_m(args) -> int:
     n = parse_int_expr(args.n)
     if n < 2 or n % 24 != 1:
         raise _UsageError("find-m requires n > 1 with n mod 24 == 1")
+    _check_bits(n)
     result = find_qnr_or_m(n)
     if result.divisor is not None:
         suffix = "perfect square root" if result.iterations == 0 else "divisor"

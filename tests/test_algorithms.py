@@ -24,8 +24,8 @@ from ppt.algorithms import (
     Verdict,
     _CLAIMS,
     _claim_to_json,
+    _decide,
     _decode,
-    _verdict,
     certificate,
     enhanced_mr,
     find_qnr,
@@ -511,9 +511,20 @@ class TestCertificates:
         cert = certificate(enhanced_mr(6409))
         assert cert["mechanism"] == {"kind": "mr_nontrivial_root",
                                      "base": 3160, "b": 1886}
-        for b in (1, 6408, 1887):  # the trivial roots, then a non-root
+        for b in (1, 6408, 1887, 1886 + 6409):  # the trivial roots, a non-root, b + n
             cert["mechanism"]["b"] = b
             assert not verify_certificate(cert), b
+        # The root must be the one a Miller-Rabin round at the base meets, at
+        # a base strictly between 1 and n - 1; a wide base reads False before
+        # any arithmetic.
+        cert["mechanism"]["b"] = 1886
+        assert verify_certificate(cert)
+        wide = random.Random(59).getrandbits(4_000_000) | 1 << 3_999_999
+        for base in (3159, 3161, 3160 + 6409, 0, 1, 6408, -3160, wide, 2**4_000_000):
+            cert["mechanism"]["base"] = base
+            t0 = time.perf_counter()
+            assert not verify_certificate(cert), base
+            assert time.perf_counter() - t0 < 0.05, base
 
     def test_binomial_witness_forgeries_fail(self):
         # 569 is prime, so its true defect at q = 3 is the zero pair.
@@ -830,8 +841,9 @@ def test_claim_kind_round_trips_and_equals_only_itself(kind):
 
 @pytest.mark.parametrize("kind", sorted(_CLAIMS))
 def test_verdict_puts_each_claim_in_its_slot(kind):
-    """_verdict's per-kind table, checked against the slots of _CLAIMS, and
-    the certificate of each verdict against one built field by field."""
+    """_decide's per-kind table, checked against the slots of _CLAIMS, and
+    the certificate of each verdict against one built field by field. 97 is
+    1 mod 24 and no square, so the stub search step decides it."""
     slot = _CLAIMS[kind][1]
     outcome = {"mechanism": Outcome.COMPOSITE, "prime_basis": Outcome.PRIME}[slot]
     for claim in _samples(kind):
@@ -841,7 +853,7 @@ def test_verdict_puts_each_claim_in_its_slot(kind):
             if value is not None:
                 entry[name] = list(value) if isinstance(value, tuple) else value
         for iters in (None, 0, 4):
-            verdict = _verdict(97, 0.0, claim, iters)
+            verdict = _decide(97, lambda n: (claim, iters))
             assert type(verdict) is Verdict and type(verdict.qnr_search) is QnrSearch
             assert verdict.n == 97 and verdict.outcome is outcome
             assert verdict.mechanism is (claim if slot == "mechanism" else None)
@@ -860,7 +872,7 @@ def test_verdict_puts_each_claim_in_its_slot(kind):
 
 @pytest.mark.parametrize("outcome", list(Outcome))
 def test_verdict_of_an_outcome_holds_no_claim(outcome):
-    verdict = _verdict(97, 0.0, outcome, 4)
+    verdict = _decide(97, lambda n: (outcome, 4))
     assert verdict[:5] == (97, outcome, None, None, (True, 4, 0))
     assert certificate(verdict) == {
         "n": 97, "outcome": outcome.value, "mechanism": None, "prime_basis": None,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 import sympy
@@ -196,6 +197,15 @@ class TestFindQnrOrM:
             for other in ("divisor", "qnr", "m"):
                 if other != kind:
                     assert getattr(res, other) is None, n
+
+    def test_deep_valuations_are_quick(self):
+        # n - 1 = 3 * 2^16000 and 8 * 3^10000: the valuation loop walks 16,000
+        # and 10,000 powers of p by dividing one running quotient by p. A
+        # full-width remainder by each p**k took over 20 times as long.
+        for n in (3 * 2**16000 + 1, 8 * 3**10000 + 1):
+            t0 = time.perf_counter()
+            assert find_qnr_or_m(n) == (3, None, None, 5)
+            assert time.perf_counter() - t0 < 0.5
 
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):

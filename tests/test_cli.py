@@ -295,6 +295,13 @@ class TestBitLimit:
         assert capsys.readouterr().err == (
             f"ppt: error: n has 1048576 bits, over the limit of {ppt.MAX_BITS}\n")
 
+    def test_find_m_refuses_a_wide_n_quickly(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["find-m", "3 * 2^1000000 + 1"]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr().err == (
+            f"ppt: error: n has 1000002 bits, over the limit of {ppt.MAX_BITS}\n")
+
     def test_limit_is_inclusive(self, capsys, monkeypatch):
         assert main(["test", f"2^{ppt.MAX_BITS - 1}"]) == EXIT_COMPOSITE
         assert main(["test", f"2^{ppt.MAX_BITS}"]) == EXIT_USAGE

@@ -177,7 +177,7 @@ def run(count: int, seed: int = 2023) -> dict:
     return {"digest": h.hexdigest(), "counts": counts, "wrong": wrong}
 
 
-GOLDEN = "07a94cfee92941c099b5715765aca857b0503fb1aee002dcdf2d1b2aa5d3def7"
+GOLDEN = "2bc12ebabc2697b6ead502069ce9540cef8af4e830df4f2cb079516f68641219"
 
 
 def test_mutants_match_golden_digest():
