@@ -326,6 +326,7 @@ _SLOT_OUTCOME = {"mechanism": Outcome.COMPOSITE, "prime_basis": Outcome.PRIME}
 # kind -> (the outcome its claims make, their slot), read by _decide.
 _KIND_VERDICT = {kind: (_SLOT_OUTCOME[slot], slot) for kind, (_, slot, *_) in _CLAIMS.items()}
 _new = tuple.__new__
+_CERT_KEYS = frozenset(("n", "outcome", "mechanism", "prime_basis", "qnr_search", "timings"))
 
 
 # The widest n, in bits, that a decider decides and verify_certificate reads,
@@ -618,7 +619,8 @@ def _records_fit(cert: dict, q: int) -> bool:
 def verify_certificate(cert: Any) -> bool:
     """Re-check a certificate from its own fields; never raises.
 
-    At most one slot may hold a claim. A claim must have its slot's outcome
+    No key but the six certificate() writes may appear (_CERT_KEYS), and at
+    most one slot may hold a claim. A claim must have its slot's outcome
     (_SLOT_OUTCOME) and re-verify against n by the check of the form _decode
     found for it. With no claim, the outcome must be inconclusive, which
     claims nothing, or the Outcome _degenerate gives n: not_applicable at
@@ -627,8 +629,8 @@ def verify_certificate(cert: Any) -> bool:
     a check's domain reads False, and so does an n wider than MAX_BITS,
     before any arithmetic.
     """
-    if (not isinstance(cert, dict) or type(n := cert.get("n")) is not int or n < 1
-            or n.bit_length() > MAX_BITS):
+    if (not isinstance(cert, dict) or not cert.keys() <= _CERT_KEYS
+            or type(n := cert.get("n")) is not int or n < 1 or n.bit_length() > MAX_BITS):
         return False
     outcome, mech, basis = cert.get("outcome"), cert.get("mechanism"), cert.get("prime_basis")
     # An Outcome's _value_ is its .value, read without the property's cost.

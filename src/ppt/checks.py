@@ -95,36 +95,10 @@ def _times_x(p: list[int], div: tuple[int, ...]) -> list[int]:
     return [a - p[-1] * c for a, c in zip([0, *p[:-1]], div)]
 
 
-@lru_cache(maxsize=1024)
-def _galois_image(m: int, r: int, upsilon_side: bool) -> tuple[int, ...]:
-    """s_r(x) mod the divisor over Z, deg D coefficients: sigma_r of its root.
-
-    sigma_r sends zeta = exp(2*pi*i/m) to zeta**r, for r a unit mod m.
-    Upsilon_m's root t = zeta + 1/zeta goes to zeta**r + zeta**-r =
-    V_r(t), with V_0 = 2, V_1 = t, V_j = t*V_(j-1) - V_(j-2). Psi_m's
-    root u = zeta - 1/zeta goes to zeta**r - zeta**-r, which for odd r is
-    W_r(u), with W_0 = 2, W_1 = u, W_j = u*W_(j-1) + W_(j-2); for even r
-    (odd m) it is -W_(m-r)(u).
-    """
-    params = canonical_params(m)
-    div = (params.upsilon if upsilon_side else params.psi).coeffs
-    sign, step = 1, -1 if upsilon_side else 1
-    if not upsilon_side and not r & 1:
-        sign, r = -1, m - r
-    one = [1] + [0] * (len(div) - 2)
-    prev, cur = [2 * c for c in one], _times_x(one, div)
-    for _ in range(r - 1):
-        prev, cur = cur, [a + step * b for a, b in zip(_times_x(cur, div), prev)]
-    return tuple(sign * c for c in cur)
-
-
-@lru_cache(maxsize=64)
-def _galois_matrix(m: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """sigma_r on Z[x]/Upsilon_m as d rows over Z: row i holds the x**i
-    coefficients of s_r(x)**j for j < d, so that sigma_r(sum c_j x**j)
-    has coefficient i equal to the dot product of row i with c."""
-    div = canonical_params(m).upsilon.coeffs
-    s = _galois_image(m, r, True)
+def _galois_matrix(s: tuple[int, ...], div: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """sigma_r on Z[x]/div, div = Upsilon_m, as d rows over Z from s = s_r(x):
+    row i holds the x**i coefficients of s**j for j < d, so that coefficient
+    i of sigma_r(sum c_j x**j) is the dot product of row i with c."""
     col = [1] + [0] * (len(s) - 1)
     cols = [col]
     for _ in range(len(s) - 1):  # col*s mod Upsilon_m, by Horner in s
@@ -136,24 +110,48 @@ def _galois_matrix(m: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _walk(m: int) -> tuple[tuple, tuple, int, int | None]:
-    """(sigma_g, sigma_2, i2, i3) at an odd m with p_m >= 5, or m = 9.
+def _plan(m: int) -> tuple[tuple, tuple | None]:
+    """(images, walk): the battery's Galois data at m, built on first use.
 
+    images[upsilon_side][r], r < m, is s_r(x) mod the divisor over Z (deg D
+    coefficients), the image of its root under sigma_r: zeta -> zeta**r,
+    zeta = exp(2*pi*i/m), r a unit mod m. Upsilon_m's root t = zeta + 1/zeta
+    goes to V_r(t), with V_0 = 2, V_1 = t, V_j = t*V_(j-1) - V_(j-2); Psi_m's
+    root u = zeta - 1/zeta to W_r(u) for odd r, with W_0 = 2, W_1 = u, W_j =
+    u*W_(j-1) + W_(j-2), and to -W_(m-r)(u) for even r (odd m), all r in one pass.
+
+    walk is cond1's (sigma_g, sigma_2, i2, i3) at an odd m with p_m >= 5,
+    or m = 9, and None at every other m, where cond1's rule does not hold.
     g is the least generator of (Z/m)*/+-1, cyclic of order d for an odd
     prime power, and sigma_b depends on b mod +-1 only (V_-b = V_b). So
     sigma_g applied i < d times to y gives each conjugate of y once, the
     i2-th being sigma_2(y) and the i3-th sigma_3(y) (None at m = 9, where
-    3 is no unit). Built on first use.
+    3 is no unit).
     """
-    d = canonical_params(m).d
+    params = canonical_params(m)
+    seqs = []
+    for div, sign in ((params.psi.coeffs, 1), (params.upsilon.coeffs, -1)):
+        one = [1] + [0] * (len(div) - 2)
+        seq = [[2 * c for c in one], _times_x(one, div)]
+        for _ in range(m - 1):
+            seq.append([a + sign * b for a, b in zip(_times_x(seq[-1], div), seq[-2])])
+        seqs.append(seq)
+    psi, upsilon = seqs
+    images = (tuple(tuple(psi[r]) if r & 1 else tuple(-c for c in psi[m - r]) for r in range(m)),
+              tuple(map(tuple, upsilon[:m])))
+    if not m & 1 or params.p_m == 3 and m != 9:
+        return images, None
     for g in range(2, m):
         orbit = [1]
         while gcd(g, m) == 1 and (b := orbit[-1] * g % m) not in (1, m - 1):
             orbit.append(b)
-        if len(orbit) == d:
+        if len(orbit) == params.d:
             break
     pos = {min(b, m - b): i for i, b in enumerate(orbit)}
-    return _galois_matrix(m, g), _galois_matrix(m, 2), pos[2], pos.get(min(3, m - 3))
+    div = params.upsilon.coeffs
+    step = _galois_matrix(images[True][g], div)
+    two = step if g == 2 else _galois_matrix(images[True][2], div)
+    return images, (step, two, pos[2], pos.get(min(3, m - 3)))
 
 
 _X = Poly([0, 1])
@@ -163,8 +161,8 @@ def _cond1_powers(n: int, params: CanonicalParams, xn: dict) -> tuple[Poly, Poly
     """x**n and (1+x)**n mod <Upsilon_m, n> from cond2's power, or the x**n
     ladder and None at an m or n the rule does not cover.
 
-    The rule holds at odd m with p_m >= 5, and at m = 9, for odd n with
-    p_m not dividing n. It raises x**n modulo Psi_m = P(x**2) into
+    The rule holds where _plan(m) has a walk, for odd n with p_m not
+    dividing n. It raises x**n modulo Psi_m = P(x**2) into
     xn[False], which cond2 and cond4 then reuse; its odd coefficients are
     w**k mod P(w), k = (n-1)/2. P(w) = Upsilon_m(w + 2), so w -> t - 2 maps
     that to X = (t-2)**k mod <Upsilon_m, n>, below degree d, so no fold.
@@ -181,15 +179,14 @@ def _cond1_powers(n: int, params: CanonicalParams, xn: dict) -> tuple[Poly, Poly
     X**-1. At m = 9, V_3(t) - 2 = -3 = N(t - 2) mod Upsilon_9, so
     (1+t)**(n-1) = prod_(b!=1) sigma_b(X), with no inverse.
     """
-    m, p_m, d = params.m, params.p_m, params.d
-    ring = QuotientRing(params.upsilon, n)
-    if not m & 1 or p_m == 3 and m != 9 or not n % p_m:
+    d, ring = params.d, QuotientRing(params.upsilon, n)
+    if not n % params.p_m or (walk := _plan(params.m)[1]) is None:
         return poly_powmod(ring, _X, n), None
     xn[False] = poly_powmod(QuotientRing(params.psi, n), _X, n)
     x = [0] * d
     for a in reversed(xn[False].coeffs[1::2]):  # x*(t - 2) + a, by Horner
         x = [u - 2 * v for u, v in zip([a, *x], x)]
-    step, two, i2, i3 = _walk(m)
+    step, two, i2, i3 = walk
     cols = ring._table.cols
     conj = [[a % n for a in x]]  # sigma_g**i(X), i < d
     for _ in range(d - 1):
@@ -219,7 +216,7 @@ def _condition(
     ladder modulo Psi_m, where no such rule exists (README).
 
     cond3/cond4 start from x**n. With r = n mod m a unit and m >= 5,
-    x -> s_r(x) (_galois_image) is a ring endomorphism of Z_n[x]/D for
+    x -> s_r(x) (_plan's images) is a ring endomorphism of Z_n[x]/D for
     every n, since D(s_r(x)) = 0 mod D over Z. So if x**n = s_r(x) mod
     <D, n>, then x**(n**j) is the j-fold composite of s_r, which at j = d
     is c*x over Z, with c the expected constant (r**d = +-1 mod m); x is
@@ -242,7 +239,7 @@ def _condition(
     c = 1 % n if upsilon_side or p_m == 2 else jacobi(n, p_m) % n
     want = (c,) if c else ()
     if m >= 5 and n % p_m:
-        if xn[upsilon_side].coeffs == Poly(_galois_image(m, n % m, upsilon_side), n).coeffs:
+        if xn[upsilon_side].coeffs == Poly(_plan(m)[0][upsilon_side][n % m], n).coeffs:
             return Poly(want, n), want
     return poly_powmod(QuotientRing(div, n), x, n**params.d - 1), want
 

@@ -49,6 +49,10 @@ from conftest import (
     HC2,
     M37_COMPOSITE,
     M37_PRIME,
+    M61_COMPOSITE,
+    M61_COMPOSITE_256,
+    M61_PRIME,
+    M61_PRIME_256,
     MBEC_1729_PSI5,
     MBEC_HC2_PSI23,
     MBEC_N22_PSI7,
@@ -251,6 +255,18 @@ class TestInr:
         assert polyring._shared(canonical_params(37).psi.coeffs)[0] is None
         for n in (M37_PRIME, M37_COMPOSITE):
             assert find_qnr_or_m(n).m == 37
+            for mode in ("pgpc", "fgpc"):
+                v = ppta_inr(n, mode)
+                assert (v.outcome is Outcome.PRIME) == sympy.isprime(n), (n, mode)
+                assert verify_certificate(json.loads(json.dumps(certificate(v)))), (n, mode)
+
+    def test_battery_at_m_61(self):
+        """Both modes decide the crafted members whose search exits at m =
+        61, the widest m a tier-1 test reaches: the primes run cond1's rule
+        on the plan's walk and cond3/cond4 on its images there. Each
+        certificate verifies after a JSON round trip."""
+        for n in (M61_PRIME, M61_COMPOSITE, M61_PRIME_256, M61_COMPOSITE_256):
+            assert find_qnr_or_m(n).m == 61
             for mode in ("pgpc", "fgpc"):
                 v = ppta_inr(n, mode)
                 assert (v.outcome is Outcome.PRIME) == sympy.isprime(n), (n, mode)
@@ -627,6 +643,21 @@ class TestCertificates:
             {**pbpc, "prime_basis": {**pbpc["prime_basis"], "m": None}},
         ]
         for cert in forged:
+            assert verify_certificate(cert) is False, cert
+
+    def test_certificates_hold_only_the_six_keys(self):
+        # A key certificate() never writes reads False, as a field a claim
+        # never reads does; qnr_search and timings may be absent. The three
+        # forgeries below verified True before the key set was checked.
+        root, eqnr = certificate(enhanced_mr(6409)), certificate(ppta_eqnr(1009))
+        assert set(root) == set(eqnr) == {"n", "outcome", "mechanism", "prime_basis",
+                                          "qnr_search", "timings"}
+        for cert in (root, eqnr):
+            assert verify_certificate(cert)
+            trimmed = {k: v for k, v in cert.items() if k not in ("qnr_search", "timings")}
+            assert verify_certificate(trimmed)
+        for cert in ({**root, "p": 6409}, {**root, "anything": {"x": [1, 1, 1]}},
+                     {**eqnr, "mechanism_note": "forged"}, {**eqnr, "": None}):
             assert verify_certificate(cert) is False, cert
 
     def test_polynomial_binomial_witness_needs_psi_divisor(self):

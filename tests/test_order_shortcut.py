@@ -23,16 +23,22 @@ from itertools import zip_longest
 import pytest
 import sympy
 
+import ppt
 import ppt.checks
 import ppt.polyring
-from ppt.canonical import canonical_params
-from ppt.checks import _cond1_powers, _galois_image, _galois_matrix, _walk, pgpc_condition
+from ppt.canonical import canonical_params, find_qnr_or_m
+from ppt.checks import _cond1_powers, _galois_matrix, _plan, pgpc_condition
 from ppt.ntcore import jacobi
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
 from conftest import BATTERY_EXITS, CARMICHAELS_1MOD24_1E8, M37_COMPOSITE, M37_PRIME
 
 PRIME_POWERS = [5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+def _galois_image(m, r, upsilon_side):
+    """s_r(x) mod the divisor over Z, as the plan of m holds it."""
+    return _plan(m)[0][upsilon_side][r]
 
 
 def _mulmod(a, b, div):
@@ -54,7 +60,7 @@ def _compose(f, powers):
     return [sum(c * pw[i] for c, pw in zip(f, powers)) for i in range(len(powers[0]))]
 
 
-@pytest.mark.parametrize("m", PRIME_POWERS)
+@pytest.mark.parametrize("m", [*PRIME_POWERS, 37, 61])
 @pytest.mark.parametrize("side", ["upsilon", "psi"])
 def test_galois_image_identity_over_z(m, side):
     params = canonical_params(m)
@@ -92,12 +98,12 @@ def _chain(m, g, target):
 
 
 def _check_matrix(m, r, d, div):
-    """_galois_matrix(m, r) holds s_r(x)**j mod Upsilon_m in column j < d."""
+    """_galois_matrix of s_r(x) holds s_r(x)**j mod Upsilon_m in column j < d."""
     s = list(_galois_image(m, r, True))
     powers = [[1] + [0] * (d - 1)]
     for _ in range(d - 1):
         powers.append(_mulmod(powers[-1], s, div))
-    rows = _galois_matrix(m, r)
+    rows = _galois_matrix(s, div)
     assert [list(col) for col in zip(*rows)] == powers, (m, r)
     return rows
 
@@ -107,7 +113,7 @@ def test_one_plus_x_chain_identity_over_z(m):
     # 1 + x = eps * prod_(i<k) s_(2**i*h)(x) mod Upsilon_m over Z, h = (m+1)/2,
     # whenever 2**k = eps*3 mod m; such k exists exactly when p_m >= 5 and
     # 3 is in +-<2> mod m. sigma_2's matrix applied i times to s_h(x) gives
-    # s_(2**i*h)(x): sigma_a(s_b(x)) = s_(ab)(x), which _walk relies on.
+    # s_(2**i*h)(x): sigma_a(s_b(x)) = s_(ab)(x), which the plan's walk relies on.
     params = canonical_params(m)
     div = list(params.upsilon.coeffs)
     d = params.d
@@ -245,7 +251,7 @@ def test_norm_of_t_minus_two(m):
         assert _mulmod([-2, -3, 0, 1], [1], div) == norm
 
 
-@pytest.mark.parametrize("m", RULE_PRIME_POWERS)
+@pytest.mark.parametrize("m", [*RULE_PRIME_POWERS, 37, 61])
 def test_walk_visits_each_conjugate_once(m):
     # sigma_g applied i < d times to t gives each s_b(t), b in
     # (Z/m)*/+-1, once; the i2-th is s_2 and the i3-th s_3 (none at m = 9,
@@ -253,7 +259,7 @@ def test_walk_visits_each_conjugate_once(m):
     # powers of x below d.
     params = canonical_params(m)
     div, d = list(params.upsilon.coeffs), params.d
-    step, two, i2, i3 = _walk(m)
+    step, two, i2, i3 = _plan(m)[1]
     y, seen = [0, 1] + [0] * (d - 2), []
     for _ in range(d):
         seen.append(tuple(y))
@@ -266,6 +272,27 @@ def test_walk_visits_each_conjugate_once(m):
     for col in zip(*two):
         assert list(col) == power, m
         power = _mulmod(power, s, div)
+
+
+def test_plan_builds_each_matrix_once(monkeypatch):
+    # A plan builds sigma_g's matrix, and sigma_2's unless g = 2: one
+    # matrix at m = 5, 7, 9 and 13, where g = 2, two at 17, where g = 3. A
+    # second n at the same m, and the verifier's re-run of the battery for
+    # each certificate, build none.
+    real, built = ppt.checks._galois_matrix, []
+    monkeypatch.setattr(ppt.checks, "_galois_matrix",
+                        lambda s, div: built.append(s) or real(s, div))
+    ppt.checks._plan.cache_clear()
+    for m, want in ((5, 1), (7, 1), (9, 1), (13, 1), (17, 2)):
+        built.clear()
+        for n, outcome in zip(BATTERY_EXITS[m], ("prime", "composite")):
+            assert find_qnr_or_m(n).m == m
+            verdict = ppt.ppta_inr(n)
+            assert verdict.outcome.value == outcome and len(built) == want, (m, n)
+            assert ppt.verify_certificate(ppt.certificate(verdict)), (m, n)
+            assert len(built) == want, (m, n)
+        step, two, _, _ = _plan(m)[1]
+        assert (step is two) == (want == 1), m
 
 
 @pytest.mark.parametrize("m", PRIME_POWERS)

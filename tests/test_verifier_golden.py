@@ -177,7 +177,7 @@ def run(count: int, seed: int = 2023) -> dict:
     return {"digest": h.hexdigest(), "counts": counts, "wrong": wrong}
 
 
-GOLDEN = "2bc12ebabc2697b6ead502069ce9540cef8af4e830df4f2cb079516f68641219"
+GOLDEN = "b01484f8ae4670c5952110e51383f02da0a43dc411e517e1fbd61c681db6663d"
 
 
 def test_mutants_match_golden_digest():
