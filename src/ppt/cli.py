@@ -348,6 +348,8 @@ def _cmd_bench(args) -> int:
         raise _UsageError("no algorithms selected")
     from .harness import load_dataset, run_batch
     numbers = load_dataset(args.file)
+    for n in numbers:
+        _check_bits(n)
     print(f"{'algorithm':<12} {'cases':>8} {'seconds':>10}")
     for name in names:
         t0 = time.perf_counter()

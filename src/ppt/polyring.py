@@ -7,12 +7,12 @@ before reduction at a concrete modulus).
 
 A ring is its divisor's table plus n: the fold table of x**j mod the
 divisor (j = k..2k-1, k = deg divisor), the ladders its rings have used
-and, for an even divisor P(x**2), the table of P(w). A divisor over Z with
-leading coefficient 1 whose fold table has no entry wider than 64 bits, as
-for the canonical divisors (at most 31 bits up to m = 17, 44 at m = 23),
-keeps one table over Z for its rings at every n; its entries are congruent
-to the reduced ones, so every residue is the same. Any other divisor gets
-a table of least-absolute residues mod n with each ring. A ladder step
+and, for an even divisor P(x**2), the table of P(w). The caller's form of
+the divisor decides where the table lives. A divisor over Z with leading
+coefficient 1, as the canonical divisors are, keeps one table over Z for
+its rings at every n, whatever its width; its entries are congruent to the
+reduced ones, so every residue is the same. A divisor given mod n gets a
+table of least-absolute residues mod n with each ring. A ladder step
 squares on raw integers and folds back to k coefficients with one % n
 each.
 
@@ -22,23 +22,21 @@ Powers run on the smallest ring that gives the same residue exactly:
    the even or odd coefficients by the parity of e;
 2. x or 1 + x, the bases the battery raises, modulo a divisor of degree
    2.._MAX_UNROLLED runs on a ladder generated as straight-line Python for
-   the ring's shape: its degree k, the base, and the places of its fold
-   table that are nonzero over Z (for a divisor given mod n, in its own
-   table). That pattern holds every pattern mod n, since an entry that n
-   divides is 0 and multiplies by 0, so a divisor has one shape at every
-   n. The k coefficients live in locals, the fold has a term only for each
-   place of the pattern, and a set bit multiplies by the base before the
-   fold (for x, a shift of the fold's inputs). The square takes one of two
-   forms, chosen by k alone: below _KARATSUBA_FROM the schoolbook square,
-   each cross product one multiply, and from it on one Karatsuba level,
-   three squares of the halves in that form. No form depends on n's size:
-   CPython multiplies ints by Karatsuba only from 70 digits (about 2,100
-   bits), so below that the level over the coefficients is the only one
-   a ladder gets, and above it the two stack. Only the shape enters the
-   source; n and the table entries are arguments, so one compiled
-   function serves every ring of that shape. It is compiled on the first
-   such power, kept in a bounded cache, and each table keeps the ladders
-   its rings have used;
+   the ring's shape: its degree k, the base, and the pattern, the places
+   of its fold table that are nonzero, so a divisor over Z has one shape
+   at every n. The k coefficients live in locals, the fold has a term only
+   for each place of the pattern, and a set bit multiplies by the base
+   before the fold (for x, a shift of the fold's inputs). The square takes
+   one of two forms, chosen by k alone: below _KARATSUBA_FROM the
+   schoolbook square, each cross product one multiply, and from it on one
+   Karatsuba level, three squares of the halves in that form. No form
+   depends on n's size: CPython multiplies ints by Karatsuba only from 70
+   digits (about 2,100 bits), so below that the level over the
+   coefficients is the only one a ladder gets, and above it the two stack.
+   Only the shape enters the source; n and the table entries are
+   arguments, so one compiled function serves every ring of that shape. It
+   is compiled on the first such power, kept in a bounded cache, and each
+   table keeps the ladders its rings have used;
 3. every other power, other linear bases included, runs on the list
    ladder, _power.
 """
@@ -126,13 +124,20 @@ class _Table(NamedTuple):
 
     div: tuple[int, ...]
     cols: list[tuple]  # the fold table, read by columns (_fold_columns)
-    nz: tuple | None  # the (i, j) places the ladders fold on; None: cols' own (_places)
     ladders: dict  # base kind -> (ladder, fold)
     half: _Table | None  # P(w)'s, for an even divisor P(x**2) of degree >= 4
 
 
 class QuotientRing:
-    """Z_n[x] / <divisor(x)> for a monic divisor of degree >= 1: its table plus n."""
+    """Z_n[x] / <divisor(x)> for a monic divisor of degree >= 1: its table plus n.
+
+    A divisor over Z with leading coefficient 1 keeps one table over Z for
+    its rings at every n, at any width. A divisor given mod n, as
+    Poly(div, n), gets a table of least-absolute residues with each ring:
+    a caller whose divisor over Z has wide coefficients of its own (random
+    256-bit ones, say) and serves few n passes it so, to keep the table's
+    entries below n/2.
+    """
 
     __slots__ = ("n", "_table")
 
@@ -145,15 +150,15 @@ class QuotientRing:
             raise ValueError("QuotientRing: modulus mismatch")
         cs = divisor.coeffs
         # Leading coefficient 1 over Z: monic of the same degree at every n.
-        monic = not divisor.n and len(cs) > 1 and cs[-1] == 1
-        table, z = _shared(cs) if monic else (None, None)
-        if table is None:
+        if not divisor.n and len(cs) > 1 and cs[-1] == 1:
+            table = _shared(cs)
+        else:
             d = Poly(cs, n)
             if d.degree < 1:
                 raise ValueError("QuotientRing: divisor degree must be >= 1")
             if d.coeffs[-1] != 1:
                 raise ValueError("QuotientRing: divisor must be monic")
-            table = _table(d.coeffs, n, z)
+            table = _table(d.coeffs, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_table", table)
 
@@ -192,17 +197,10 @@ def _fold_columns(div: tuple[int, ...], n: int, top: int) -> list[tuple]:
     return list(zip(*rows))
 
 
-def _table(div: tuple[int, ...], n: int, z: tuple | None = None) -> _Table:
-    """The _Table of div mod n (over Z at n = 0), with no ladders yet.
-
-    z, where given, is the pattern over Z of the divisor that div reduces
-    (_pattern): the ladders then fold on its places, which hold every
-    pattern mod n (an entry that n divides is 0 and multiplies by 0), so
-    one shape serves every n. Otherwise they fold on the table's own.
-    """
-    even = len(div) > 4 and not any(div[1::2]) if z is None else z[1] is not None
-    half = _table(div[::2], n, z and z[1]) if even else None
-    return _Table(div, _fold_columns(div, n, 2 * len(div) - 3), z and z[0], {}, half)
+def _table(div: tuple[int, ...], n: int) -> _Table:
+    """The _Table of div mod n (over Z at n = 0), with no ladders yet."""
+    half = _table(div[::2], n) if len(div) > 4 and not any(div[1::2]) else None
+    return _Table(div, _fold_columns(div, n, 2 * len(div) - 3), {}, half)
 
 
 def _places(cols: list[tuple]) -> tuple:
@@ -210,28 +208,14 @@ def _places(cols: list[tuple]) -> tuple:
     return tuple((i, j) for i, col in enumerate(cols) for j, f in enumerate(col) if f)
 
 
-def _pattern(table: _Table | None) -> tuple | None:
-    """(places, half's pattern) of a table over Z: its nonzero places where
-    a ladder can fold on them (degree <= _MAX_UNROLLED), else None."""
-    if table is None:
-        return None
-    return _places(table.cols) if len(table.cols) <= _MAX_UNROLLED else None, _pattern(table.half)
-
-
 # 64 keeps the two divisors of a battery for thirty-two m values.
 @lru_cache(maxsize=64)
-def _shared(div: tuple[int, ...]) -> tuple[_Table | None, tuple | None]:
-    """(_table(div, 0), None), shared by the rings of div at every n: an
-    entry differs from the residue mod n it stands for by a multiple of n,
-    so each fold gives the same residue. (None, its _pattern) where an
-    entry is wider than 64 bits (the canonical divisors' take at most 44 up
-    to m = 23): a divisor with wide coefficients keeps a table reduced mod
-    each n, which folds on the places of this one. The half table is
-    covered too: x**(2i) mod P(x**2) is w**i mod P(w)."""
-    table = _table(div, 0)
-    if max(abs(f) for col in table.cols for f in col).bit_length() <= 64:
-        return table, None
-    return None, _pattern(table)
+def _shared(div: tuple[int, ...]) -> _Table:
+    """_table(div, 0), shared by the rings of div at every n: an entry
+    differs from the residue mod n it stands for by a multiple of n, so
+    each fold gives the same residue. The half table is covered too:
+    x**(2i) mod P(x**2) is w**i mod P(w)."""
+    return _table(div, 0)
 
 
 def _reduce(table: _Table, n: int, p: list[int]) -> list[int]:
@@ -424,7 +408,7 @@ def _ring_power(table: _Table, n: int, base: list[int], e: int) -> list[int]:
     try:
         ladder, fold = table.ladders[kind]
     except KeyError:
-        nz = _places(table.cols) if table.nz is None else table.nz
+        nz = _places(table.cols)
         fold = tuple(table.cols[i][j] for i, j in nz)
         ladder = _ladder(k, nz, kind)
         table.ladders[kind] = ladder, fold

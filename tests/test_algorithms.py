@@ -34,7 +34,6 @@ from ppt.algorithms import (
     ppta_inr,
     verify_certificate,
 )
-from ppt import polyring
 from ppt.canonical import canonical_params, find_qnr_or_m
 from ppt.checks import bcc, ecc, pgpc_condition
 from ppt.harness import run_batch
@@ -248,11 +247,10 @@ class TestInr:
             assert v.mechanism.kind == "pgpc_violation", n
 
     def test_battery_at_m_37(self):
-        """Psi_37's fold table over Z has 76-bit entries, so it is not
-        shared and each ring of it builds a table mod n. Both modes decide
-        a prime and a composite whose search exits at m = 37, and their
-        certificates verify after a JSON round trip."""
-        assert polyring._shared(canonical_params(37).psi.coeffs)[0] is None
+        """Both modes decide a prime and a composite whose search exits at
+        m = 37, where Psi_37's shared fold table over Z has 76-bit entries,
+        wider than these n, and their certificates verify after a JSON
+        round trip."""
         for n in (M37_PRIME, M37_COMPOSITE):
             assert find_qnr_or_m(n).m == 37
             for mode in ("pgpc", "fgpc"):

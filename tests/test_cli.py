@@ -321,6 +321,16 @@ class TestBitLimit:
         out, err = capsys.readouterr()
         assert out == "" and "over the limit of" in err
 
+    def test_bench_refuses_a_wide_n_quickly(self, tmp_path, capsys):
+        data = tmp_path / "nums.txt"
+        with _int_str_digits_lifted():
+            data.write_text(f"{2**40000 + 1}\n1009\n")
+        t0 = time.perf_counter()
+        assert main(["bench", str(data)]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr() == (
+            "", f"ppt: error: n has 40001 bits, over the limit of {ppt.MAX_BITS}\n")
+
 
 class TestBatchCommand:
     def test_batch_run_with_csv(self, tmp_path, capsys):
@@ -335,6 +345,17 @@ class TestBatchCommand:
         lines = out_csv.read_text().splitlines()
         assert lines[0].startswith("index,js0")
         assert lines[1].startswith("5,")
+
+    def test_batch_of_failures_is_quick(self, tmp_path, capsys):
+        # Each 0 fails in the decider and is named in one warning; the name
+        # rule's bound past the lifted int-to-str limit is built once.
+        data = tmp_path / "nums.txt"
+        data.write_text("0\n" * 200)
+        t0 = time.perf_counter()
+        assert main(["batch", str(data)]) == 0
+        assert time.perf_counter() - t0 < 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 200 and all(line.startswith("warning: 0: ") for line in err)
 
     def test_batch_interval_rows_printed(self, tmp_path, capsys):
         data = tmp_path / "nums.txt"

@@ -262,7 +262,7 @@ def test_shared_table_at_moduli_dividing_an_entry(m):
     hits = 0
     for n in (3, 5, 7, 9, 11, 13, 25, 49):
         for div in divs:
-            cols = polyring._shared(div.coeffs)[0].cols
+            cols = polyring._shared(div.coeffs).cols
             hits += any(f and f % n == 0 for col in cols for f in col)
             reduced = list(div.reduced(n).coeffs)
             for e in (0, 1, 2, n, n * n + 1, 12345):
@@ -280,38 +280,40 @@ def test_shared_table_at_moduli_dividing_an_entry(m):
     assert hits
 
 
-def test_wide_divisor_over_z_keeps_a_table_per_n():
-    """A divisor over Z shares its table over Z only while every entry fits
-    64 bits. The canonical divisors up to m = 23 do; one with 100-bit
-    coefficients does not, and its ring folds with least-absolute residues
-    mod n, as the ring of a divisor given mod n does."""
-    for m in (5, 7, 9, 11, 13, 16, 17, 23):
-        params = canonical_params(m)
-        for div in (params.upsilon, params.psi):
-            assert polyring._shared(div.coeffs)[0] is not None, (m, div)
-    n = 2**61 - 1
+def test_wide_divisor_over_z_shares_its_table():
+    """A divisor over Z shares its table over Z at every n, whatever its
+    width: one with 100-bit coefficients gives the same table at two n,
+    and its powers match the reference at both. The same divisor given mod
+    n gets its own table, of least-absolute residues mod n."""
     div = Poly([2**100 + 3, 2**99 + 1, 0, 1])
-    assert polyring._shared(div.coeffs)[0] is None
-    ring = QuotientRing(div, n)
-    assert all(abs(f) <= n // 2 for col in ring._table.cols for f in col)
-    for base in ([0, 1], [1, 1]):
-        got = poly_powmod(ring, Poly(base, n), n)
-        assert list(got.coeffs) == ref_pow(base, n, list(div.reduced(n).coeffs), n)
+    for n in (2**61 - 1, 2**89 - 1):
+        ring = QuotientRing(div, n)
+        assert ring._table is polyring._shared(div.coeffs)
+        for base in ([0, 1], [1, 1]):
+            got = poly_powmod(ring, Poly(base, n), n)
+            assert list(got.coeffs) == ref_pow(base, n, list(div.reduced(n).coeffs), n)
+        own = QuotientRing(div.reduced(n))._table
+        assert all(abs(f) <= n // 2 for col in own.cols for f in col)
 
 
 def test_ring_at_a_new_n_builds_nothing(monkeypatch):
     """A ring of a canonical divisor is its shared table plus n: at a new n
-    it builds no fold table, no half table and no reduced Poly. Upsilon_16
-    and Psi_16 are both even, so both hold a half table."""
-    params = canonical_params(16)
-    divs = (params.upsilon, params.psi)
-    tables = [QuotientRing(div, 1009)._table for div in divs]
-    assert all(table.half is not None for table in tables)
+    it builds no fold table, no half table and no reduced Poly, at any m,
+    however wide the table (Psi_37's entries have 76 bits, Psi_61's 131).
+    Upsilon_16 and Psi_16 are both even, so both hold a half table; Psi_37
+    and Psi_61 are even too."""
+    cases = []
+    for m in (16, 37, 61):
+        params = canonical_params(m)
+        divs = (params.upsilon, params.psi)
+        tables = [QuotientRing(div, 1009)._table for div in divs]
+        assert tables[1].half is not None and (m > 16 or tables[0].half is not None)
+        cases += zip(divs, tables)
     built = []
     monkeypatch.setattr(polyring, "_fold_columns", lambda *a: built.append(a))
     monkeypatch.setattr(polyring, "Poly", lambda *a: built.append(a))
     for n in (1013, 2**127 - 1):
-        for div, table in zip(divs, tables):
+        for div, table in cases:
             assert QuotientRing(div, n)._table is table
     assert not built
 
@@ -333,18 +335,23 @@ def test_one_ladder_per_shape():
             assert a[kind][1] == b[kind][1]
 
 
-def test_one_shape_per_divisor_at_every_n():
-    """Psi_41's table over Z is too wide to share, so each ring rebuilds it
-    mod n, where n may zero some entries; the ladders still fold on the
-    places nonzero over Z, so cond1 and cond2 over the odd n < 3,000 compile
-    at most one ladder per divisor and base kind (x on Psi_41's half ring,
-    and x and 1 + x on Upsilon_41 where 41 divides n, 1 + x on Psi_41)."""
+def test_one_shape_per_divisor_at_every_n(monkeypatch):
+    """Psi_41's table over Z has 85-bit entries, and its rings share it at
+    every n, as they do Upsilon_41's and Psi_41's half table: cond1 and
+    cond2 over the odd n < 3,000 build those three fold tables once, and
+    compile at most one ladder per divisor and base kind (x on Psi_41's
+    half ring, and x and 1 + x on Upsilon_41 where 41 divides n, 1 + x on
+    Psi_41), since the ladders fold on the places of the one table."""
     params = canonical_params(41)
-    assert polyring._shared(params.psi.coeffs)[0] is None
+    built = []
+    real = polyring._fold_columns
+    monkeypatch.setattr(polyring, "_fold_columns", lambda *a: built.append(a) or real(*a))
+    polyring._shared.cache_clear()
     polyring._ladder.cache_clear()
     for n in range(3, 3000, 2):
         for cond in ("cond1", "cond2"):
             pgpc_condition(n, params, cond)
+    assert len(built) <= 3
     assert polyring._ladder.cache_info().misses <= 4
 
 
