@@ -5,7 +5,8 @@ For a prime power m = p**k >= 3 this module builds, over the integers:
 * the cyclotomic polynomial Phi_m(x) (prime-power case only),
 * Upsilon_m(t), the image of Phi_m under x + 1/x -> t (degree phi(m)/2),
 * Psi_m(u), the image of Upsilon_m under the further substitution
-  t**2 -> u**2 + 4 (degree phi(m) for odd p, phi(m)/2 for p = 2).
+  t**2 -> u**2 + 4 (degree phi(m) for odd p, phi(m)/2 for p = 2 and m >= 8;
+  Psi_4 = u**2 + 4 has degree 2).
 
 It also implements the search that, for n = 1 mod 24, produces either a
 divisor of n, a small prime quadratic non-residue, or the parameter m that

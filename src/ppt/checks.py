@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .canonical import CanonicalParams, canonical_params
 from .ntcore import _tail, jacobi
-from .polyring import Poly, QuotientRing, _fold, _product, mbec_remainder, poly_powmod
+from .polyring import Poly, QuotientRing, _fold, _product, _times_x, mbec_remainder, poly_powmod
 
 __all__ = [
     "PgpcReport",
@@ -88,11 +88,6 @@ class PgpcReport(NamedTuple):
 
 
 _CONDITIONS = ("cond1", "cond2", "cond3", "cond4")
-
-
-def _times_x(p: list[int], div: tuple[int, ...]) -> list[int]:
-    """x*p mod the monic div over Z, for p of len(div) - 1 coefficients."""
-    return [a - p[-1] * c for a, c in zip([0, *p[:-1]], div)]
 
 
 def _galois_matrix(s: tuple[int, ...], div: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -225,6 +220,8 @@ def _condition(
     """
     if name not in _CONDITIONS:
         raise ValueError(f"pgpc_condition: unknown condition {name!r}")
+    if params.m == 4:  # Upsilon_4 = t: cond3 fails at every prime
+        raise ValueError("pgpc_condition: no battery at m = 4, where x is no unit")
     if name == "cond1":
         xn[True], x1n = _cond1_powers(n, params, xn)
         return mbec_remainder(n, params.upsilon, xn[True], x1n), ()
@@ -255,6 +252,7 @@ def pgpc_condition(
     4. x**(n**d - 1)        = c mod <Psi_m, n>, c = 1 if p_m = 2 else (n | p_m)
 
     The condition holds when the residue's coefficients equal `expected`.
+    At m = 4, where x is no unit, it raises ValueError.
     Condition 1 takes both of its powers from x**n modulo Psi_m where m
     and n allow it, and conditions 3 and 4 start from x**n (see _condition).
     """

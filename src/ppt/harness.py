@@ -15,7 +15,6 @@ it sieves Korselt's progressions and calls no decider.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from collections import Counter
@@ -164,15 +163,13 @@ def run_batch(
         raise ValueError("run_batch: print_every must be >= 0")
     stats = BatchStats()
     emitted_at = -1
-    wide = None  # 10**limit for the int-to-str limit, built on the first failure
     for n, res in _verdicts(numbers, algo, jobs):
         if isinstance(res, Exception):
             stats.errors += 1
-            # An n of more digits than the int-to-str limit is named by its size.
-            if wide is None:
-                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-                wide = 10**limit if limit > 0 else math.inf
-            name = f"a {n.bit_length()}-bit n" if abs(n) >= wide else n
+            try:
+                name = str(n)
+            except ValueError:  # more digits than the int-to-str limit
+                name = f"a {n.bit_length()}-bit n"
             print(f"warning: {name}: {res}", file=sys.stderr)
         else:
             stats.update(n, res)

@@ -174,6 +174,13 @@ class QuotientRing:
         return f"QuotientRing({self.divisor!r})"
 
 
+def _times_x(p: list[int], div: tuple[int, ...]) -> list[int]:
+    """x*p mod the monic div over Z, for p of len(div) - 1 coefficients (div's
+    leading 1 may be left off): p shifted up, less p's top coefficient times div."""
+    t, shifted = p[-1], [0, *p[:-1]]
+    return [a - t * c for a, c in zip(shifted, div)] if t else shifted
+
+
 def _fold_columns(div: tuple[int, ...], n: int, top: int) -> list[tuple]:
     """Fold table of the monic divisor div, read by columns; top >= deg div.
 
@@ -183,17 +190,11 @@ def _fold_columns(div: tuple[int, ...], n: int, top: int) -> list[tuple]:
     (for a canonical divisor, at any n), not with a full-width residue.
     """
     h = n >> 1
-    low = [(c + h) % n - h for c in div[:-1]] if n else list(div[:-1])
-    row = [-c for c in low]  # x**k
-    rows = [row]
+    low = tuple((c + h) % n - h for c in div[:-1]) if n else div[:-1]
+    rows = [[-c for c in low]]  # x**k
     for _ in range(len(low), top):
-        t = row[-1]
-        row = [0, *row[:-1]]
-        if t:
-            row = [a - t * c for a, c in zip(row, low)]
-            if n:
-                row = [(a + h) % n - h for a in row]
-        rows.append(row)
+        row = _times_x(rows[-1], low)
+        rows.append([(a + h) % n - h for a in row] if n else row)
     return list(zip(*rows))
 
 

@@ -3,9 +3,11 @@
 Pairs a + b*sqrt(q) in Z_n[sqrt(q)], odd n >= 3, with sqrt(q)**2 = q:
 a context, elements reduced mod n on construction, the schoolbook
 product, right-to-left square-and-multiply built from that product alone,
-and conjugation. Then the primality oracle: a sieve of Eratosthenes. It
-imports nothing from ppt, so ppt's ladders and deciders can be checked
-against it.
+and conjugation. Polynomials as lists of coefficients, ascending: the
+schoolbook product, long division by a monic divisor and a power built
+from those two, mod n or, at n = 0, over Z. Then the primality oracle: a
+sieve of Eratosthenes. It imports nothing from ppt, so ppt's ladders and
+deciders can be checked against it.
 """
 
 from __future__ import annotations
@@ -68,6 +70,39 @@ def quad_pow(x: QuadInt, e: int) -> QuadInt:
 def conjugate(x: QuadInt) -> QuadInt:
     """a + b*sqrt(q) -> a - b*sqrt(q)."""
     return QuadInt(x.a, -x.b, x.ctx)
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b over Z, schoolbook, len(a) + len(b) - 1 coefficients."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_rem(p: list[int], div: list[int], n: int = 0) -> list[int]:
+    """p mod the monic div, one leading term at a time: len(div) - 1
+    coefficients, in [0, n) at n >= 2 and over Z at n = 0."""
+    k = len(div) - 1
+    p = [*p, *[0] * (k - len(p))]
+    while len(p) > k:
+        t = p.pop() % n if n else p.pop()  # reduced, so no term outgrows n**2
+        for j, c in enumerate(div[:-1], len(p) - k):
+            p[j] -= t * c
+    return [c % n for c in p] if n else p
+
+
+def poly_pow(base: list[int], e: int, div: list[int], n: int = 0) -> list[int]:
+    """base**e mod div as poly_rem gives it, e >= 0, by right-to-left square
+    and multiply over poly_mul."""
+    acc, sq = poly_rem([1], div, n), poly_rem(base, div, n)
+    while e:
+        if e & 1:
+            acc = poly_rem(poly_mul(acc, sq), div, n)
+        sq = poly_rem(poly_mul(sq, sq), div, n)
+        e >>= 1
+    return acc
 
 
 def prime_flags(limit: int) -> bytearray:

@@ -22,6 +22,12 @@ from conftest import (
     BCC_CARM2_CAR,
     CAR,
     HC2,
+    M37_COMPOSITE,
+    M37_PRIME,
+    M61_COMPOSITE,
+    M61_COMPOSITE_256,
+    M61_PRIME,
+    M61_PRIME_256,
     MBEC_1729_UPS5,
     MBEC_HC2_PSI23,
     MBEC_N22_PSI7,
@@ -154,6 +160,20 @@ class TestPgpc:
         assert pgpc_check(1009, canonical_params(5)).all_hold
         assert pgpc_check(569, canonical_params(7)).all_hold
 
+    def test_refuses_m_4(self):
+        # Upsilon_4 = t, so x = 0 modulo it and cond3 cannot hold at any
+        # prime (nor cond4 at a prime 3 mod 4, such as 103 and 107). Each
+        # entry point of the battery refuses m = 4; the same primes pass at
+        # m = 3 and m = 8.
+        for p in (101, 103, 107, 109, 569, 1009):
+            for check in (pgpc_check, fgpc_check):
+                with pytest.raises(ValueError, match="m = 4"):
+                    check(p, canonical_params(4))
+            with pytest.raises(ValueError, match="m = 4"):
+                pgpc_condition(p, canonical_params(4), "cond1")
+            assert pgpc_check(p, canonical_params(3)).all_hold
+            assert pgpc_check(p, canonical_params(8)).all_hold
+
     def test_short_circuit_evaluation(self):
         # Once a condition fails, later ones are never evaluated.
         report = pgpc_check(1729, canonical_params(5))
@@ -240,7 +260,8 @@ class TestSharedChecks:
 
     def test_battery_raises_only_x_and_one_plus_x(self, monkeypatch):
         # Every power the battery takes, at primes and composites whose
-        # search exits at each m, is of x or 1 + x: it runs on a generated
+        # search exits at each m, the crafted m = 37 and 61 members (up to
+        # 256 bits) included, is of x or 1 + x: it runs on a generated
         # ladder or a half ring, and never on the list ladder. At odd m
         # cond1 raises nothing modulo Upsilon_m, since it derives both
         # powers from x**n modulo Psi_m, so no Upsilon table compiles a
@@ -250,7 +271,10 @@ class TestSharedChecks:
 
         monkeypatch.setattr(ppt.polyring, "_power", refuse)
         ppt.polyring._shared.cache_clear()
-        for m, (p, c) in BATTERY_EXITS.items():
+        cases = [*((m, p, c) for m, (p, c) in BATTERY_EXITS.items()),
+                 (37, M37_PRIME, M37_COMPOSITE), (61, M61_PRIME, M61_COMPOSITE),
+                 (61, M61_PRIME_256, M61_COMPOSITE_256)]
+        for m, p, c in cases:
             params = canonical_params(m)
             assert find_qnr_or_m(p).m == find_qnr_or_m(c).m == m
             assert pgpc_check(p, params).all_hold and fgpc_check(p, params)[0], m

@@ -347,8 +347,8 @@ class TestBatchCommand:
         assert lines[1].startswith("5,")
 
     def test_batch_of_failures_is_quick(self, tmp_path, capsys):
-        # Each 0 fails in the decider and is named in one warning; the name
-        # rule's bound past the lifted int-to-str limit is built once.
+        # Each 0 fails in the decider and is named in one warning, by str(n)
+        # under the lifted int-to-str limit, with no bound built per failure.
         data = tmp_path / "nums.txt"
         data.write_text("0\n" * 200)
         t0 = time.perf_counter()

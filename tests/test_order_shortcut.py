@@ -32,6 +32,7 @@ from ppt.ntcore import jacobi
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
 from conftest import BATTERY_EXITS, CARMICHAELS_1MOD24_1E8, M37_COMPOSITE, M37_PRIME
+from reference import poly_mul, poly_pow, poly_rem
 
 PRIME_POWERS = [5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -39,20 +40,6 @@ PRIME_POWERS = [5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 def _galois_image(m, r, upsilon_side):
     """s_r(x) mod the divisor over Z, as the plan of m holds it."""
     return _plan(m)[0][upsilon_side][r]
-
-
-def _mulmod(a, b, div):
-    """a * b mod the monic div over Z, as len(div) - 1 coefficients."""
-    k = len(div) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    for top in range(len(out) - 1, k - 1, -1):
-        t = out.pop()
-        for i, c in enumerate(div[:-1]):
-            out[top - k + i] -= t * c
-    return out + [0] * (k - len(out))
 
 
 def _compose(f, powers):
@@ -76,7 +63,7 @@ def test_galois_image_identity_over_z(m, side):
         assert len(s) == k
         powers = [[1] + [0] * (k - 1)]
         for _ in range(k):
-            powers.append(_mulmod(powers[-1], s, div))
+            powers.append(poly_rem(poly_mul(powers[-1], s), div))
         # D(s_r(x)) = 0 mod D: x -> s_r(x) is a ring endomorphism
         assert _compose(div, powers) == [0] * k, (m, side, r)
         # the d-fold composite of s_r is c*x
@@ -102,7 +89,7 @@ def _check_matrix(m, r, d, div):
     s = list(_galois_image(m, r, True))
     powers = [[1] + [0] * (d - 1)]
     for _ in range(d - 1):
-        powers.append(_mulmod(powers[-1], s, div))
+        powers.append(poly_rem(poly_mul(powers[-1], s), div))
     rows = _galois_matrix(s, div)
     assert [list(col) for col in zip(*rows)] == powers, (m, r)
     return rows
@@ -131,7 +118,7 @@ def test_one_plus_x_chain_identity_over_z(m):
     for i in range(k):
         y = [sum(a * b for a, b in zip(row, y)) for row in (first if i == 0 else step)]
         assert y == list(_galois_image(m, pow(2, i, m) * h % m, True)), (m, i)
-        product = _mulmod(product, y, div)
+        product = poly_rem(poly_mul(product, y), div)
     assert [eps * c for c in product] == [1, 1] + [0] * (d - 2), m
 
 
@@ -160,7 +147,7 @@ def test_backward_chain_identity_over_z(m):
         y = [sum(a * b for a, b in zip(row, y)) for row in (first if i == 0 else step)]
         s = list(_galois_image(m, 2 * pow(3, i, m) % m, True))
         assert y == [1 + s[0], *s[1:]], (m, i)
-        product = _mulmod(product, y, div)
+        product = poly_rem(poly_mul(product, y), div)
     assert [eps * c for c in product] == [0, 1] + [0] * (d - 2), m
 
 
@@ -171,8 +158,8 @@ def test_cube_rule_identity_over_z():
     div = list(canonical_params(9).upsilon.coeffs)
     assert div == [1, -3, 0, 1]
     s = list(_galois_image(9, 5, True))
-    cube = _mulmod(_mulmod([1, 1], [1, 1], div), [1, 1], div)
-    assert cube == [3 * c for c in _mulmod([0, 1], _mulmod(s, s, div), div)] == [0, 6, 3]
+    cube, square = poly_pow([1, 1], 3, div), poly_pow(s, 2, div)
+    assert cube == [3 * c for c in poly_rem(poly_mul([0, 1], square), div)] == [0, 6, 3]
 
 def _taylor_shift(p, a):
     """p(w + a) over Z, by Horner."""
@@ -189,15 +176,6 @@ def _lucas(b):
     for _ in range(b - 1):
         prev, cur = cur, [u - v for u, v in zip_longest([0, *cur], prev, fillvalue=0)]
     return cur if b else prev
-
-
-def _times(a, b):
-    """a * b over Z."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 ODD_PRIME_POWERS = [m for m in PRIME_POWERS if m & 1]
@@ -221,12 +199,12 @@ def test_conjugate_identities_over_z(m):
     # over Z[t], and s_b(x) = V_b(x) mod Upsilon_m for b = 2, 3, 4 where b
     # is a unit mod m, so that sigma_b is the endomorphism cond1 applies.
     minus_two = lambda p: [p[0] - 2, *p[1:]]
-    assert minus_two(_lucas(4)) == _times([0, 0, 1], minus_two(_lucas(2)))
-    assert minus_two(_lucas(3)) == _times([1, 2, 1], [-2, 1])
+    assert minus_two(_lucas(4)) == poly_mul([0, 0, 1], minus_two(_lucas(2)))
+    assert minus_two(_lucas(3)) == poly_mul([1, 2, 1], [-2, 1])
     div = list(canonical_params(m).upsilon.coeffs)
     for b in (2, 3, 4):
         if math.gcd(b, m) == 1:
-            assert list(_galois_image(m, b, True)) == _mulmod(_lucas(b), [1], div), (m, b)
+            assert list(_galois_image(m, b, True)) == poly_rem(_lucas(b), div), (m, b)
 
 
 @pytest.mark.parametrize("m", PRIME_POWERS)
@@ -245,10 +223,10 @@ def test_norm_of_t_minus_two(m):
     for b in range(1, (m + 1) // 2):
         if math.gcd(b, m) == 1:
             s = list(_galois_image(m, b, True))
-            product = _mulmod(product, [s[0] - 2, *s[1:]], div)
+            product = poly_rem(poly_mul(product, [s[0] - 2, *s[1:]]), div)
     assert product == norm, m
     if m == 9:
-        assert _mulmod([-2, -3, 0, 1], [1], div) == norm
+        assert poly_rem([-2, -3, 0, 1], div) == norm
 
 
 @pytest.mark.parametrize("m", [*RULE_PRIME_POWERS, 37, 61])
@@ -271,7 +249,7 @@ def test_walk_visits_each_conjugate_once(m):
     s, power = list(_galois_image(m, 2, True)), [1] + [0] * (d - 1)
     for col in zip(*two):
         assert list(col) == power, m
-        power = _mulmod(power, s, div)
+        power = poly_rem(poly_mul(power, s), div)
 
 
 def test_plan_builds_each_matrix_once(monkeypatch):
@@ -356,9 +334,9 @@ def test_one_plus_x_from_conjugates_matches_the_ladder(monkeypatch):
 def test_shortcut_matches_the_full_ladder(monkeypatch):
     # Every n = 1 mod 24 below 20,000 (some divisible by p_m) and the
     # Carmichael numbers 1 mod 24 below 1e8; and every odd n below 400 at
-    # m = 3 and 4, which the shortcut leaves to the ladder (at m = 4 it
-    # would be wrong: x is no unit modulo Upsilon_4 = t, and r = 3 sends
-    # Psi_4's root u to -u). A residue the shortcut did not settle comes
+    # m = 3, which the shortcut leaves to the ladder. At m = 4 the battery
+    # refuses each condition (x is no unit modulo Upsilon_4 = t, and r = 3
+    # sends Psi_4's root u to -u). A residue the shortcut did not settle comes
     # from one poly_powmod(QuotientRing(D, n), x, n**d - 1) call, which
     # the spy checks and answers with a marker instead of running; every
     # residue the shortcut settled is compared with that ladder.
@@ -380,7 +358,7 @@ def test_shortcut_matches_the_full_ladder(monkeypatch):
     monkeypatch.setattr(ppt.checks, "poly_powmod", spy)
     numbers = [*range(25, 20000, 24), *CARMICHAELS_1MOD24_1E8]
     cases = [(m, numbers) for m in (5, 7, 9, 11, 13, 16, 17, 23)]
-    cases += [(m, range(3, 400, 2)) for m in (3, 4)]
+    cases += [(3, range(3, 400, 2))]
     compared = composite_shortcuts = 0
     for m, numbers in cases:
         params = canonical_params(m)
@@ -399,3 +377,7 @@ def test_shortcut_matches_the_full_ladder(monkeypatch):
                 composite_shortcuts += not sympy.isprime(n)
     assert compared > 4000
     assert composite_shortcuts > 100
+    for n in range(3, 400, 2):
+        for name in ("cond3", "cond4"):
+            with pytest.raises(ValueError, match="m = 4"):
+                pgpc_condition(n, canonical_params(4), name)

@@ -1,8 +1,8 @@
 """Differential tests of the quotient-ring kernel against a naive reference.
 
-The reference works on plain lists, reduces every coefficient mod n after
-every operation, and divides by the divisor as stored (coefficients in
-[0, n)), one leading term at a time. It shares no code with polyring.
+The reference, poly_pow and poly_rem in tests/reference.py, works on plain
+lists and divides by the divisor as stored (coefficients in [0, n)), one
+leading term at a time, reducing mod n. It shares no code with polyring.
 
 The strategies aim at the kernel's edges: divisor coefficients at the
 sign boundary of the least-absolute residue ((n-1)/2, (n+1)/2, n-1) and
@@ -33,43 +33,10 @@ from ppt.canonical import canonical_params
 from ppt.checks import pgpc_condition
 from ppt.polyring import Poly, QuotientRing, mbec_remainder, poly_powmod
 
+from reference import poly_pow, poly_rem
+
 SMALL_N = (3, 5, 7, 9, 15, 21)
 EVEN_N = (4, 6, 10)
-
-
-def ref_rem(p, div, n):
-    """p mod <div, n>, trailing zeros stripped; div monic in [0, n)."""
-    p = [c % n for c in p]
-    k = len(div) - 1
-    for i in range(len(p) - 1, k - 1, -1):
-        c = p[i]
-        for j in range(k + 1):
-            p[i - k + j] = (p[i - k + j] - c * div[j]) % n
-    p = p[:k]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def ref_mul(a, b, div, n):
-    """Schoolbook product, % n on every coefficient, then ref_rem."""
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % n
-    return ref_rem(out, div, n)
-
-
-def ref_pow(base, e, div, n):
-    """Right-to-left square and multiply over ref_mul."""
-    acc = ref_rem([1], div, n)
-    sq = ref_rem(base, div, n)
-    while e:
-        if e & 1:
-            acc = ref_mul(acc, sq, div, n)
-        sq = ref_mul(sq, sq, div, n)
-        e >>= 1
-    return acc
 
 
 @st.composite
@@ -122,7 +89,7 @@ def test_powmod_matches_reference(data):
     e = data.draw(exponents(n, k))
     ring = QuotientRing(Poly(div, n))
     got = poly_powmod(ring, Poly(base, n), e)
-    assert list(got.coeffs) == ref_pow(base, e, div, n)
+    assert got == Poly(poly_pow(base, e, div, n), n)
 
 
 @given(st.data())
@@ -137,15 +104,15 @@ def test_linear_powmod_matches_reference(data):
     e = data.draw(exponents(n, k))
     ring = QuotientRing(Poly(div, n))
     got = poly_powmod(ring, Poly(base, n), e)
-    assert list(got.coeffs) == ref_pow(base, e, div, n)
+    assert got == Poly(poly_pow(base, e, div, n), n)
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_mbec_remainder_matches_reference(data):
     n, div = data.draw(rings())
-    a = ref_pow([1, 1], n, div, n)
-    b = ref_pow([0, 1], n, div, n)
+    a = poly_pow([1, 1], n, div, n)
+    b = poly_pow([0, 1], n, div, n)
     want = [0] * max(len(a), len(b), 1)
     for i, c in enumerate(a):
         want[i] += c
@@ -164,7 +131,7 @@ def test_element_matches_reference(data):
     coeffs = data.draw(st.lists(st.integers(min_value=-n**3, max_value=n**3),
                                 min_size=size, max_size=size))
     ring = QuotientRing(Poly(div, n))
-    assert list(poly_powmod(ring, Poly(coeffs), 1).coeffs) == ref_rem(coeffs, div, n)
+    assert poly_powmod(ring, Poly(coeffs), 1) == Poly(poly_rem(coeffs, div, n), n)
 
 
 def test_integer_divisor_at_sign_boundary():
@@ -181,10 +148,10 @@ def test_integer_divisor_at_sign_boundary():
         ring_n = QuotientRing(Poly(div, n))
         reduced = list(Poly(div, n).coeffs)
         for e in (0, 1, 2, 5, n - 1, n**2 - 1):
-            want = ref_pow([0, 1], e, reduced, n)
+            want = poly_pow([0, 1], e, reduced, n)
             for ring in (ring_z, ring_n):
                 got = poly_powmod(ring, Poly([0, 1]), e)
-                assert list(got.coeffs) == want, (div, n, e)
+                assert got == Poly(want, n), (div, n, e)
 
 
 @st.composite
@@ -206,7 +173,7 @@ def test_x_powers_modulo_even_divisors(data):
     e = data.draw(exponents(n, len(div) - 1))
     ring = QuotientRing(Poly(div, n))
     got = poly_powmod(ring, Poly([0, 1], n), e)
-    assert list(got.coeffs) == ref_pow([0, 1], e, div, n)
+    assert got == Poly(poly_pow([0, 1], e, div, n), n)
 
 
 UPS5 = [-1, 1, 1]  # D = 5
@@ -225,7 +192,7 @@ def test_degree_two_at_moduli_sharing_the_discriminant(n, div):
     for base in ([0, 1], [1, 1], [n - 1, 1], [2, n - 1], [0, 3], [4]):
         for e in (0, 1, 2, n - 1, n, n**2 - 1, 7 * n + 3):
             got = poly_powmod(ring, Poly(base, n), e)
-            assert list(got.coeffs) == ref_pow(base, e, reduced, n), (base, e)
+            assert got == Poly(poly_pow(base, e, reduced, n), n), (base, e)
     assert ring._table.ladders.keys() == {"x", "1+x"}
 
 
@@ -242,9 +209,9 @@ def test_canonical_divisors_match_reference(m):
             for e in exps:
                 for base in ([0, 1], [1, 1]):
                     got = poly_powmod(ring, Poly(base, n), e)
-                    assert list(got.coeffs) == ref_pow(base, e, reduced, n)
-            a = ref_pow([1, 1], n, reduced, n)
-            b = ref_pow([0, 1], n, reduced, n)
+                    assert got == Poly(poly_pow(base, e, reduced, n), n)
+            a = poly_pow([1, 1], n, reduced, n)
+            b = poly_pow([0, 1], n, reduced, n)
             want = [u - v for u, v in zip(a + [0] * m, b + [0] * m)]
             want[0] -= 1
             assert mbec_remainder(n, div) == Poly(want, n)
@@ -267,12 +234,12 @@ def test_shared_table_at_moduli_dividing_an_entry(m):
             reduced = list(div.reduced(n).coeffs)
             for e in (0, 1, 2, n, n * n + 1, 12345):
                 for base in ([0, 1], [1, 1]):
-                    want = ref_pow(base, e, reduced, n)
+                    want = poly_pow(base, e, reduced, n)
                     for ring in (QuotientRing(div, n), QuotientRing(div.reduced(n))):
                         got = poly_powmod(ring, Poly(base, n), e)
-                        assert list(got.coeffs) == want, (n, div, e, base)
-            a = ref_pow([1, 1], n, reduced, n)
-            b = ref_pow([0, 1], n, reduced, n)
+                        assert got == Poly(want, n), (n, div, e, base)
+            a = poly_pow([1, 1], n, reduced, n)
+            b = poly_pow([0, 1], n, reduced, n)
             want = [u - v for u, v in zip(a + [0] * m, b + [0] * m)]
             want[0] -= 1
             for d in (div, div.reduced(n)):
@@ -291,7 +258,7 @@ def test_wide_divisor_over_z_shares_its_table():
         assert ring._table is polyring._shared(div.coeffs)
         for base in ([0, 1], [1, 1]):
             got = poly_powmod(ring, Poly(base, n), n)
-            assert list(got.coeffs) == ref_pow(base, n, list(div.reduced(n).coeffs), n)
+            assert got == Poly(poly_pow(base, n, list(div.reduced(n).coeffs), n), n)
         own = QuotientRing(div.reduced(n))._table
         assert all(abs(f) <= n // 2 for col in own.cols for f in col)
 
@@ -374,7 +341,7 @@ def test_generated_square_matches_reference(k):
             for base in ([0, 1], [1, 1]):
                 e = rng.getrandbits(12) | 1 << 11
                 got = poly_powmod(ring, Poly(base, n), e)
-                assert list(got.coeffs) == ref_pow(base, e, div, n), (bits, div is dense, base)
+                assert got == Poly(poly_pow(base, e, div, n), n), (bits, div is dense, base)
             assert ring._table.ladders.keys() == {"x", "1+x"}
 
 
@@ -406,5 +373,5 @@ def test_linear_base_above_the_unrolled_degree():
     for base in ([0, 1], [1, 1], [5, n - 2]):
         for e in (2 * k + 1, 1000):
             got = poly_powmod(ring, Poly(base, n), e)
-            assert list(got.coeffs) == ref_pow(base, e, div, n)
+            assert got == Poly(poly_pow(base, e, div, n), n)
     assert not ring._table.ladders
