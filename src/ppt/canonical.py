@@ -4,9 +4,9 @@ For a prime power m = p**k >= 3 this module builds, over the integers:
 
 * the cyclotomic polynomial Phi_m(x) (prime-power case only),
 * Upsilon_m(t), the image of Phi_m under x + 1/x -> t (degree phi(m)/2),
-* Psi_m(u), the image of Upsilon_m under the further substitution
-  t**2 -> u**2 + 4 (degree phi(m) for odd p, phi(m)/2 for p = 2 and m >= 8;
-  Psi_4 = u**2 + 4 has degree 2).
+* Psi_m(u), whose root is u = zeta - 1/zeta: Upsilon_m(u**2 + 2) for odd m
+  (degree phi(m)), C0(u**2 + 4) for m = 2**k >= 8, where Upsilon_m(t) =
+  C0(t**2) (degree phi(m)/2), and Psi_4 = u**2 + 4 (degree 2).
 
 It also implements the search that, for n = 1 mod 24, produces either a
 divisor of n, a small prime quadratic non-residue, or the parameter m that
@@ -21,7 +21,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .ntcore import _prime, jacobi
-from .polyring import Poly, _product
+from .polyring import Poly
 
 __all__ = [
     "CanonicalParams",
@@ -91,29 +91,22 @@ def upsilon_of(m: int) -> Poly:
 
 
 def psi_of(m: int) -> Poly:
-    """Psi_m(u): Upsilon_m pushed through t**2 -> u**2 + 4.
+    """Psi_m(u), monic, with root u = zeta - 1/zeta, zeta = exp(2*pi*i/m).
 
-    Splitting Upsilon by t-parity as C0(t**2) + t*C1(t**2) gives
-    Psi = C0 when C1 vanishes and (u**2+4)*C1**2 - C0**2 otherwise,
-    normalized to a positive leading coefficient.
+    For odd m, u**2 + 2 = zeta**2 + zeta**-2 is a root of Upsilon_m (zeta**2
+    is a primitive m-th root too), reached from u and -u alike, so Psi_m(u) =
+    Upsilon_m(u**2 + 2), of degree phi(m). For m = 2**k >= 8, Upsilon_m is
+    even, C0(t**2), and t**2 = u**2 + 4, so Psi_m(u) = C0(u**2 + 4), of degree
+    phi(m)/2 (that is Upsilon_(m/2)(u**2 + 2)). Upsilon_4 = t is odd: Psi_4 =
+    u**2 + 4. Each composite is one Horner loop.
     """
-    ups = list(upsilon_of(m).coeffs)
-    d = len(ups) - 1
-    base = [4, 0, 1]
-    c0: list[int] = []
-    c1: list[int] = []
-    tpow = [1]
-    for j in range(0, d + 1, 2):
-        c0 = _combine(c0, tpow, ups[j])
-        if j < d:
-            c1 = _combine(c1, tpow, ups[j + 1])
-        tpow = _product(tpow, base)
-    if not c1:
-        psi = c0
-    else:
-        psi = _combine(_product(base, _product(c1, c1)), _product(c0, c0), -1)
-    if psi and psi[-1] < 0:
-        psi = [-c for c in psi]
+    if m == 4:
+        return Poly([4, 0, 1], 0)
+    ups = upsilon_of(m).coeffs
+    coeffs, c = (ups, 2) if m & 1 else (ups[::2], 4)
+    psi: list[int] = []
+    for a in reversed(coeffs):  # psi * (u**2 + c) + a
+        psi = _combine([a, 0, *psi], psi, c)
     return Poly(psi, 0)
 
 
@@ -171,8 +164,7 @@ def find_qnr_or_m(n: int) -> FindResult:
     if s * s == n:
         return FindResult(iterations=0, divisor=s)
     myprod = 1
-    deg: int | None = None
-    m: int | None = None
+    deg, m = n, None  # deg Upsilon_m; the first candidate, 2**k, beats n
     i = 0
     while myprod <= n - 1:
         p = _prime(i)
@@ -180,24 +172,16 @@ def find_qnr_or_m(n: int) -> FindResult:
         r = n % p
         if r == 0:
             return FindResult(iterations=i, divisor=p)
+        q = 1  # p**(k - 1), p**k the candidate parameter
         if r == 1:
-            k, t = 2, (n - 1) // p  # t = (n - 1) / p**(k - 1)
+            q, t = p, (n - 1) // p  # t = (n - 1) / q
             while t % p == 0:
-                k, t = k + 1, t // p
-            if p == 2:
-                deg = 2 ** (k - 2)
-                m = 2**k
-            else:
-                tdeg = ((p - 1) // 2) * p ** (k - 1)
-                if tdeg < deg:
-                    deg = tdeg
-                    m = p**k
-            myprod *= p ** (k - 1)
-        else:
-            if jacobi(r, p) == -1:
-                return FindResult(iterations=i, qnr=p)
-            if (p - 1) // 2 < deg:
-                deg = (p - 1) // 2
-                m = p
+                q, t = q * p, t // p
+            myprod *= q
+        elif jacobi(r, p) == -1:
+            return FindResult(iterations=i, qnr=p)
+        if (tdeg := (p - 1) * q >> 1) < deg:  # phi(p**k) / 2
+            deg, m = tdeg, p * q
+        if r != 1:
             break
     return FindResult(iterations=i, m=m)

@@ -159,8 +159,9 @@ def _cond1_powers(n: int, params: CanonicalParams, xn: dict) -> tuple[Poly, Poly
     The rule holds where _plan(m) has a walk, for odd n with p_m not
     dividing n. It raises x**n modulo Psi_m = P(x**2) into
     xn[False], which cond2 and cond4 then reuse; its odd coefficients are
-    w**k mod P(w), k = (n-1)/2. P(w) = Upsilon_m(w + 2), so w -> t - 2 maps
-    that to X = (t-2)**k mod <Upsilon_m, n>, below degree d, so no fold.
+    w**k mod P(w), k = (n-1)/2. psi_of builds P(w) as Upsilon_m(w + 2), so
+    w -> t - 2 maps that to X = (t-2)**k mod <Upsilon_m, n>, below degree d,
+    so no fold.
 
     Each sigma_b, b a unit mod m, is a ring endomorphism of Z[t]/Upsilon_m
     over Z, so sigma_b(X) = (V_b(t) - 2)**k mod <Upsilon_m, n> for every n.
@@ -222,6 +223,8 @@ def _condition(
         raise ValueError(f"pgpc_condition: unknown condition {name!r}")
     if params.m == 4:  # Upsilon_4 = t: cond3 fails at every prime
         raise ValueError("pgpc_condition: no battery at m = 4, where x is no unit")
+    if n < 3 or not n & 1:
+        raise ValueError("pgpc_condition: n must be odd and >= 3")
     if name == "cond1":
         xn[True], x1n = _cond1_powers(n, params, xn)
         return mbec_remainder(n, params.upsilon, xn[True], x1n), ()
@@ -252,7 +255,7 @@ def pgpc_condition(
     4. x**(n**d - 1)        = c mod <Psi_m, n>, c = 1 if p_m = 2 else (n | p_m)
 
     The condition holds when the residue's coefficients equal `expected`.
-    At m = 4, where x is no unit, it raises ValueError.
+    It raises ValueError at m = 4, where x is no unit, and at even n or n < 3.
     Condition 1 takes both of its powers from x**n modulo Psi_m where m
     and n allow it, and conditions 3 and 4 start from x**n (see _condition).
     """

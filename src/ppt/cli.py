@@ -95,8 +95,9 @@ def _int_limit_lifted():
             sys.set_int_max_str_digits(limit)
 
 
-# Largest m `poly` builds. The divisor polynomials cost about 8-10x more each
-# time m doubles: on one Xeon core about 4 s at the prime 4093, 40 s at 8191.
+# Largest m `poly` builds. The divisor polynomials and their printing cost
+# about 5x more each time m doubles: on one Xeon core about 1.6 s at the
+# prime 4093, 8.5 s at 8191.
 _MAX_POLY_M = 4096
 
 

@@ -5,9 +5,10 @@ a context, elements reduced mod n on construction, the schoolbook
 product, right-to-left square-and-multiply built from that product alone,
 and conjugation. Polynomials as lists of coefficients, ascending: the
 schoolbook product, long division by a monic divisor and a power built
-from those two, mod n or, at n = 0, over Z. Then the primality oracle: a
-sieve of Eratosthenes. It imports nothing from ppt, so ppt's ladders and
-deciders can be checked against it.
+from those two, mod n or, at n = 0, over Z, and Psi_m from Upsilon_m by
+its even/odd split. Then the primality oracle: a sieve of Eratosthenes.
+It imports nothing from ppt, so ppt's ladders and deciders can be checked
+against it.
 """
 
 from __future__ import annotations
@@ -103,6 +104,28 @@ def poly_pow(base: list[int], e: int, div: list[int], n: int = 0) -> list[int]:
         sq = poly_rem(poly_mul(sq, sq), div, n)
         e >>= 1
     return acc
+
+
+def psi_by_parity(ups: list[int]) -> list[int]:
+    """Psi_m from the coefficients of Upsilon_m(t) = C0(t**2) + t*C1(t**2):
+    with t**2 -> u**2 + 4, C0 if C1 vanishes and (u**2 + 4)*C1**2 - C0**2
+    otherwise, with a positive leading coefficient and no trailing zeros."""
+    base = [4, 0, 1]
+    halves = []
+    for part in (ups[0::2], ups[1::2]):
+        acc = [0]
+        for c in reversed(part):  # acc * (u**2 + 4) + c, by Horner
+            acc = poly_mul(acc, base)
+            acc[0] += c
+        halves.append(acc)
+    c0, c1 = halves
+    if any(c1):
+        a, b = poly_mul(base, poly_mul(c1, c1)), poly_mul(c0, c0)
+        size = max(len(a), len(b))
+        c0 = [x - y for x, y in zip(a + [0] * (size - len(a)), b + [0] * (size - len(b)))]
+    while c0 and not c0[-1]:
+        c0.pop()
+    return [-c for c in c0] if c0 and c0[-1] < 0 else c0
 
 
 def prime_flags(limit: int) -> bytearray:

@@ -21,6 +21,7 @@ from ppt.canonical import (
 )
 
 from conftest import HC1, HC2, N22, NC, PSI23, TABLE1, UPS23
+from reference import psi_by_parity
 
 
 class TestFactorPrimePower:
@@ -147,6 +148,15 @@ def test_golden_table_to_512():
                     (cyclotomic_prime_power, upsilon_of, psi_of))]
         h.update(json.dumps(row).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_TABLE
+
+
+def test_psi_above_the_golden_range():
+    # GOLDEN_TABLE pins m <= 512, yet ppt poly builds m up to 4096 and the
+    # crafted searches reach m = 1427. psi_of composes Upsilon_m with u^2 + 2
+    # (or its even part with u^2 + 4); the reference squares its two halves.
+    for m in (529, 625, 729, 1024, 1031, 1331, 2048, 2187):
+        ups = list(upsilon_of(m).coeffs)
+        assert list(psi_of(m).coeffs) == psi_by_parity(ups), m
 
 
 class TestCanonicalParams:

@@ -174,6 +174,19 @@ class TestPgpc:
             assert pgpc_check(p, canonical_params(3)).all_hold
             assert pgpc_check(p, canonical_params(8)).all_hold
 
+    def test_refuses_n_outside_the_odd_domain(self):
+        # cond4 at n = 10 returned a residue, cond3 at n = 2 held, and cond1
+        # leaked pow's or mbec_remainder's own error; all now refuse alike.
+        for n in (1, 2, 4, 10, 1122):
+            for m in (5, 13, 16):
+                params = canonical_params(m)
+                for check in (pgpc_check, fgpc_check):
+                    with pytest.raises(ValueError, match="^pgpc_condition: n must be odd and >= 3$"):
+                        check(n, params)
+                for name in ("cond1", "cond2", "cond3", "cond4"):
+                    with pytest.raises(ValueError, match="^pgpc_condition: n must be odd and >= 3$"):
+                        pgpc_condition(n, params, name)
+
     def test_short_circuit_evaluation(self):
         # Once a condition fails, later ones are never evaluated.
         report = pgpc_check(1729, canonical_params(5))
